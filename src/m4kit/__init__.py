@@ -23,6 +23,7 @@ from .blocks import (
 )
 from .certify import (
     Budget,
+    BudgetError,
     Certificate,
     FINITE_CYCLIC,
     INCONCLUSIVE,
@@ -90,7 +91,7 @@ __all__ = [
     "AbelianGroup", "h1", "smith_normal_form",
     "CATALOG", "EmbeddedSurface", "MarkedManifold", "SurgeryDatum",
     "bbt4", "bt4", "g2xgn", "t2xg2", "t2xs2b4", "t4", "t4b2",
-    "Budget", "Certificate", "FINITE_CYCLIC", "INCONCLUSIVE",
+    "Budget", "BudgetError", "Certificate", "FINITE_CYCLIC", "INCONCLUSIVE",
     "INFINITE_CYCLIC", "TRIVIAL", "certify", "commutation_closure",
     "simplify",
     "CheckFailure", "replay",

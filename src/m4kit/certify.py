@@ -61,8 +61,17 @@ FINITE_CYCLIC = "finite_cyclic"
 INCONCLUSIVE = "inconclusive"
 
 
+class BudgetError(ValueError):
+    """The coset budget is not a positive integer."""
+
+
 def _default_cosets() -> int:
-    return int(os.environ.get("M4KIT_BUDGET_COSETS", "1000000"))
+    raw = os.environ.get("M4KIT_BUDGET_COSETS", "1000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetError(
+            f"M4KIT_BUDGET_COSETS={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,11 @@ class Budget:
     max_cosets: int = field(default_factory=_default_cosets)
     max_derivation_steps: int = 10_000
     corroborate: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.max_cosets, int) or self.max_cosets < 1:
+            raise BudgetError(f"the coset budget must be a positive "
+                              f"integer, got {self.max_cosets!r}")
 
 
 class _State:

@@ -12,7 +12,8 @@ input was malformed (parse error, unknown name, bad arguments); 3 the
 certification budget was exhausted before a definite verdict.
 
 The coset budget honours the M4KIT_BUDGET_COSETS environment variable and
-the --max-cosets flag (the flag wins).
+the --max-cosets flag (the flag wins); either must be a positive integer,
+or the command exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from typing import Any
 
 from . import checker
-from .certify import Budget, Certificate, INCONCLUSIVE, certify
+from .certify import Budget, BudgetError, Certificate, INCONCLUSIVE, certify
 from .geography import GeographyError, in_odd_region, realize_pair
 from .manifest import (
     Expectation,
@@ -294,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Coset enumeration (Todd-Coxeter, HLT strategy with coincidences).
+"""Coset enumeration (Todd-Coxeter, Felsch strategy with coincidences).
 
 Deterministic: given the same presentation, subgroup generators and cap,
 the run defines the same cosets in the same order.  The enumeration either
@@ -6,9 +6,14 @@ returns the exact index of the subgroup or reports that it hit the cap —
 it never claims an index is infinite.
 
 The table is row-per-coset with one column per generator letter (g and
-g^-1).  Coincidences are processed with a queue over a union-find, and the
-table is compacted when dead cosets pile up so memory tracks the live
-count.
+g^-1, so column x ^ 1 is the inverse of column x).  Felsch strategy: the
+first undefined entry of each live coset, taken in order, defines a new
+coset, and every entry set anywhere is pushed as a deduction.  A deduction
+(a, x) scans, without defining, each cyclic rotation of a relator or its
+inverse that starts with x at a or with x^-1 at a·x, so a relator cycle is
+rechecked only when one of its entries changes.  Coincidences are processed
+with a queue over a union-find, and the table is compacted when dead
+cosets pile up so memory tracks the live count.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class _Overflow(Exception):
 
 
 class _Enumerator:
-    def __init__(self, gens: Sequence[str], max_cosets: int):
+    def __init__(self, gens: Sequence[str], max_cosets: int,
+                 relators: Iterable[Word] = ()):
         self.ncols = 2 * len(gens)
         self.col = {}
         for i, g in enumerate(gens):
@@ -47,12 +53,22 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]            # union-find over coset numbers
-        self.alive = [True]
+        self.live = 1
         self.total_defined = 1
-
-    @staticmethod
-    def inv(col: int) -> int:
-        return col ^ 1
+        self.deductions: list[tuple[int, int]] = []
+        # rotations[x]: the distinct cyclic rotations of every relator and
+        # of its inverse that start with column x
+        self.rotations: list[list[tuple[int, ...]]] = [
+            [] for _ in range(self.ncols)]
+        seen: set[tuple[int, ...]] = set()
+        for r in relators:
+            w = self.compile(r)
+            for v in (w, tuple(x ^ 1 for x in reversed(w))):
+                for i in range(len(v)):
+                    rot = v[i:] + v[:i]
+                    if rot not in seen:
+                        seen.add(rot)
+                        self.rotations[rot[0]].append(rot)
 
     def compile(self, w: Word) -> tuple[int, ...]:
         return tuple(self.col[letter] for letter in w.letters)
@@ -71,10 +87,11 @@ class _Enumerator:
         b = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(b)
-        self.alive.append(True)
+        self.live += 1
         self.total_defined += 1
         self.table[a][x] = b
-        self.table[b][self.inv(x)] = a
+        self.table[b][x ^ 1] = a
+        self.deductions.append((a, x))
         return b
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
@@ -84,7 +101,7 @@ class _Enumerator:
         if a > b:
             a, b = b, a
         self.parent[b] = a
-        self.alive[b] = False
+        self.live -= 1
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
@@ -100,20 +117,21 @@ class _Enumerator:
                     continue
                 self.table[dead][x] = None
                 # drop the reverse arrow too; it will be re-routed below
-                if self.table[d][self.inv(x)] == dead:
-                    self.table[d][self.inv(x)] = None
+                if self.table[d][x ^ 1] == dead:
+                    self.table[d][x ^ 1] = None
                 mu, nu = self.find(dead), self.find(d)
                 if self.table[mu][x] is not None:
                     self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][self.inv(x)] is not None:
-                    self._merge(mu, self.table[nu][self.inv(x)], queue)
+                elif self.table[nu][x ^ 1] is not None:
+                    self._merge(mu, self.table[nu][x ^ 1], queue)
                 else:
                     self.table[mu][x] = nu
-                    self.table[nu][self.inv(x)] = mu
+                    self.table[nu][x ^ 1] = mu
+                    self.deductions.append((mu, x))
 
     def scan_and_fill(self, a: int, w: tuple[int, ...]) -> None:
-        """Trace the relator w from coset a both ways, defining cosets to
-        close the cycle (standard HLT scan)."""
+        """Trace w from coset a both ways, defining cosets to close the
+        cycle (the HLT scan; used for the subgroup generators)."""
         if not w:
             return
         f, i = a, 0
@@ -126,23 +144,72 @@ class _Enumerator:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][self.inv(w[j])] is not None:
-                b = self.table[b][self.inv(w[j])]
+            while j >= i and self.table[b][w[j] ^ 1] is not None:
+                b = self.table[b][w[j] ^ 1]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
                 self.table[f][w[i]] = b
-                self.table[b][self.inv(w[i])] = f
+                self.table[b][w[i] ^ 1] = f
                 return
             self.define(f, w[i])
+
+    def scan(self, a: int, w: tuple[int, ...]) -> None:
+        """Trace w from coset a both ways without defining: a cycle that
+        closes on two cosets is a coincidence, a single gap a deduction."""
+        table = self.table
+        f, i, j = a, 0, len(w) - 1
+        while i <= j:
+            nxt = table[f][w[i]]
+            if nxt is None:
+                break
+            f = nxt
+            i += 1
+        else:
+            if f != a:
+                self.coincidence(f, a)
+            return
+        b = a
+        while j > i:
+            nxt = table[b][w[j] ^ 1]
+            if nxt is None:
+                return               # two or more gaps: nothing follows
+            b = nxt
+            j -= 1
+        nxt = table[b][w[i] ^ 1]
+        if nxt is not None:
+            self.coincidence(f, nxt)
+        else:
+            table[f][w[i]] = b
+            table[b][w[i] ^ 1] = f
+            self.deductions.append((f, w[i]))
+
+    def process_deductions(self) -> None:
+        """Scan every relator cycle through each pending entry (a, x)."""
+        parent, rotations = self.parent, self.rotations
+        stack = self.deductions
+        while stack:
+            a, x = stack.pop()
+            if parent[a] != a:
+                continue             # merged away; its entries moved on
+            for w in rotations[x]:
+                self.scan(a, w)
+                if parent[a] != a:
+                    break
+            else:
+                b = self.table[a][x]
+                for w in rotations[x ^ 1]:
+                    self.scan(b, w)
+                    if parent[b] != b:
+                        break
 
     def compact(self) -> dict[int, int]:
         """Renumber live cosets, preserving order; returns old -> new."""
         remap: dict[int, int] = {}
         for old in range(len(self.table)):
-            if self.alive[old] and self.find(old) == old:
+            if self.parent[old] == old:
                 remap[old] = len(remap)
         new_table = [[None] * self.ncols for _ in remap]
         for old, new in remap.items():
@@ -152,41 +219,43 @@ class _Enumerator:
                     new_table[new][x] = remap[self.find(d)]
         self.table = new_table
         self.parent = list(range(len(remap)))
-        self.alive = [True] * len(remap)
         return remap
 
     def live_count(self) -> int:
-        return sum(1 for i in range(len(self.table))
-                   if self.alive[i] and self.find(i) == i)
+        return self.live
 
 
 def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
                       max_cosets: int = 1_000_000) -> CosetCount | Exceeded:
     """Index of the subgroup generated by `subgroup` in the group presented
     by p (relators only; conditional relators and meridional tiers are the
-    caller's business and must not be present)."""
-    assert not p.meridional, "strip/discharge the meridional tier first"
-    assert not p.conditional, "decide conditional relators before enumerating"
-    enum = _Enumerator(p.generators, max_cosets)
-    relator_cols = [enum.compile(r) for r in p.relators if r]
-    subgroup_cols = [enum.compile(w) for w in subgroup if w]
+    caller's business, and ValueError is raised if any are present)."""
+    if p.meridional:
+        raise ValueError("strip/discharge the meridional tier first")
+    if p.conditional:
+        raise ValueError("decide conditional relators before enumerating")
+    enum = _Enumerator(p.generators, max_cosets, p.relators)
     try:
-        for w in subgroup_cols:
-            enum.scan_and_fill(0, w)
+        for w in subgroup:
+            enum.scan_and_fill(0, enum.compile(w))
+        # a closing scan sets entries without pushing them: check them all
+        enum.deductions = [(a, x) for a, row in enumerate(enum.table)
+                           if enum.parent[a] == a
+                           for x, b in enumerate(row) if b is not None]
+        enum.process_deductions()
         alpha = 0
         while alpha < len(enum.table):
-            if not enum.alive[alpha] or enum.find(alpha) != alpha:
+            if enum.parent[alpha] != alpha:
                 alpha += 1
                 continue
-            for w in relator_cols:
-                enum.scan_and_fill(alpha, w)
-                if not enum.alive[alpha]:
-                    break
-            if enum.alive[alpha]:
-                for x in range(enum.ncols):
-                    if enum.table[alpha][x] is None:
-                        enum.define(alpha, x)
-            if len(enum.table) > 4096 and enum.live_count() * 2 < len(enum.table):
+            for x in range(enum.ncols):
+                if enum.table[alpha][x] is None:
+                    enum.define(alpha, x)
+                    enum.process_deductions()
+                    if enum.parent[alpha] != alpha:
+                        break
+            if (len(enum.table) > 4096
+                    and enum.live_count() * 2 < len(enum.table)):
                 remap = enum.compact()
                 # Resume after every already-processed coset: live roots with
                 # old number <= alpha occupy exactly the new numbers below
@@ -196,4 +265,5 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
             alpha += 1
     except _Overflow:
         return Exceeded(max_cosets)
-    return CosetCount(index=enum.live_count(), total_defined=enum.total_defined)
+    return CosetCount(index=enum.live_count(),
+                      total_defined=enum.total_defined)

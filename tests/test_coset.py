@@ -1,12 +1,15 @@
 """Coset enumeration against groups of known order / subgroups of known index.
 
-Oracle values are textbook: |S3| = 6, |Q8| = 8, |D4| = 8, cyclic orders and
-indices by Lagrange.  The long fixture at the bottom pins the compaction
-resume logic on a table that actually crosses the compaction threshold.
+Oracle values are textbook: |S3| = 6, |Q8| = 8, |D4| = 8, |A5| = 60,
+|PSL(2,7)| = 168, cyclic orders and indices by Lagrange.  The test at the
+bottom pins the compaction resume logic on a table that actually crosses
+the compaction threshold.
 """
 
 import pytest
 
+from m4kit.certify import Budget, certify
+from m4kit.constructions import exotic_odd_cp2
 from m4kit.coset import CosetCount, Exceeded, _Enumerator, coset_enumeration
 from m4kit.presentation import (
     ConditionalRelator,
@@ -24,91 +27,9 @@ def pres(gens: str, *rels: str) -> FpPresentation:
 
 # -- orders over the trivial subgroup -----------------------------------------
 
-@pytest.mark.parametrize("p, order", [
-    (pres("a", "a^5"), 5),
-    (pres("a", "a"), 1),
-    (pres("a b", "a^2", "b^3", "(a b)^2"), 6),       # S3
-    (pres("a b", "a^4", "a^2 b^-2", "b^-1 a b a"), 8),  # Q8
-    (pres("r s", "r^4", "s^2", "(r s)^2"), 8),       # D4
-    (pres("a b", "a^3", "b^3", "[a, b]"), 9),        # Z/3 x Z/3
-    (pres("a b", "a^-1 b a b^-2", "b^-1 a b a^-2"), 1),
-])
-def test_group_orders(p, order):
-    result = coset_enumeration(p)
-    assert isinstance(result, CosetCount)
-    assert result.index == order
-    assert result.total_defined >= order
-
-
-# -- subgroup indices ----------------------------------------------------------
-
-def test_subgroup_indices_in_s3():
-    s3 = pres("a b", "a^2", "b^3", "(a b)^2")
-    assert coset_enumeration(s3, [gen("a")]).index == 3
-    assert coset_enumeration(s3, [gen("b")]).index == 2
-    assert coset_enumeration(s3, [gen("a"), gen("b")]).index == 1
-
-
-def test_cyclic_subgroup_index():
-    z12 = pres("a", "a^12")
-    assert coset_enumeration(z12, [parse_word("a^3")]).index == 3
-    assert coset_enumeration(z12, [parse_word("a^5")]).index == 1  # 5 generates
-
-
-def test_infinite_cyclic_over_itself():
-    z = pres("a")
-    assert coset_enumeration(z, [gen("a")]).index == 1
-
-
-def test_free_abelian_over_one_generator_exceeds():
-    zz = pres("a b", "[a, b]")
-    result = coset_enumeration(zz, [gen("a")], max_cosets=500)
-    assert result == Exceeded(500)
-
-
-# -- semidecision honesty --------------------------------------------------------
-
-def test_infinite_group_reports_exceeded_not_an_index():
-    z = pres("a")
-    assert coset_enumeration(z, max_cosets=100) == Exceeded(100)
-    trefoil = pres("x y", "x y x y^-1 x^-1 y^-1")
-    assert coset_enumeration(trefoil, max_cosets=300) == Exceeded(300)
-
-
-def test_refuses_undischarged_structure():
-    tier = FpPresentation(("a",), meridional=(MeridionalTier("g", gen("a")),))
-    with pytest.raises(AssertionError):
-        coset_enumeration(tier)
-    cond = FpPresentation(("a",), conditional=(
-        ConditionalRelator(gen("a"), gen("a")),))
-    with pytest.raises(AssertionError):
-        coset_enumeration(cond)
-
-
-# -- compaction ------------------------------------------------------------------
-
-def test_compact_preserves_order_and_root_zero():
-    enum = _Enumerator(("a", "b"), 1000)
-    # build a chain 0 -a-> 1 -a-> 2 ... -a-> 9
-    for i in range(9):
-        enum.define(enum.find(i), 0)
-    # merge a middle stretch into coset 2 so several numbers die
-    enum.coincidence(5, 2)
-    enum.coincidence(7, 2)
-    live_before = enum.live_count()
-    remap = enum.compact()
-    assert enum.live_count() == live_before
-    assert remap[0] == 0                      # the subgroup coset never moves
-    olds = sorted(remap)
-    news = [remap[o] for o in olds]
-    assert news == list(range(len(olds)))     # order-preserving and dense
-
-
-# The enumeration below crosses the in-loop compaction threshold (the table
-# grows past 4096 with most rows dead) and must still close to index 1.  An
-# earlier resume rule consulted the reset union-find after compaction and
-# could leave live cosets unscanned, reporting a spurious index (289 on this
-# very input); keep this fixture as the regression witness.
+# A collapsing presentation of the trivial group.  Under the earlier HLT
+# strategy it crossed the compaction threshold, and an earlier resume rule
+# reported a spurious index (289) on it.
 _COLLAPSING = """\
 generators: a1, b1, a2, b2, c1, d1, c2, d2, alpha1, alpha2, alpha3, alpha4
 relator: b1^-1 d1^-1 b1 d1 a1^-1
@@ -140,9 +61,115 @@ relator: a2 alpha3^-2
 """
 
 
-def test_compaction_resume_regression():
-    p = parse_presentation(_COLLAPSING)
+@pytest.mark.parametrize("p, order", [
+    (pres("a", "a^5"), 5),
+    (pres("a", "a"), 1),
+    (pres("a b", "a^2", "b^3", "(a b)^2"), 6),       # S3
+    (pres("a b", "a^4", "a^2 b^-2", "b^-1 a b a"), 8),  # Q8
+    (pres("r s", "r^4", "s^2", "(r s)^2"), 8),       # D4
+    (pres("a b", "a^3", "b^3", "[a, b]"), 9),        # Z/3 x Z/3
+    (pres("a b", "a^-1 b a b^-2", "b^-1 a b a^-2"), 1),
+    (parse_presentation(_COLLAPSING), 1),
+])
+def test_group_orders(p, order):
     result = coset_enumeration(p)
+    assert isinstance(result, CosetCount)
+    assert result.index == order
+    assert result.total_defined >= order
+
+
+# -- subgroup indices ----------------------------------------------------------
+
+def test_subgroup_indices_in_s3():
+    s3 = pres("a b", "a^2", "b^3", "(a b)^2")
+    assert coset_enumeration(s3, [gen("a")]).index == 3
+    assert coset_enumeration(s3, [gen("b")]).index == 2
+    assert coset_enumeration(s3, [gen("a"), gen("b")]).index == 1
+
+
+A5 = pres("a b", "a^2", "b^3", "(a b)^5")
+PSL27 = pres("a b", "a^2", "b^3", "(a b)^7", "[a, b]^4")
+
+
+@pytest.mark.parametrize("p, subgroup, index", [
+    (A5, "", 60), (A5, "a", 30), (A5, "b", 20), (A5, "a b", 12),
+    (PSL27, "", 168), (PSL27, "a", 84), (PSL27, "b", 56), (PSL27, "a b", 24),
+])
+def test_non_abelian_indices_define_no_spare_coset(p, subgroup, index):
+    result = coset_enumeration(p, [parse_word(subgroup)] if subgroup else [])
+    assert result.index == index
+    # Felsch deduction closes these without a redundant definition; a
+    # broken deduction path shows up as extra cosets
+    assert result.total_defined == index
+
+
+def test_cyclic_subgroup_index():
+    z12 = pres("a", "a^12")
+    assert coset_enumeration(z12, [parse_word("a^3")]).index == 3
+    assert coset_enumeration(z12, [parse_word("a^5")]).index == 1  # 5 generates
+
+
+def test_infinite_cyclic_over_itself():
+    z = pres("a")
+    assert coset_enumeration(z, [gen("a")]).index == 1
+
+
+def test_free_abelian_over_one_generator_exceeds():
+    zz = pres("a b", "[a, b]")
+    result = coset_enumeration(zz, [gen("a")], max_cosets=500)
+    assert result == Exceeded(500)
+
+
+# -- semidecision honesty --------------------------------------------------------
+
+def test_infinite_group_reports_exceeded_not_an_index():
+    z = pres("a")
+    assert coset_enumeration(z, max_cosets=100) == Exceeded(100)
+    trefoil = pres("x y", "x y x y^-1 x^-1 y^-1")
+    assert coset_enumeration(trefoil, max_cosets=300) == Exceeded(300)
+
+
+def test_refuses_undischarged_structure():
+    tier = FpPresentation(("a",), meridional=(MeridionalTier("g", gen("a")),))
+    with pytest.raises(ValueError):
+        coset_enumeration(tier)
+    cond = FpPresentation(("a",), conditional=(
+        ConditionalRelator(gen("a"), gen("a")),))
+    with pytest.raises(ValueError):
+        coset_enumeration(cond)
+
+
+# -- compaction ------------------------------------------------------------------
+
+def test_compact_preserves_order_and_root_zero():
+    enum = _Enumerator(("a", "b"), 1000)
+    # build a chain 0 -a-> 1 -a-> 2 ... -a-> 9
+    for i in range(9):
+        enum.define(enum.find(i), 0)
+    # merge a middle stretch into coset 2 so several numbers die
+    enum.coincidence(5, 2)
+    enum.coincidence(7, 2)
+    live_before = enum.live_count()
+    remap = enum.compact()
+    assert enum.live_count() == live_before
+    assert remap[0] == 0                      # the subgroup coset never moves
+    olds = sorted(remap)
+    news = [remap[o] for o in olds]
+    assert news == list(range(len(olds)))     # order-preserving and dense
+
+
+# The core of exotic_odd_cp2(20, 1) (input relators plus activated
+# conditionals) crosses the in-loop compaction threshold: the table grows
+# past 4096 with most rows dead, and must still close to index 1.  An
+# earlier resume rule consulted the reset union-find after compaction and
+# could leave live cosets unscanned, reporting a spurious index; keep this
+# input as the regression witness.
+def test_compaction_resume_regression():
+    cert = certify(exotic_odd_cp2(20, 1).pi1,
+                   budget=Budget(corroborate=False))
+    p = cert.presentation
+    core = FpPresentation(p.generators, p.relators + tuple(cert.activated))
+    result = coset_enumeration(core)
     assert isinstance(result, CosetCount)
     assert result.index == 1
     # the point of the fixture: the threshold really was crossed

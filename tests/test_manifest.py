@@ -211,6 +211,18 @@ def test_exit_usage_on_bad_geography_pair(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("env, argv", [
+    ("abc", []), ("0", []), ("-3", []), (None, ["--max-cosets", "0"]),
+])
+def test_exit_usage_on_bad_coset_budget(tmp_path, capsys, monkeypatch, env,
+                                        argv):
+    if env is not None:
+        monkeypatch.setenv("M4KIT_BUDGET_COSETS", env)
+    path = write(tmp_path, "block b = T4()\nexpect b: e=0\n")
+    assert main(["build", path, *argv]) == 2
+    assert "budget error" in capsys.readouterr().err
+
+
 def test_exit_budget_on_inconclusive(tmp_path, capsys):
     path = write(tmp_path, 'block b = T4()\nexpect b: pi1="trivial"\n')
     assert main(["build", path]) == 3
