@@ -25,6 +25,7 @@ from .certify import (
     Budget,
     BudgetError,
     Certificate,
+    CertificateFormatError,
     FINITE_CYCLIC,
     INCONCLUSIVE,
     INFINITE_CYCLIC,
@@ -91,7 +92,8 @@ __all__ = [
     "AbelianGroup", "h1", "smith_normal_form",
     "CATALOG", "EmbeddedSurface", "MarkedManifold", "SurgeryDatum",
     "bbt4", "bt4", "g2xgn", "t2xg2", "t2xs2b4", "t4", "t4b2",
-    "Budget", "BudgetError", "Certificate", "FINITE_CYCLIC", "INCONCLUSIVE",
+    "Budget", "BudgetError", "Certificate", "CertificateFormatError",
+    "FINITE_CYCLIC", "INCONCLUSIVE",
     "INFINITE_CYCLIC", "TRIVIAL", "certify", "commutation_closure",
     "simplify",
     "CheckFailure", "replay",

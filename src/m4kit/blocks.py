@@ -155,7 +155,8 @@ def t2xg2(p: int, q: int) -> MarkedManifold:
 
     a1, b1, a2, b2 generate the genus-2 fiber, c and d the torus.
     """
-    assert p >= 0 and q >= 0
+    if p < 0 or q < 0:
+        raise ValueError(f"T2xG2 needs p, q >= 0, got p={p}, q={q}")
     rel = [
         _relator("[b1^-1, d^-1]", "a1"),
         _relator("[a1^-1, d]", "b1"),
@@ -207,7 +208,8 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
     a1, b1, a2, b2 generate the genus-2 factor; c1, d1, ..., cn, dn the
     genus-n factor.
     """
-    assert n >= 2 and m >= 1
+    if n < 2 or m < 1:
+        raise ValueError(f"G2xGn needs n >= 2 and m >= 1, got n={n}, m={m}")
     cs = [f"c{j}" for j in range(1, n + 1)]
     ds = [f"d{j}" for j in range(1, n + 1)]
     gens = ("a1", "b1", "a2", "b2") + tuple(x for pair in zip(cs, ds) for x in pair)
@@ -300,8 +302,10 @@ def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedMani
     orientations at the second site; certification results do not depend
     on the choice.
     """
-    assert q >= 0 and r >= 0 and m >= 1
-    assert eps1 in (1, -1) and eps3 in (1, -1)
+    if q < 0 or r < 0 or m < 1:
+        raise ValueError(f"BT4 needs q, r >= 0 and m >= 1, got q={q}, r={r}, m={m}")
+    if eps1 not in (1, -1) or eps3 not in (1, -1):
+        raise ValueError(f"BT4 signs must be +1 or -1, got eps1={eps1}, eps3={eps3}")
     if gcd(m, r) != 1:
         raise ValueError(f"surgery coefficient m/r = {m}/{r} is not reduced")
     if r == 0 and m != 1:
@@ -360,7 +364,8 @@ def bbt4(q: int, r: int) -> MarkedManifold:
     exceptional spheres) has *trivial* meridian: the complement
     presentation below is on the nose, and all four curve images are
     exact."""
-    assert q >= 1 and r >= 1
+    if q < 1 or r < 1:
+        raise ValueError(f"BBT4 needs q, r >= 1, got q={q}, r={r}")
     rel = (
         _relator(f"alpha1^{q}", "[alpha2^-1, alpha4^-1]"),
         _relator(f"alpha2^{r}", "[alpha1^-1, alpha4]"),

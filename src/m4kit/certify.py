@@ -17,6 +17,7 @@ gate downgrades any verdict whose abelianization disagrees.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Any, Iterable
@@ -27,12 +28,14 @@ from .presentation import (
     ConditionalRelator,
     FpPresentation,
     MeridionalTier,
+    PresentationError,
     defining_rotation,
     format_presentation,
     parse_presentation,
 )
 from .trace import (
     ActivateConditional,
+    CertificateFormatError,
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
@@ -40,11 +43,13 @@ from .trace import (
     PairFromRelator,
     ReplaceSubword,
     TraceStep,
+    json_field,
     step_from_json,
     step_to_json,
 )
 from .words import (
     Word,
+    WordSyntaxError,
     commutator,
     cyclic_reduce,
     cyclically_equal,
@@ -168,11 +173,9 @@ def _closure_pass(state: _State) -> list[TraceStep]:
                     changed = True
         for r in state.relators:
             for g in dict.fromkeys(n for n, _ in r.letters):
-                if r.occurrences(g) != 1:
+                definition = defining_rotation(r, g)
+                if definition is None:
                     continue
-                rot = defining_rotation(r, g)
-                assert rot is not None
-                _, definition = rot
                 for other in state.gens:
                     if other == g or state.paired(g, other):
                         continue
@@ -220,11 +223,9 @@ def _find_elimination(state: _State) -> Eliminate | None:
     best = None
     for idx, r in enumerate(state.relators):
         for g in sorted(r.names()):
-            if r.occurrences(g) != 1:
+            definition = defining_rotation(r, g)
+            if definition is None:
                 continue
-            rot = defining_rotation(r, g)
-            assert rot is not None
-            _, definition = rot
             occ_elsewhere = sum(r2.occurrences(g)
                                 for k, r2 in enumerate(state.relators) if k != idx)
             occ_elsewhere += sum(rel.occurrences(g) + key.occurrences(g)
@@ -273,7 +274,8 @@ def _find_replacement(state: _State) -> ReplaceSubword | None:
 
 # -- move application -------------------------------------------------------
 
-def _apply_cancel(state: _State, step: CommutationCancel) -> None:
+def _apply_rewrite(state: _State,
+                   step: CommutationCancel | ReplaceSubword) -> None:
     i = state.relators.index(step.before)
     if step.after:
         state.relators[i] = step.after
@@ -285,14 +287,6 @@ def _apply_elimination(state: _State, step: Eliminate) -> None:
     i = state.relators.index(step.via)
     del state.relators[i]
     state.substitute_everywhere(step.gen, step.definition)
-
-
-def _apply_replacement(state: _State, step: ReplaceSubword) -> None:
-    i = state.relators.index(step.before)
-    if step.after:
-        state.relators[i] = step.after
-    else:
-        del state.relators[i]
 
 
 def _discharge_pass(state: _State) -> list[TraceStep]:
@@ -350,7 +344,7 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
         cancel = _find_cancel(state)
         if cancel is not None:
             trace.append(cancel)
-            _apply_cancel(state, cancel)
+            _apply_rewrite(state, cancel)
             continue
         if step is not None:
             trace.append(step)
@@ -359,7 +353,7 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
         repl = _find_replacement(state)
         if repl is not None:
             trace.append(repl)
-            _apply_replacement(state, repl)
+            _apply_rewrite(state, repl)
             continue
         if not progress:
             return state, trace, False
@@ -384,6 +378,26 @@ def commutation_closure(p: FpPresentation) -> frozenset[frozenset[str]]:
 
 # -- certificates -----------------------------------------------------------
 
+_NULL = type(None)
+# the JSON types of each certificate field, and of the items of list fields
+_FIELDS: dict[str, tuple[type, ...]] = {
+    "verdict": (str,), "generator": (str, _NULL), "order": (int, _NULL),
+    "reason": (str, _NULL), "presentation": (str,), "final": (str,),
+    "trace": (list,), "activated": (list,), "h1_rank": (int, _NULL),
+    "h1_torsion": (list, _NULL), "coset_index": (int, _NULL),
+    "coset_subgroup": (list, _NULL), "steps_used": (int,),
+    "target": (str, _NULL), "matches_target": (bool, _NULL),
+}
+_ITEMS = {"activated": str, "h1_torsion": int, "coset_subgroup": str}
+
+
+def core_presentation(p: FpPresentation,
+                      activated: Iterable[Word]) -> FpPresentation:
+    """The conditional-free core that coset corroboration runs on: p's
+    generators and relators plus every activated conditional relator."""
+    return FpPresentation(p.generators, p.relators + tuple(activated))
+
+
 @dataclass(frozen=True)
 class Certificate:
     verdict: str
@@ -405,6 +419,11 @@ class Certificate:
     @property
     def is_definite(self) -> bool:
         return self.verdict != INCONCLUSIVE
+
+    def core(self) -> FpPresentation:
+        """The input relators plus the activated conditionals: a
+        presentation that the true group genuinely satisfies."""
+        return core_presentation(self.presentation, self.activated)
 
     def describe(self) -> str:
         if self.verdict == TRIVIAL:
@@ -437,27 +456,30 @@ class Certificate:
         }
 
     @staticmethod
-    def from_json(data: dict[str, Any]) -> "Certificate":
-        assert data.get("schema") == "m4kit.certificate/1", "unknown schema"
-        return Certificate(
-            verdict=data["verdict"],
-            generator=data["generator"],
-            order=data["order"],
-            reason=data["reason"],
-            presentation=parse_presentation(data["presentation"]),
-            final=parse_presentation(data["final"]),
-            trace=tuple(step_from_json(s) for s in data["trace"]),
-            activated=tuple(parse_word(w) for w in data["activated"]),
-            h1_rank=data["h1_rank"],
-            h1_torsion=tuple(data["h1_torsion"])
-                       if data["h1_torsion"] is not None else None,
-            coset_index=data["coset_index"],
-            coset_subgroup=tuple(data["coset_subgroup"])
-                           if data["coset_subgroup"] is not None else None,
-            steps_used=data["steps_used"],
-            target=data["target"],
-            matches_target=data["matches_target"],
-        )
+    def from_json(data: Any) -> "Certificate":
+        """Decode to_json() output.  Raises CertificateFormatError on a
+        wrong schema or verdict, a missing field or a wrongly typed value."""
+        schema = json_field(data, "schema", "certificate", str)
+        if schema != "m4kit.certificate/1":
+            raise CertificateFormatError(f"unknown schema {schema!r}")
+        f = {key: json_field(data, key, "certificate", *kinds)
+             for key, kinds in _FIELDS.items()}
+        for key, kind in _ITEMS.items():
+            if f[key] is not None and any(type(x) is not kind for x in f[key]):
+                raise CertificateFormatError(
+                    f"certificate field {key!r} must list {kind.__name__} values")
+        if f["verdict"] not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC,
+                                INCONCLUSIVE):
+            raise CertificateFormatError(f"unknown verdict {f['verdict']!r}")
+        try:
+            f.update(presentation=parse_presentation(f["presentation"]),
+                     final=parse_presentation(f["final"]),
+                     trace=[step_from_json(s) for s in f["trace"]],
+                     activated=[parse_word(w) for w in f["activated"]])
+        except (PresentationError, WordSyntaxError) as exc:
+            raise CertificateFormatError(f"certificate: {exc}") from None
+        return Certificate(**{key: tuple(v) if type(v) is list else v
+                              for key, v in f.items()})
 
 
 def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str | None]:
@@ -491,16 +513,22 @@ def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str
             f"{len(state.relators)} relators")
 
 
-def _matches(verdict: str, order: int | None, target: str | None) -> bool | None:
-    if target is None:
-        return None
-    if target == "trivial":
-        return verdict == TRIVIAL
-    if target == "Z":
-        return verdict == INFINITE_CYCLIC
-    if target.startswith("Z/"):
-        return verdict == FINITE_CYCLIC and order == int(target[2:])
-    raise ValueError(f"unknown target {target!r} (expected trivial, Z, or Z/n)")
+_TARGETS = {TRIVIAL: "trivial", INFINITE_CYCLIC: "Z"}
+
+
+def target_of(verdict: str, order: int | None) -> str | None:
+    """The target a verdict meets: "trivial", "Z" or "Z/n"; None when
+    inconclusive."""
+    return f"Z/{order}" if verdict == FINITE_CYCLIC else _TARGETS.get(verdict)
+
+
+def parse_target(text: str) -> str:
+    """Return text if it is a target: "trivial", "Z" or "Z/n" with n >= 2
+    written without leading zeros.  Raises ValueError otherwise."""
+    if text in _TARGETS.values() or re.fullmatch(r"Z/([2-9]|[1-9]\d+)", text):
+        return text
+    raise ValueError(f"unknown target {text!r} (expected trivial, Z, or Z/n "
+                     "with n >= 2)")
 
 
 def certify(p: FpPresentation, target: str | None = None,
@@ -514,6 +542,8 @@ def certify(p: FpPresentation, target: str | None = None,
     subgroup for a trivial verdict, over the surviving generator for a
     cyclic one (expected index 1 in both cases).
     """
+    if target is not None:
+        parse_target(target)
     budget = budget or Budget()
     state, trace, exhausted = _run_engine(p, budget, allow_discharge=True)
     if exhausted:
@@ -545,16 +575,14 @@ def certify(p: FpPresentation, target: str | None = None,
                 f"{expected} answer but H1 of the input is {ab}")
 
     if verdict != INCONCLUSIVE and budget.corroborate:
-        enum_p = FpPresentation(
-            generators=p.generators,
-            relators=p.relators + tuple(state.activated))
         subgroup_names: tuple[str, ...] = ()
         subgroup_words: list[Word] = []
         if verdict in (INFINITE_CYCLIC, FINITE_CYCLIC):
             assert generator is not None
             subgroup_names = (generator,)
             subgroup_words = [gen(generator)]
-        result = coset_enumeration(enum_p, subgroup_words,
+        result = coset_enumeration(core_presentation(p, state.activated),
+                                   subgroup_words,
                                    max_cosets=budget.max_cosets)
         coset_subgroup = subgroup_names
         if isinstance(result, CosetCount):
@@ -583,5 +611,6 @@ def certify(p: FpPresentation, target: str | None = None,
         coset_subgroup=coset_subgroup,
         steps_used=len(trace),
         target=target,
-        matches_target=_matches(verdict, order, target),
+        matches_target=(None if target is None
+                        else target_of(verdict, order) == target),
     )

@@ -38,7 +38,7 @@ from .words import (
 )
 
 
-class CheckFailure(AssertionError):
+class CheckFailure(Exception):
     pass
 
 
@@ -121,15 +121,8 @@ class _Replay:
             if not self.paired(n, s.x):
                 _fail(f"commutation_cancel: interior letter {n!r} is not "
                       f"known to commute with {s.x!r}")
-        after = cyclic_reduce(Word(w.letters[:s.i] + w.letters[s.i + 1:s.j]
-                                   + w.letters[s.j + 1:]))
-        if after != s.after:
-            _fail("commutation_cancel: recorded result does not match "
-                  f"({format_word(after)} != {format_word(s.after)})")
-        if after:
-            self.relators[idx] = after
-        else:
-            del self.relators[idx]
+        self._rewrite(idx, w.letters[:s.i] + w.letters[s.i + 1:s.j]
+                      + w.letters[s.j + 1:], s.after, "commutation_cancel")
 
     def eliminate(self, s: Eliminate) -> None:
         idx = self.require_relator(s.via, "eliminate")
@@ -179,11 +172,18 @@ class _Replay:
             _fail("replace_subword: occurrence out of range")
         if s.before.letters[s.at:s.at + s.split] != sub:
             _fail("replace_subword: claimed occurrence does not match")
-        after = cyclic_reduce(Word(s.before.letters[:s.at]
-                                   + t.inverse().letters
-                                   + s.before.letters[s.at + s.split:]))
-        if after != s.after:
-            _fail("replace_subword: recorded result does not match")
+        self._rewrite(idx, s.before.letters[:s.at] + t.inverse().letters
+                      + s.before.letters[s.at + s.split:], s.after,
+                      "replace_subword")
+
+    def _rewrite(self, idx: int, letters: tuple[tuple[str, int], ...],
+                 recorded: Word, what: str) -> None:
+        """Reduce the rewritten letters, require the step's recorded
+        result, and put it in place of relator idx (dropping it if empty)."""
+        after = cyclic_reduce(Word(letters))
+        if after != recorded:
+            _fail(f"{what}: recorded result does not match "
+                  f"({format_word(after)} != {format_word(recorded)})")
         if after:
             self.relators[idx] = after
         else:

@@ -8,7 +8,8 @@
     m4kit fmt MANIFEST [-w]                   canonical manifest form
 
 Exit codes: 0 success; 1 an expectation or verification failed; 2 the
-input was malformed (parse error, unknown name, bad arguments); 3 the
+input was malformed (parse error, unknown name, bad arguments, a malformed
+certificate or --target); 3 the
 certification budget was exhausted before a definite verdict.
 
 The coset budget honours the M4KIT_BUDGET_COSETS environment variable and
@@ -24,7 +25,16 @@ import sys
 from typing import Any
 
 from . import checker
-from .certify import Budget, BudgetError, Certificate, INCONCLUSIVE, certify
+from .blocks import MarkedManifold
+from .certify import (
+    Budget,
+    BudgetError,
+    Certificate,
+    CertificateFormatError,
+    INCONCLUSIVE,
+    certify,
+    parse_target,
+)
 from .geography import GeographyError, in_odd_region, realize_pair
 from .manifest import (
     Expectation,
@@ -59,6 +69,17 @@ def _load_manifest(path: str) -> Manifest:
         return parse_manifest(fh.read())
 
 
+def _build_manifold(path: str, name: str) -> MarkedManifold:
+    """Build the definitions of a manifest, skipping its expectations, and
+    return the manifold called `name`."""
+    m = _load_manifest(path)
+    result = run_manifest(
+        Manifest(tuple(i for i in m.items if not isinstance(i, Expectation))))
+    if name not in result.manifolds:
+        raise ManifestError(f"no manifold named {name!r} in {path}")
+    return result.manifolds[name]
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     m = _load_manifest(args.manifest)
     result = run_manifest(m, budget=_budget(args))
@@ -78,15 +99,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    m = _load_manifest(args.manifest)
-    result = run_manifest(
-        Manifest(tuple(i for i in m.items if not isinstance(i, Expectation))),
-        budget=_budget(args))
-    if args.name not in result.manifolds:
-        print(f"no manifold named {args.name!r} in {args.manifest}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    M = result.manifolds[args.name]
+    M = _build_manifold(args.manifest, args.name)
     cert = certify(M.pi1, target=args.target, budget=_budget(args))
     if cert.is_definite:
         checker.replay(cert, M.pi1)
@@ -205,14 +218,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if args.name is None:
             print("--manifest requires --name", file=sys.stderr)
             return EXIT_USAGE
-        m = _load_manifest(args.manifest)
-        result = run_manifest(
-            Manifest(tuple(i for i in m.items
-                           if not isinstance(i, Expectation))))
-        if args.name not in result.manifolds:
-            print(f"no manifold named {args.name!r}", file=sys.stderr)
-            return EXIT_USAGE
-        expected = result.manifolds[args.name].pi1
+        expected = _build_manifold(args.manifest, args.name).pi1
     try:
         checker.replay(cert, expected)
     except checker.CheckFailure as exc:
@@ -256,8 +262,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify one manifold from a manifest")
     p.add_argument("manifest")
     p.add_argument("name")
-    p.add_argument("--target", default=None,
-                   help='"trivial", "Z", or "Z/<n>"')
+    p.add_argument("--target", default=None, type=parse_target,
+                   help='"trivial", "Z", or "Z/<n>" with n >= 2')
     p.add_argument("-o", "--output", help="write the certificate JSON here")
     p.add_argument("--max-cosets", type=int, default=None)
     p.set_defaults(fn=_cmd_certify)
@@ -298,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (CertificateFormatError, json.JSONDecodeError) as exc:
+        print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

@@ -12,6 +12,8 @@ certify() to pin the fundamental group down.  Characteristic numbers:
 with m = 1 symplectic and m >= 2 the non-symplectic members of each
 infinite family.  cyclic_family(p, m) trades the trivial group for Z/p
 (p = 0 gives Z), and finite_cyclic_example() is the smallest Z/2 instance.
+Parameters are checked by the block constructors they reach, which raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ def exotic_cp2_2(m: int = 1, *, eps1: int = 1, eps3: int = -1) -> MarkedManifold
     m-family of exotic copies of the projective plane with two reversed
     blow-ups.  (eps1, eps3) choose the pushoff orientation inside the
     right summand; any of the four choices certifies the same way."""
-    assert m >= 1
     return fiber_sum(t2xg2(1, 1), "Sigma2",
                      bt4(1, 1, m, eps1, eps3), "SigmaBar2")
 
@@ -34,7 +35,6 @@ def exotic_odd_cp2(n: int, m: int = 1, *,
                    eps1: int = 1, eps3: int = -1) -> MarkedManifold:
     """Fiber sum with e = 4n + 1, sigma = -1 (n >= 2): exotic copies of the
     connected sum of 2n - 1 projective planes and 2n reversed ones."""
-    assert n >= 2 and m >= 1
     return fiber_sum(g2xgn(n, m), "Sigma2",
                      bt4(1, 0, 1, eps1, eps3), "SigmaBar2")
 
@@ -43,7 +43,6 @@ def cyclic_family(p: int, m: int = 1) -> MarkedManifold:
     """The e = 5, sigma = -1 sum with the first twist coefficient opened up
     to 1/p: fundamental group Z/p (infinite cyclic when p = 0, trivial when
     p = 1)."""
-    assert p >= 0 and m >= 1
     return fiber_sum(t2xg2(p, 1), "Sigma2", bt4(1, 1, m), "SigmaBar2")
 
 
@@ -51,7 +50,6 @@ def exotic_cp2_4(m: int = 1, *, eps1: int = 1, eps3: int = -1) -> MarkedManifold
     """Fiber sum of the two blown-up-torus blocks: e = 7, sigma = -3,
     certifiably trivial pi1.  The right summand is renamed with prefix z_
     since both sides use the alpha alphabet."""
-    assert m >= 1
     return fiber_sum(bbt4(1, 1), "SigmaHat2",
                      bt4(1, 1, m, eps1, eps3), "SigmaBar2", prefix="z_")
 
@@ -59,7 +57,6 @@ def exotic_cp2_4(m: int = 1, *, eps1: int = 1, eps3: int = -1) -> MarkedManifold
 def exotic_cp2_6(m: int = 1, *, eps1: int = 1, eps3: int = -1) -> MarkedManifold:
     """Fiber sum of the blown-up torus-ruled block with the blown-up
     four-torus block: e = 9, sigma = -5, certifiably trivial pi1."""
-    assert m >= 1
     return fiber_sum(t2xs2b4(), "SigmaTilde2",
                      bt4(1, 1, m, eps1, eps3), "SigmaBar2")
 

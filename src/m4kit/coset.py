@@ -221,9 +221,6 @@ class _Enumerator:
         self.parent = list(range(len(remap)))
         return remap
 
-    def live_count(self) -> int:
-        return self.live
-
 
 def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
                       max_cosets: int = 1_000_000) -> CosetCount | Exceeded:
@@ -255,7 +252,7 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
                     if enum.parent[alpha] != alpha:
                         break
             if (len(enum.table) > 4096
-                    and enum.live_count() * 2 < len(enum.table)):
+                    and enum.live * 2 < len(enum.table)):
                 remap = enum.compact()
                 # Resume after every already-processed coset: live roots with
                 # old number <= alpha occupy exactly the new numbers below
@@ -265,5 +262,5 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
             alpha += 1
     except _Overflow:
         return Exceeded(max_cosets)
-    return CosetCount(index=enum.live_count(),
+    return CosetCount(index=enum.live,
                       total_defined=enum.total_defined)

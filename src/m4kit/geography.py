@@ -36,7 +36,6 @@ from .certify import (
     certify,
 )
 from .coset import CosetCount, coset_enumeration
-from .presentation import FpPresentation
 from .surgery import fiber_sum, torus_surgery
 from .words import gen
 
@@ -150,13 +149,6 @@ class Realization:
         return self.manifold.site(self.site_name)
 
 
-def _tc_core(cert: Certificate) -> FpPresentation:
-    """The conditional-free core a certificate's corroborations ran on:
-    the input generators and relators plus every activated conditional."""
-    inp = cert.presentation
-    return FpPresentation(inp.generators, inp.relators + tuple(cert.activated))
-
-
 def _recipe(chi: int, c1sq: int) -> tuple[MarkedManifold, str]:
     if (chi, c1sq) == (1, 5):
         M = fiber_sum(bbt4(1, 1), "SigmaHat2", bt4(1, 0, 1), "SigmaBar2",
@@ -221,9 +213,8 @@ def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
 
     torus_surjects = False
     if comp_cert.verdict == INFINITE_CYCLIC:
-        core = _tc_core(comp_cert)
         sub = tuple(gen(g) for g in site.torus_generators)
-        count = coset_enumeration(core, subgroup=sub,
+        count = coset_enumeration(comp_cert.core(), subgroup=sub,
                                   max_cosets=budget.max_cosets)
         torus_surjects = isinstance(count, CosetCount) and count.index == 1
 

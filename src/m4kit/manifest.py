@@ -21,7 +21,7 @@ Expectation keys:
     parity="odd"    intersection-form parity ("odd"/"even"/"unknown")
     symplectic=BOOL carries a symplectic structure
     pi1="trivial"   certify the fundamental group against a target:
-       ="Z"         "trivial", "Z", or "Z/<n>"
+       ="Z"         "trivial", "Z", or "Z/<n>" (n >= 2, no leading zeros)
     gen="c"         the certified generator (with pi1="Z" or "Z/<n>")
     model="CP2 # 2CP2bar"
                     homeomorphism type read off a trivial-pi1 certificate
@@ -36,7 +36,7 @@ they are produced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import checker
@@ -44,14 +44,13 @@ from .blocks import CATALOG, MarkedManifold
 from .certify import (
     Budget,
     Certificate,
-    FINITE_CYCLIC,
     INCONCLUSIVE,
-    INFINITE_CYCLIC,
-    TRIVIAL,
     certify,
+    parse_target,
+    target_of,
 )
 from .geography import GeographyError, coords, freedman_model, in_odd_region
-from .surgery import SurgeryError, blow_up, fiber_sum, torus_surgery
+from .surgery import blow_up, fiber_sum, torus_surgery
 
 
 class ManifestError(ValueError):
@@ -109,29 +108,14 @@ class Definition:
     name: str
     ctor: str                 # catalog name or operation name
     args: tuple[tuple[str | None, Value], ...]
-    line: int = 0
-
-    def __eq__(self, other: object) -> bool:   # line numbers don't count
-        return (isinstance(other, Definition)
-                and (self.kind, self.name, self.ctor, self.args)
-                == (other.kind, other.name, other.ctor, other.args))
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.name, self.ctor, self.args))
+    line: int = field(default=0, compare=False)   # line numbers don't count
 
 
 @dataclass(frozen=True)
 class Expectation:
     name: str
     checks: tuple[tuple[str, Value], ...]
-    line: int = 0
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Expectation)
-                and (self.name, self.checks) == (other.name, other.checks))
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.checks))
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,6 @@ _OPERATION = {"surgery": "torus_surgery", "blowup": "blow_up",
               "sum": "fiber_sum"}
 _EXPECT_KEYS = ("e", "sigma", "parity", "symplectic", "pi1", "gen", "model",
                 "region")
-_PI1_RE = re.compile(r"^(trivial|Z|Z/[2-9]\d*)$")
 
 
 class _Cursor:
@@ -444,13 +427,8 @@ class RunResult:
 
 
 def _describe_target(cert: Certificate) -> str:
-    if cert.verdict == TRIVIAL:
-        return "trivial"
-    if cert.verdict == INFINITE_CYCLIC:
-        return "Z"
-    if cert.verdict == FINITE_CYCLIC:
-        return f"Z/{cert.order}"
-    return f"inconclusive ({cert.reason})"
+    return (target_of(cert.verdict, cert.order)
+            or f"inconclusive ({cert.reason})")
 
 
 def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
@@ -471,8 +449,7 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
                 env[item.name] = _build_definition(item, env)
             except ManifestError:
                 raise
-            except (SurgeryError, GeographyError, ValueError, KeyError,
-                    AssertionError) as exc:
+            except (ValueError, KeyError) as exc:
                 raise ManifestError(f"building {item.name!r}: {exc}",
                                     item.line) from exc
             continue
@@ -484,11 +461,14 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
         if needs_cert:
             target = None
             if "pi1" in keys:
-                tag, val = keys["pi1"]
-                if tag != "str" or not _PI1_RE.match(val):
-                    raise ManifestError(
-                        'pi1 expects "trivial", "Z" or "Z/<n>"', item.line)
-                target = val
+                tag, target = keys["pi1"]
+                try:
+                    if tag != "str":
+                        raise ValueError(target)
+                    parse_target(target)
+                except ValueError:
+                    raise ManifestError('pi1 expects "trivial", "Z" or '
+                                        '"Z/<n>" with n >= 2', item.line) from None
             cert = certify(M.pi1, target=target, budget=budget)
             if cert.is_definite:
                 checker.replay(cert, M.pi1)   # trust nothing unreplayed

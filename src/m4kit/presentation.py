@@ -24,14 +24,13 @@ All types are immutable; operations return new presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 from .words import (
     NAME_RE,
     Word,
     WordSyntaxError,
-    cyclically_equal,
     format_word,
     gen,
     parse_word,
@@ -96,6 +95,9 @@ class FpPresentation:
         if stray:
             raise PresentationError(
                 f"{what} {format_word(w)!r} uses unknown generators {sorted(stray)}")
+        if any(sign not in (1, -1) for _, sign in w.letters):
+            raise PresentationError(
+                f"{what} {format_word(w)!r} has a sign other than +1 or -1")
 
     # -- small immutable transforms ---------------------------------------
 
@@ -128,14 +130,8 @@ class FpPresentation:
         return replace(self, meridional=self.meridional
                        + (MeridionalTier(label, key),))
 
-    def with_distinguished(self, label: str, w: Word) -> "FpPresentation":
-        return replace(self, distinguished=self.distinguished + ((label, w),))
-
     def strip_meridional(self) -> "FpPresentation":
         return replace(self, meridional=())
-
-    def distinguished_map(self) -> dict[str, Word]:
-        return dict(self.distinguished)
 
     def rename_generators(self, mapping: Mapping[str, str]) -> "FpPresentation":
         """Rename generators; mapping must stay injective on the full set."""
@@ -158,10 +154,13 @@ class FpPresentation:
         )
 
     def with_prefix(self, prefix: str) -> "FpPresentation":
-        """Prefix every generator name and every distinguished label."""
+        """Prefix every generator name, tier label and distinguished label."""
         p = self.rename_generators({g: prefix + g for g in self.generators})
-        return replace(p, distinguished=tuple((prefix + n, w)
-                                              for n, w in p.distinguished))
+        return replace(
+            p,
+            meridional=tuple(MeridionalTier(prefix + t.label, t.key)
+                             for t in p.meridional),
+            distinguished=tuple((prefix + n, w) for n, w in p.distinguished))
 
     def __str__(self) -> str:
         return format_presentation(self)
@@ -169,7 +168,8 @@ class FpPresentation:
 
 def free_product(left: FpPresentation, right: FpPresentation) -> FpPresentation:
     """Disjoint union of presentations.  Generator (and distinguished-label)
-    clashes are errors; the caller renames first, e.g. with with_prefix()."""
+    clashes are errors; the caller renames first with with_prefix(), which
+    prefixes generators, tier labels and distinguished labels alike."""
     clash = set(left.generators) & set(right.generators)
     if clash:
         raise PresentationError(f"generator clash in free product: {sorted(clash)}")
@@ -185,57 +185,16 @@ def free_product(left: FpPresentation, right: FpPresentation) -> FpPresentation:
     )
 
 
-def impose(p: FpPresentation, relators: Iterable[Word]) -> FpPresentation:
-    """Quotient by extra relators (validated against p's generators)."""
-    return p.with_relators(*relators)
-
-
-def defining_rotation(r: Word, name: str) -> tuple[int, Word] | None:
-    """If relator r mentions `name` exactly once, return (sign, definition)
-    so that r = 1 is equivalent to name = definition and definition avoids
-    `name`.  Otherwise None."""
+def defining_rotation(r: Word, name: str) -> Word | None:
+    """If relator r mentions `name` exactly once, return the definition
+    (which avoids `name`) such that r = 1 is equivalent to
+    name = definition.  Otherwise None."""
     if r.occurrences(name) != 1:
         return None
     k = next(i for i, (n, _) in enumerate(r.letters) if n == name)
     rot = rotate(r, k)          # now rot[0] is (name, e)
-    e = rot.letters[0][1]
     tail = Word(rot.letters[1:])
-    definition = tail.inverse() if e > 0 else tail
-    assert name not in definition.names()
-    return e, definition
-
-
-def eliminate_generator(p: FpPresentation, name: str,
-                        definition: Word) -> FpPresentation:
-    """Tietze elimination: require a relator saying name = definition (up to
-    rotation/inversion), then substitute the definition everywhere and drop
-    both the generator and the defining relator."""
-    if name not in p.generators:
-        raise PresentationError(f"no generator {name!r}")
-    if name in definition.names():
-        raise PresentationError("definition mentions the generator itself")
-    witness = gen(name) * definition.inverse()
-    for r in p.relators:
-        if cyclically_equal(r, witness):
-            break
-    else:
-        raise PresentationError(
-            f"no relator witnessing {name} = {format_word(definition)}")
-    images = {name: definition}
-
-    def sub(w: Word) -> Word:
-        return substitute(w, images)
-
-    rels = [sub(x) for x in p.relators if x is not r]
-    return FpPresentation(
-        generators=tuple(g for g in p.generators if g != name),
-        relators=tuple(x for x in rels if x),
-        conditional=tuple(ConditionalRelator(sub(c.relator), sub(c.key))
-                          for c in p.conditional),
-        meridional=tuple(MeridionalTier(t.label, sub(t.key))
-                         for t in p.meridional),
-        distinguished=tuple((n, sub(w)) for n, w in p.distinguished),
-    )
+    return tail.inverse() if rot.letters[0][1] > 0 else tail
 
 
 # -- text form -------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import replace
 from math import gcd
 
 from .blocks import EmbeddedSurface, MarkedManifold, SurgeryDatum
-from .presentation import FpPresentation, MeridionalTier, free_product
+from .presentation import free_product
 from .words import Word, gen, substitute
 
 
@@ -90,16 +90,6 @@ def blow_up(M: MarkedManifold, n: int = 1) -> MarkedManifold:
     )
 
 
-def _rename_presentation(p: FpPresentation, prefix: str) -> FpPresentation:
-    q = p.rename_generators({g: prefix + g for g in p.generators})
-    return replace(
-        q,
-        meridional=tuple(MeridionalTier(prefix + t.label, t.key)
-                         for t in q.meridional),
-        distinguished=tuple((prefix + lbl, w) for lbl, w in q.distinguished),
-    )
-
-
 def rename_manifold(M: MarkedManifold, prefix: str) -> MarkedManifold:
     """Prefix every generator, surface, site, and tier name of M."""
     word_map = {g: gen(prefix + g) for g in M.pi1.generators}
@@ -114,7 +104,7 @@ def rename_manifold(M: MarkedManifold, prefix: str) -> MarkedManifold:
             generator_images=tuple((lbl, rw(w)) for lbl, w in s.generator_images),
             modulo_meridian=s.modulo_meridian,
             meridian=rw(s.meridian),
-            complement_pi1=_rename_presentation(s.complement_pi1, prefix),
+            complement_pi1=s.complement_pi1.with_prefix(prefix),
         ) for s in M.surfaces)
     sites = tuple(
         SurgeryDatum(
@@ -126,15 +116,14 @@ def rename_manifold(M: MarkedManifold, prefix: str) -> MarkedManifold:
     return MarkedManifold(
         name=M.name, euler=M.euler, signature=M.signature, parity=M.parity,
         symplectic=M.symplectic, minimal=M.minimal,
-        pi1=_rename_presentation(M.pi1, prefix),
+        pi1=M.pi1.with_prefix(prefix),
         surfaces=surfaces, sites=sites,
     )
 
 
 def fiber_sum(left: MarkedManifold, left_surface: str,
               right: MarkedManifold, right_surface: str, *,
-              prefix: str | None = None, name: str | None = None,
-              ) -> MarkedManifold:
+              prefix: str | None = None) -> MarkedManifold:
     """Glue left and right along the named marked surfaces.
 
     Both surfaces must have the same genus and square zero.  If the two
@@ -204,7 +193,7 @@ def fiber_sum(left: MarkedManifold, left_surface: str,
     )
     g = S.genus
     return MarkedManifold(
-        name=name if name is not None else f"{left.name}#{right.name}",
+        name=f"{left.name}#{right.name}",
         euler=left.euler + right.euler + 4 * g - 4,
         signature=left.signature + right.signature,
         parity=("odd" if (left.signature + right.signature) % 8 != 0

@@ -51,7 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .words import Word, format_word, parse_word
+from .words import Word, WordSyntaxError, format_word, parse_word
+
+
+class CertificateFormatError(ValueError):
+    """Certificate JSON that does not decode: wrong schema, unknown step
+    kind, missing field or a field of the wrong type."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,10 +135,32 @@ def step_to_json(step: TraceStep) -> dict[str, Any]:
     return out
 
 
-def step_from_json(data: dict[str, Any]) -> TraceStep:
-    cls = _KINDS[data["kind"]]
+# the JSON type of each step field type
+_JSON_TYPES = {"Word": str, "str": str, "int": int, "bool": bool}
+
+
+def json_field(data: Any, key: str, what: str, *kinds: type) -> Any:
+    """data[key], whose exact JSON type must be one of `kinds`."""
+    if not isinstance(data, dict) or key not in data:
+        raise CertificateFormatError(f"{what} lacks field {key!r}")
+    v = data[key]
+    if type(v) not in kinds:
+        raise CertificateFormatError(
+            f"{what} field {key!r} is {type(v).__name__}, expected "
+            + " or ".join(k.__name__ for k in kinds))
+    return v
+
+
+def step_from_json(data: Any) -> TraceStep:
+    kind = json_field(data, "kind", "trace step", str)
+    if kind not in _KINDS:
+        raise CertificateFormatError(f"unknown trace step kind {kind!r}")
+    cls = _KINDS[kind]
     kwargs = {}
     for f, spec in cls.__dataclass_fields__.items():
-        v = data[f]
-        kwargs[f] = parse_word(v) if spec.type == "Word" else v
+        v = json_field(data, f, kind, _JSON_TYPES[spec.type])
+        try:
+            kwargs[f] = parse_word(v) if spec.type == "Word" else v
+        except WordSyntaxError as exc:
+            raise CertificateFormatError(f"{kind} field {f!r}: {exc}") from None
     return cls(**kwargs)

@@ -26,6 +26,10 @@ Letter = tuple[str, int]
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
+class WordSyntaxError(ValueError):
+    pass
+
+
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Freely reduce a letter sequence with a stack scan."""
     out: list[Letter] = []
@@ -41,19 +45,13 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 class Word:
     """A freely reduced word.  Construct via gen(), parse_word(), or the
     algebraic operations below; the constructor reduces whatever it is
-    given."""
+    given and checks nothing: letters are validated where they enter, in
+    gen(), parse_word() and FpPresentation."""
 
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, sign in self.letters:
-            assert sign in (1, -1), f"bad sign {sign!r} on letter {name!r}"
-            assert NAME_RE.fullmatch(name), f"bad generator name {name!r}"
-        reduced = _reduce(self.letters)
-        if reduced != tuple(self.letters):
-            object.__setattr__(self, "letters", reduced)
-        elif not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "letters", _reduce(self.letters))
 
     # -- algebra ---------------------------------------------------------
 
@@ -97,7 +95,10 @@ IDENTITY = Word()
 
 
 def gen(name: str, sign: int = 1) -> Word:
-    """The one-letter word ``name^sign``."""
+    """The one-letter word ``name^sign``; raises WordSyntaxError on a bad
+    generator name or a sign other than +1 or -1."""
+    if not NAME_RE.fullmatch(name) or sign not in (1, -1):
+        raise WordSyntaxError(f"bad letter {name!r}^{sign!r}")
     return Word(((name, sign),))
 
 
@@ -177,10 +178,6 @@ def cyclically_equal(u: Word, v: Word) -> bool:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[\[\],^()])|(?P<bad>\S))"
 )
-
-
-class WordSyntaxError(ValueError):
-    pass
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -97,13 +97,6 @@ def realization(chi, c1sq):
     return realize_pair(chi, c1sq)
 
 
-def _core(cert):
-    """Input relators plus activated conditionals: a presentation that the
-    true group genuinely satisfies."""
-    p = cert.presentation
-    return FpPresentation(p.generators, p.relators + tuple(cert.activated))
-
-
 # -- criteria --------------------------------------------------------------------
 
 def test_criterion_01_five_member_small_family():
@@ -187,7 +180,7 @@ def test_criterion_05_unsurgered_sum_is_z2():
         # fallback layer (named by the criterion; cheap, so always run):
         assert h1(M.pi1.strip_meridional(),
                   include_h1_safe_conditionals=True) == AbelianGroup(0, (2,))
-        tc = coset_enumeration(_core(cert), [gen("alpha3")])
+        tc = coset_enumeration(cert.core(), [gen("alpha3")])
         assert isinstance(tc, CosetCount) and tc.index == 1
 
 

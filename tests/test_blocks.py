@@ -200,15 +200,15 @@ def test_bt4_sign_choice_lands_in_second_site_pushoff():
 # -- argument validation ------------------------------------------------------------
 
 def test_constructor_argument_checks():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         g2xgn(1, 1)                      # n >= 2
     with pytest.raises(ValueError):
         bt4(1, 2, 2)                     # gcd(m, r) must be 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         bt4(1, 1, 0)                     # m >= 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         bbt4(0, 1)                       # q, r >= 1 here
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         bt4(1, 1, 1, 2, 1)               # signs are +-1
 
 

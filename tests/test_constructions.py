@@ -104,3 +104,14 @@ def test_sums_carry_one_tier_and_one_conditional():
               finite_cyclic_example()):
         assert len(M.pi1.meridional) == 1
         assert len(M.pi1.conditional) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exotic_cp2_2(0), lambda: exotic_cp2_4(0), lambda: exotic_cp2_6(0),
+    lambda: exotic_odd_cp2(1), lambda: exotic_odd_cp2(2, 0),
+    lambda: cyclic_family(-1), lambda: cyclic_family(2, 0),
+    lambda: exotic_cp2_2(eps1=2),
+])
+def test_family_parameters_rejected_with_value_error(build):
+    with pytest.raises(ValueError):
+        build()

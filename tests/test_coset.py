@@ -149,9 +149,9 @@ def test_compact_preserves_order_and_root_zero():
     # merge a middle stretch into coset 2 so several numbers die
     enum.coincidence(5, 2)
     enum.coincidence(7, 2)
-    live_before = enum.live_count()
+    live_before = enum.live
     remap = enum.compact()
-    assert enum.live_count() == live_before
+    assert enum.live == live_before
     assert remap[0] == 0                      # the subgroup coset never moves
     olds = sorted(remap)
     news = [remap[o] for o in olds]
@@ -167,9 +167,7 @@ def test_compact_preserves_order_and_root_zero():
 def test_compaction_resume_regression():
     cert = certify(exotic_odd_cp2(20, 1).pi1,
                    budget=Budget(corroborate=False))
-    p = cert.presentation
-    core = FpPresentation(p.generators, p.relators + tuple(cert.activated))
-    result = coset_enumeration(core)
+    result = coset_enumeration(cert.core())
     assert isinstance(result, CosetCount)
     assert result.index == 1
     # the point of the fixture: the threshold really was crossed

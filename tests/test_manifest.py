@@ -1,13 +1,16 @@
 """The manifest DSL and the command-line pipeline: grammar, canonical form,
 evaluation, deterministic reports, and process exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from m4kit.certify import certify
 from m4kit.cli import main
 from m4kit.manifest import (
     Definition,
@@ -20,6 +23,7 @@ from m4kit.manifest import (
     report_json,
     run_manifest,
 )
+from m4kit.presentation import parse_presentation
 
 GOOD = """\
 # a twisted product and a blown-up torus, glued
@@ -178,6 +182,36 @@ def test_report_is_deterministic_across_interpreters(tmp_path):
     assert outs[0] == outs[1]
 
 
+# SHA-256 of each shipped manifest's report, exactly as `m4kit build -o` writes
+# it.  Any change to verdicts, traces, certificate or report bytes shows here;
+# a deliberate format change updates the digests.
+REPORT_SHA256 = {
+    "blocks.m4": "f9101c3261989762ef844ed1f131c101abba4d52da2d13ee843536a464365d2a",
+    "cyclic_family.m4": "c37f31b79b99610cebc78376fad3d9ba81c9f758883171730a286ed2d1c83816",
+    "exotic_cp2_2.m4": "5256e581a6f1f9c7b943664eeaf47f7051ef7b5c7cee6fe92dabf8ea14f79023",
+    "exotic_cp2_4.m4": "be34995bcb84cec01c6ba1a4e7f8bace835cc7343454e37928c756b5355121ef",
+    "exotic_cp2_6.m4": "be5f6d8026307af7270fc7d708ddd5f557f5fe5409affa73963b4334fdb23cb1",
+    "exotic_odd_cp2.m4": "b18056ff5a7a3016038de4de5f2b8a44050348d29d1819546a4c15090c09935c",
+    "finite_cyclic.m4": "0528bc0252bc2ddbdfe94b04ce3c063f407475d88c846734dccf05211994e191",
+    "geography_1_5.m4": "ade5154abaa9ad0dddc98783e7987643fd76bb71745e4f902f53af3257fec114",
+    "geography_1_7.m4": "c1faefd613557c0537b475c081b88c2fa3b124c14889fb8fb1f5f1a731c5262b",
+    "geography_2_11.m4": "15492ee12c8fd7776e871eb43266f99497e3349f7a5397c60d3145d93f893e28",
+    "geography_2_13.m4": "0aee05482ba0cc502f6c9f601a19f069b8f2eaff3e4ecaa10b82e6e21cdeccad",
+    "geography_2_15.m4": "848767ba860ec72ef8d37358f2e0f881d581ebcb5473565df06ee97eca411a0b",
+    "geography_2_9.m4": "aa9aec0826779626eaeb85f584ca620fd6d2678a2959972cdc4e0e38cdd10786",
+    "surgery_routes.m4": "aa2f4fe49dda9fc92082deefa96016d83f771df6f0b93e61da9f147600a67691",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_shipped_manifest_report_bytes(name):
+    path = Path(__file__).resolve().parent.parent / "manifests" / name
+    m = parse_manifest(path.read_text(encoding="utf-8"))
+    text = json.dumps(report_json(m, run_manifest(m)), indent=2,
+                      sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
 # -- exit codes --------------------------------------------------------------------
 
 def write(tmp_path, text):
@@ -245,6 +279,71 @@ def test_certify_replay_round_trip(tmp_path, capsys):
     open(cert_path, "w").write(json.dumps(data))
     assert main(["replay", cert_path]) == 1
     capsys.readouterr()
+
+
+def test_bad_block_parameter_exits_usage_under_optimize(tmp_path):
+    # the parameter checks are exceptions, not asserts: -O changes nothing
+    path = write(tmp_path, "block z = BT4(q=1, r=1, m=1, eps1=5)\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "m4kit.cli", "build", path],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "eps1=5" in proc.stderr
+
+
+def test_multi_digit_cyclic_targets(tmp_path, capsys):
+    path = write(tmp_path, 'block z = BT4(q=1, r=1, m=1)\n'
+                 'block y10 = T2xG2(p=10, q=1)\n'
+                 'sum g10 = fiber_sum(y10, "Sigma2", z, "SigmaBar2")\n'
+                 'expect g10: pi1="Z/10", gen="c"\n'
+                 'block y21 = T2xG2(p=21, q=1)\n'
+                 'sum g21 = fiber_sum(y21, "Sigma2", z, "SigmaBar2")\n'
+                 'expect g21: pi1="Z/21"\n')
+    assert main(["build", path]) == 0
+    assert main(["certify", path, "g21", "--target", "Z/21"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["bogus", "Z/x", "Z/1"])
+def test_exit_usage_on_bad_target(tmp_path, capsys, target):
+    path = write(tmp_path, f'block b = T4()\nexpect b: pi1="{target}"\n')
+    assert main(["build", path]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", path, "b", "--target", target])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def _mangle_schema(cert):
+    cert["schema"] = "m4kit.certificate/9"
+
+
+def _mangle_kind(cert):
+    cert["trace"][1]["kind"] = "teleport"
+
+
+def _mangle_missing_field(cert):
+    del cert["trace"][1]["j"]
+
+
+def _mangle_rotation(cert):
+    cert["trace"][1]["rotation"] = "0"
+
+
+@pytest.mark.parametrize("mangle", [_mangle_schema, _mangle_kind,
+                                    _mangle_missing_field, _mangle_rotation])
+def test_exit_usage_on_malformed_certificate(tmp_path, capsys, mangle):
+    p = parse_presentation("generators: a, b\nrelator: [a, b]\n"
+                           "relator: a b^2 a^-1 b^-1")
+    cert = certify(p).to_json()
+    assert cert["trace"][1]["kind"] == "commutation_cancel"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["replay", str(path)]) == 0
+    mangle(cert)
+    path.write_text(json.dumps(cert))
+    assert main(["replay", str(path)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_fmt_writes_canonical_fixpoint(tmp_path, capsys):

@@ -9,10 +9,8 @@ from m4kit.presentation import (
     MeridionalTier,
     PresentationError,
     defining_rotation,
-    eliminate_generator,
     format_presentation,
     free_product,
-    impose,
     parse_presentation,
 )
 from m4kit.words import commutator, gen, parse_word
@@ -65,10 +63,12 @@ def test_meridional_tier_and_strip():
 
 
 def test_distinguished_labels_unique():
-    p = AB.with_distinguished("mu", gen("a"))
+    p = FpPresentation(AB.generators, AB.relators,
+                       distinguished=(("mu", gen("a")),))
     with pytest.raises(PresentationError):
-        p.with_distinguished("mu", gen("b"))
-    assert p.distinguished_map() == {"mu": gen("a")}
+        FpPresentation(AB.generators, AB.relators,
+                       distinguished=(("mu", gen("a")), ("mu", gen("b"))))
+    assert p.distinguished == (("mu", gen("a")),)
 
 
 def test_rename_generators_rewrites_everything():
@@ -84,7 +84,7 @@ def test_rename_generators_rewrites_everything():
     assert q.relators == (parse_word("x b x^-1 b^-1"),)
     assert q.conditional[0].relator == gen("x")
     assert q.meridional[0].key == gen("b")
-    assert q.distinguished_map()["mu"] == parse_word("x b")
+    assert q.distinguished == (("mu", parse_word("x b")),)
 
 
 def test_rename_collision_rejected():
@@ -93,9 +93,10 @@ def test_rename_collision_rejected():
 
 
 def test_with_prefix():
-    q = AB.with_prefix("L_")
+    q = AB.with_meridional("g", gen("a")).with_prefix("L_")
     assert q.generators == ("L_a", "L_b")
     assert q.relators == (parse_word("L_a L_b L_a^-1 L_b^-1"),)
+    assert q.meridional == (MeridionalTier("L_g", gen("L_a")),)
 
 
 def test_free_product_is_disjoint_union():
@@ -109,30 +110,14 @@ def test_free_product_rejects_generator_clash():
         free_product(AB, FpPresentation(("a",)))
 
 
-def test_impose_adds_relators():
-    q = impose(AB, [parse_word("a^3")])
-    assert parse_word("a^3") in q.relators
-
-
 def test_defining_rotation_reads_off_definition():
     # relator c^-1 b a  defines c = b a
     r = parse_word("c^-1 b a")
-    rot = defining_rotation(r, "c")
-    assert rot is not None
-    _, definition = rot
-    assert definition == parse_word("b a")
+    assert defining_rotation(r, "c") == parse_word("b a")
 
 
 def test_defining_rotation_requires_single_occurrence():
     assert defining_rotation(parse_word("c b c"), "c") is None
-
-
-def test_eliminate_generator_substitutes_everywhere():
-    p = FpPresentation(("a", "b", "c"),
-                       (parse_word("c^-1 a b"), parse_word("c^3")))
-    q = eliminate_generator(p, "c", parse_word("a b"))
-    assert q.generators == ("a", "b")
-    assert parse_word("a b a b a b") in q.relators
 
 
 def test_format_parse_round_trip_with_all_features():

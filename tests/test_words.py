@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from m4kit.presentation import FpPresentation, PresentationError
 from m4kit.words import (
     IDENTITY,
     Word,
@@ -49,10 +50,15 @@ def test_identity_is_empty():
 
 
 def test_bad_letter_rejected():
-    with pytest.raises(AssertionError):
-        Word((("a", 2),))
-    with pytest.raises(AssertionError):
-        Word((("", 1),))
+    with pytest.raises(WordSyntaxError):
+        gen("a", 2)
+    with pytest.raises(WordSyntaxError):
+        gen("", 1)
+    with pytest.raises(WordSyntaxError):
+        gen("a b")
+    # a raw-letter Word is unchecked, but cannot enter a presentation
+    with pytest.raises(PresentationError):
+        FpPresentation(("a",), (Word((("a", 2),)),))
 
 
 @given(words)
