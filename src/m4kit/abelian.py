@@ -7,7 +7,6 @@ anywhere.  Matrices are lists of row lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .presentation import FpPresentation, PresentationError
 
@@ -19,35 +18,26 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    assert not a or not b or len(a[0]) == len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]) if b else 0)]
-            for i in range(len(a))]
+    """Exact product a b.  Each row of the result sums the rows of b scaled
+    by the nonzero entries of the matching row of a, so the cost follows
+    the nonzeros of a, not its full size."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply a {len(a)}x{len(a[0])} matrix "
+                         f"by a {len(b)}-row matrix")
+    width = len(b[0]) if b else 0
+    product = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        product.append(acc)
+    return product
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in m), "determinant needs a square matrix"
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+class SmithCheckError(ArithmeticError):
+    """A computed Smith form failed its witness check: a fault in the
+    elimination, never a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -65,44 +55,81 @@ class SmithForm:
                                                 len(self.d[0]) if self.d else 0))]
 
 
+def _check_smith(m: IntMatrix, d: IntMatrix, u: IntMatrix, v: IntMatrix,
+                 u_inv: IntMatrix, v_inv: IntMatrix) -> None:
+    """Raise SmithCheckError unless U M V = D, D is diagonal, U U^-1 = I,
+    V V^-1 = I and the diagonal of D is a nonnegative divisibility chain
+    with its zeros last.  Integer matrices whose product is I have
+    determinant ±1, so the two inverse products prove U and V unimodular."""
+    if mat_mul(mat_mul(u, m), v) != d:
+        raise SmithCheckError("U M V != D")
+    if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        raise SmithCheckError("D is not diagonal")
+    if mat_mul(u, u_inv) != identity_matrix(len(u)):
+        raise SmithCheckError("U U^-1 != I: U is not unimodular")
+    if mat_mul(v, v_inv) != identity_matrix(len(v)):
+        raise SmithCheckError("V V^-1 != I: V is not unimodular")
+    diag = SmithForm(d, u, v).diagonal
+    if any(x < 0 for x in diag):
+        raise SmithCheckError("negative diagonal entry")
+    for x, y in zip(diag, diag[1:]):
+        if x == 0 and y != 0:
+            raise SmithCheckError("zero followed by a nonzero on the diagonal")
+        if x != 0 and y % x != 0:
+            raise SmithCheckError(f"divisibility chain broken: {x} does not "
+                                  f"divide {y}")
+
+
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form over Z with recorded transforms.
 
     Pivoting always picks a smallest-magnitude nonzero entry, which keeps
-    intermediate growth tame for the small matrices we see.  The result is
-    checked (U M V = D, |det U| = |det V| = 1, divisibility chain) before
-    being returned.
+    intermediate growth tame for the small matrices we see.  Every row or
+    column operation is mirrored on integer inverses of U and V, and the
+    result is checked by _check_smith (U M V = D, U U^-1 = V V^-1 = I,
+    divisibility chain) before being returned; a failed check raises
+    SmithCheckError, also under python -O.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    assert all(len(row) == cols for row in m), "ragged matrix"
+    if any(len(row) != cols for row in m):
+        raise ValueError("ragged matrix")
     a = [row[:] for row in m]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
+    # U^-1 transposed and V^-1: the inverse of each operation on U or V is
+    # a row operation on these, as cheap as the operation itself
+    u_inv_t = identity_matrix(rows)
+    v_inv = identity_matrix(cols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, q):        # row dst += q * row src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - q * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
     def add_col(src, dst, q):        # col dst += q * col src
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        u_inv_t[i] = [-x for x in u_inv_t[i]]
 
     t = 0
     while True:
@@ -158,15 +185,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             negate_row(t)
         t += 1
 
-    result = SmithForm(d=a, u=u, v=v)
-    assert mat_mul(mat_mul(u, [row[:] for row in m]), v) == a, "U M V != D"
-    assert abs(determinant(u)) == 1, "U not unimodular"
-    assert abs(determinant(v)) == 1, "V not unimodular"
-    diag = result.diagonal
-    for x, y in zip(diag, diag[1:]):
-        assert not (x == 0 and y != 0)
-        assert x == 0 or y % x == 0, "divisibility chain broken"
-    return result
+    _check_smith(m, a, u, v, [list(col) for col in zip(*u_inv_t)], v_inv)
+    return SmithForm(d=a, u=u, v=v)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Any, Iterable
 
 from .abelian import AbelianGroup, h1
-from .coset import CosetCount, Exceeded, coset_enumeration
+from .coset import CosetCount, coset_enumeration
 from .presentation import (
     ConditionalRelator,
     FpPresentation,
@@ -220,18 +221,18 @@ def _find_elimination(state: _State) -> Eliminate | None:
     some relator can be eliminated; kills (relator g^±1) and renames
     (definition of length one) are free, otherwise the cost estimates the
     growth caused by substituting the definition elsewhere."""
+    words = [*state.relators, *(t.key for t in state.tiers)]
+    for rel, key, _ in state.conditional:
+        words += (rel, key)
+    total = Counter(n for w in words for n, _ in w.letters)
     best = None
     for idx, r in enumerate(state.relators):
         for g in sorted(r.names()):
             definition = defining_rotation(r, g)
             if definition is None:
                 continue
-            occ_elsewhere = sum(r2.occurrences(g)
-                                for k, r2 in enumerate(state.relators) if k != idx)
-            occ_elsewhere += sum(rel.occurrences(g) + key.occurrences(g)
-                                 for rel, key, _ in state.conditional)
-            occ_elsewhere += sum(t.key.occurrences(g) for t in state.tiers)
-            cost = occ_elsewhere * max(len(definition) - 1, 0)
+            # r mentions g exactly once, as it defines g
+            cost = (total[g] - 1) * max(len(definition) - 1, 0)
             cand = (cost, len(definition), g, idx)
             if best is None or cand < best[0]:
                 best = (cand, g, definition, r)
@@ -575,14 +576,10 @@ def certify(p: FpPresentation, target: str | None = None,
                 f"{expected} answer but H1 of the input is {ab}")
 
     if verdict != INCONCLUSIVE and budget.corroborate:
-        subgroup_names: tuple[str, ...] = ()
-        subgroup_words: list[Word] = []
-        if verdict in (INFINITE_CYCLIC, FINITE_CYCLIC):
-            assert generator is not None
-            subgroup_names = (generator,)
-            subgroup_words = [gen(generator)]
+        # a definite verdict names a generator exactly when it is cyclic
+        subgroup_names = () if generator is None else (generator,)
         result = coset_enumeration(core_presentation(p, state.activated),
-                                   subgroup_words,
+                                   [gen(g) for g in subgroup_names],
                                    max_cosets=budget.max_cosets)
         coset_subgroup = subgroup_names
         if isinstance(result, CosetCount):
@@ -592,9 +589,8 @@ def certify(p: FpPresentation, target: str | None = None,
                     INCONCLUSIVE, None, None,
                     f"coset enumeration gate: expected index 1 over "
                     f"{subgroup_names or 'the trivial subgroup'}, got {result.index}")
-        else:
-            assert isinstance(result, Exceeded)
-            coset_index = None          # budget ran out; trace still stands
+        else:                           # Exceeded: the budget ran out,
+            coset_index = None          # the trace still stands
 
     return Certificate(
         verdict=verdict,

@@ -6,7 +6,8 @@ set it maintains itself.  It never consults the engine, the abelianization
 or the coset enumerator, so a bug there cannot hide here: every step is
 re-verified against its own soundness contract (see trace.py) before it is
 applied, the terminal state must match the certificate's, and the verdict
-must be forced by that terminal state.
+must be forced by that terminal state.  The fields the verdict determines
+(target match, H1, coset index and subgroup) must agree with it.
 
 Raises CheckFailure with a specific message on the first discrepancy.
 """
@@ -277,6 +278,45 @@ def replay(cert: Certificate, presentation: FpPresentation | None = None) -> Non
         if cert.verdict == FINITE_CYCLIC and (d < 2 or d != cert.order):
             _fail(f"claimed Z/{cert.order} but relator exponents have gcd {d}")
     else:
-        # Inconclusive certificates assert nothing; the replay above already
+        # Inconclusive certificates claim no group; the replay above already
         # confirmed the trace is honest.
         pass
+    _check_forced_fields(cert)
+
+
+def _target_of(verdict: str, order: int | None) -> str | None:
+    if verdict == TRIVIAL:
+        return "trivial"
+    if verdict == INFINITE_CYCLIC:
+        return "Z"
+    if verdict == FINITE_CYCLIC:
+        return f"Z/{order}"
+    return None
+
+
+def _check_forced_fields(cert: Certificate) -> None:
+    """The fields a verdict determines must agree with it: the target
+    match, and for a definite verdict its abelianization, the coset index
+    (1, or null when not corroborated) and the coset subgroup."""
+    if (cert.target is None) != (cert.matches_target is None):
+        _fail("target and matches_target must both be set or both be null")
+    if cert.target is not None and \
+            cert.matches_target != (_target_of(cert.verdict, cert.order)
+                                    == cert.target):
+        _fail(f"matches_target is {cert.matches_target} for a "
+              f"{_target_of(cert.verdict, cert.order) or 'inconclusive'} "
+              f"verdict and target {cert.target!r}")
+    if cert.verdict not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC):
+        return
+    h1 = {TRIVIAL: (0, ()), INFINITE_CYCLIC: (1, ())}.get(
+        cert.verdict, (0, (cert.order,)))
+    if (cert.h1_rank, cert.h1_torsion) != h1:
+        _fail(f"h1 rank {cert.h1_rank} torsion {cert.h1_torsion} is not "
+              f"the {cert.verdict} verdict's (rank {h1[0]}, torsion {h1[1]})")
+    if cert.coset_index not in (None, 1):
+        _fail(f"coset index {cert.coset_index} for a definite verdict "
+              "(must be 1 or null)")
+    subgroup = () if cert.verdict == TRIVIAL else (cert.generator,)
+    if cert.coset_subgroup not in (None, subgroup):
+        _fail(f"coset subgroup {cert.coset_subgroup} for a {cert.verdict} "
+              f"verdict (must be {list(subgroup)} or null)")

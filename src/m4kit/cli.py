@@ -235,8 +235,11 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
         text = fh.read()
     canon = format_manifest(canonicalize(parse_manifest(text)))
-    # parse -> print leaves canonical text fixed
-    assert format_manifest(canonicalize(parse_manifest(canon))) == canon
+    # parse -> print leaves canonical text fixed; refuse to write otherwise
+    if format_manifest(canonicalize(parse_manifest(canon))) != canon:
+        print(f"fmt: canonical form of {args.manifest} is not a fixpoint",
+              file=sys.stderr)
+        return EXIT_FAIL
     if args.write:
         with open(args.manifest, "w", encoding="utf-8") as fh:
             fh.write(canon)

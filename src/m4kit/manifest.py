@@ -456,9 +456,9 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
 
         M = env[item.name]
         keys = dict(item.checks)
-        cert: Certificate | None = None
-        needs_cert = {"pi1", "gen", "model"} & set(keys)
-        if needs_cert:
+        # (actual, budget_limited) of the pi1, gen and model checks
+        from_cert: dict[str, tuple[Any, bool]] = {}
+        if {"pi1", "gen", "model"} & set(keys):
             target = None
             if "pi1" in keys:
                 tag, target = keys["pi1"]
@@ -473,11 +473,22 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
             if cert.is_definite:
                 checker.replay(cert, M.pi1)   # trust nothing unreplayed
             certificates[item.name] = cert
+            inconclusive = cert.verdict == INCONCLUSIVE
+            from_cert = {"pi1": (_describe_target(cert), inconclusive),
+                         "gen": (cert.generator, False)}
+            if "model" in keys:
+                try:
+                    from_cert["model"] = (freedman_model(M, cert).describe(),
+                                          False)
+                except GeographyError as exc:
+                    from_cert["model"] = (f"unavailable ({exc})", inconclusive)
 
         for key, (tag, val) in item.checks:
             actual: Any
             limited = False
-            if key == "e":
+            if key in from_cert:
+                actual, limited = from_cert[key]
+            elif key == "e":
                 actual = M.euler
             elif key == "sigma":
                 actual = M.signature
@@ -485,22 +496,8 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
                 actual = M.parity
             elif key == "symplectic":
                 actual = M.symplectic
-            elif key == "region":
+            else:                              # region
                 actual = in_odd_region(coords(M.euler, M.signature))
-            elif key == "pi1":
-                assert cert is not None
-                actual = _describe_target(cert)
-                limited = cert.verdict == INCONCLUSIVE
-            elif key == "gen":
-                assert cert is not None
-                actual = cert.generator
-            else:                              # model
-                assert cert is not None
-                try:
-                    actual = freedman_model(M, cert).describe()
-                except GeographyError as exc:
-                    actual = f"unavailable ({exc})"
-                    limited = cert.verdict == INCONCLUSIVE
             outcomes.append(CheckOutcome(
                 manifold=item.name, key=key, expected=val, actual=actual,
                 passed=(actual == val), budget_limited=limited))

@@ -2,17 +2,24 @@
 
 The SNF oracle values below were computed by hand from the two standard
 facts d_1 = gcd(entries) and d_1 ... d_k = gcd(k x k minors); the property
-block then checks the defining equations U M V = D, unimodularity, and the
-divisibility chain on random matrices.
+block then checks the defining equations U M V = D, unimodularity (by an
+independent determinant), and the divisibility chain on random matrices.
+The fault-injection block feeds the built-in witness check broken Smith
+forms, each of which must raise.
 """
+
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from m4kit.abelian import (
     AbelianGroup,
+    SmithCheckError,
+    _check_smith,
     cokernel,
-    determinant,
     h1,
     identity_matrix,
     mat_mul,
@@ -21,6 +28,32 @@ from m4kit.abelian import (
 )
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier, PresentationError
 from m4kit.words import commutator, gen, parse_word
+
+
+def determinant(m):
+    """Exact determinant by Bareiss fraction-free elimination: the oracle
+    for unimodularity and for the product of the invariant factors."""
+    n = len(m)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in m), "determinant needs a square matrix"
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # -- frozen oracles -----------------------------------------------------------
@@ -52,6 +85,62 @@ def test_determinant_oracles():
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant(identity_matrix(4)) == 1
     assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # 3-cycle is even
+
+
+def test_mat_mul_oracles():
+    assert mat_mul([[1, 2], [3, 4]], [[5, 6], [7, 8]]) == [[19, 22], [43, 50]]
+    assert mat_mul([[0, 0, 2]], [[1], [5], [-3]]) == [[-6]]
+    assert mat_mul([[1], [0]], [[4, 5]]) == [[4, 5], [0, 0]]
+    assert mat_mul([], [[1]]) == []
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_ragged_matrix_rejected():
+    with pytest.raises(ValueError):
+        smith_normal_form([[1, 2], [3]])
+
+
+# -- fault injection: the witness check must catch each broken form -----------
+
+# a hand-checked witness: U M V = D, U is its own inverse
+M = [[2, 4], [6, 8]]
+D = [[2, 0], [0, 4]]
+U = [[1, 0], [3, -1]]
+V = [[1, -2], [0, 1]]
+V_INV = [[1, 2], [0, 1]]
+I1, I2 = identity_matrix(1), identity_matrix(2)
+
+
+def test_hand_witness_passes_the_check():
+    _check_smith(M, D, U, V, U, V_INV)
+
+
+@pytest.mark.parametrize("m, d, u, v, u_inv, v_inv, message", [
+    (M, [[2, 0], [0, 8]], U, V, U, V_INV, "U M V != D"),
+    (M, D, U, V, U, V, "V V^-1 != I"),
+    # U = [[2]] has no integer inverse; [[1]] does not invert it
+    ([[1]], [[2]], [[2]], I1, I1, I1, "U U^-1 != I"),
+    ([[2, 0], [0, 3]], [[2, 0], [0, 3]], I2, I2, I2, I2,
+     "2 does not divide 3"),
+    ([[0, 0], [0, 3]], [[0, 0], [0, 3]], I2, I2, I2, I2,
+     "zero followed by a nonzero"),
+    ([[-2]], [[-2]], I1, I1, I1, I1, "negative"),
+    ([[1, 1]], [[1, 1]], I1, I2, I1, I2, "not diagonal"),
+])
+def test_witness_check_raises(m, d, u, v, u_inv, v_inv, message):
+    with pytest.raises(SmithCheckError, match=re.escape(message)):
+        _check_smith(m, d, u, v, u_inv, v_inv)
+
+
+def test_witness_check_raises_under_optimize():
+    # the check is an exception, not an assert: python -O keeps it
+    code = ("from m4kit.abelian import _check_smith\n"
+            "_check_smith([[1]], [[2]], [[2]], [[1]], [[1]], [[1]])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "SmithCheckError: U U^-1 != I" in proc.stderr
 
 
 # -- property block -----------------------------------------------------------

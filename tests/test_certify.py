@@ -1,6 +1,7 @@
 """The derivation engine: verdicts on known groups, honest inconclusives,
 tier discharge / conditional activation, gates, and byte-stable traces."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from m4kit.certify import (
     simplify,
 )
 from m4kit.abelian import AbelianGroup, h1
+from m4kit.constructions import exotic_odd_cp2
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier
 from m4kit.words import commutator, gen, parse_word
 
@@ -174,6 +176,24 @@ def test_certificate_json_round_trip():
     c = certify(p)
     data = json.loads(json.dumps(c.to_json(), sort_keys=True))
     assert Certificate.from_json(data) == c
+
+
+# SHA-256 of the certificate JSON (sort_keys=True) of the engine-scale
+# family members, computed before the elimination search counted
+# occurrences once per call: the engine must still choose the same steps.
+ENGINE_SCALE_SHA256 = {
+    20: "6c0b619131965d8ed879a9f1990ef0567f0257b08f4403b70634628af0a9609f",
+    30: "e3b984afdcad8a622e5768cf9e843f6587494c193f89134848cc1896a2e052b2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENGINE_SCALE_SHA256))
+@pytest.mark.parametrize("eps1, eps3", [(1, -1), (-1, 1)])
+def test_engine_scale_certificate_bytes(n, eps1, eps3):
+    p = exotic_odd_cp2(n, 1, eps1=eps1, eps3=eps3).pi1
+    c = certify(p, target="trivial", budget=Budget(corroborate=False))
+    text = json.dumps(c.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_SCALE_SHA256[n]
 
 
 def test_trace_step_order_is_stable_for_symmetric_input():

@@ -2,12 +2,14 @@
 certificates replay); the point of this file is the other direction —
 every kind of tampering must raise CheckFailure."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from m4kit.certify import certify
+from m4kit.certify import Certificate, certify
 from m4kit.checker import CheckFailure, replay
+from m4kit.cli import main
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier
 from m4kit.trace import Eliminate
 from m4kit.words import gen, parse_word
@@ -126,3 +128,76 @@ def test_inconclusive_certificates_replay_without_claims():
     c = certify(pres("a b", "a^2", "b^2", "(a b)^7"))
     assert not c.is_definite
     replay(c)  # the trace itself must still be honest
+
+
+# -- fields the verdict forces ----------------------------------------------
+
+PROBE_P = pres("a b", "[a, b]", "a b^2 a^-1 b^-1")    # b = 1, leaves Z on a
+
+
+@pytest.fixture(scope="module")
+def probe():
+    c = certify(PROBE_P)
+    assert c.verdict == "infinite_cyclic"
+    assert (c.h1_rank, c.h1_torsion, c.coset_index) == (1, (), 1)
+    return c.to_json()
+
+
+def edited(data, **fields):
+    return Certificate.from_json({**data, **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {"target": "Z/7"},                       # a target, but no match recorded
+    {"matches_target": True},                # a match, but no target
+    {"coset_index": 99},
+    {"h1_rank": 5},
+])
+def test_forced_field_edits_rejected(probe, fields):
+    replay(edited(probe))
+    with pytest.raises(CheckFailure):
+        replay(edited(probe, **fields))
+
+
+@pytest.mark.parametrize("fields", [
+    {"target": "Z/7", "matches_target": True},
+    {"target": "Z", "matches_target": False},
+    {"h1_torsion": [3]},
+    {"coset_index": 2},
+    {"coset_subgroup": []},
+    {"coset_subgroup": ["b"]},
+])
+def test_forced_field_combinations_rejected(probe, fields):
+    with pytest.raises(CheckFailure):
+        replay(edited(probe, **fields))
+
+
+def test_forced_fields_accept_every_honest_shape(probe, certs):
+    replay(edited(probe, target="Z", matches_target=True))
+    replay(edited(probe, target="trivial", matches_target=False))
+    replay(edited(probe, coset_index=None, coset_subgroup=None))
+    trivial = certs["trivial"].to_json()
+    replay(edited(trivial, coset_subgroup=[]))
+    with pytest.raises(CheckFailure):
+        replay(edited(trivial, coset_subgroup=["a"]))
+    zn = certs["zn"].to_json()
+    replay(edited(zn, h1_torsion=[5]))
+    with pytest.raises(CheckFailure):
+        replay(edited(zn, h1_torsion=[3]))
+
+
+def test_inconclusive_target_match_rechecked():
+    c = certify(pres("a b", "a^2", "b^2", "(a b)^7"), target="trivial")
+    assert c.matches_target is False
+    replay(c)
+    with pytest.raises(CheckFailure):
+        replay(replace(c, matches_target=True))
+
+
+def test_cli_replay_exits_fail_on_forced_field_edit(probe, tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(probe))
+    assert main(["replay", str(path)]) == 0
+    path.write_text(json.dumps({**probe, "h1_rank": 5}))
+    assert main(["replay", str(path)]) == 1
+    assert "h1 rank 5" in capsys.readouterr().err
