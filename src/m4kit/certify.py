@@ -1,13 +1,13 @@
 """Certified simplification of presentations.
 
-The engine repeatedly applies a small move set — commuting-pair discovery,
-commutation cancellation, generator elimination, length-reducing relator
-application, meridional-tier discharge and conditional-relator activation —
-recording every move as a replayable trace step (see trace.py).  A verdict
-is only ever *positive*: the group is trivial, infinite cyclic, or finite
-cyclic, read off a terminal state that is the empty or a single-generator
-presentation.  Anything else is Inconclusive with a reason; the engine
-never claims a group is nontrivial.
+The engine repeatedly applies a small move set — commutation cancellation
+(proving the commuting pairs it needs on demand), generator elimination,
+length-reducing relator application, meridional-tier discharge and
+conditional-relator activation — recording every move as a replayable
+trace step (see trace.py).  A verdict is only ever *positive*: the group
+is trivial, infinite cyclic, or finite cyclic, read off a terminal state
+that is the empty or a single-generator presentation.  Anything else is
+Inconclusive with a reason; the engine never claims a group is nontrivial.
 
 Corroborating evidence (abelianization, coset enumeration) is computed
 independently of the trace and stored on the certificate; a consistency
@@ -92,6 +92,10 @@ class Budget:
                               f"integer, got {self.max_cosets!r}")
 
 
+# a step that proves a commuting pair, with the pairs it needs proved first
+_Rule = tuple[TraceStep, list[frozenset[str]]]
+
+
 class _State:
     """Mutable working copy of a presentation plus the proved commuting
     pairs.  Relators are kept cyclically reduced and nonempty; conditional
@@ -111,12 +115,25 @@ class _State:
         self.distinguished: list[tuple[str, Word]] = list(p.distinguished)
         self.pairs: set[frozenset[str]] = set()
         self.activated: list[Word] = []      # original forms, for reporting
+        self.index_definitions()
 
     def paired(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in self.pairs
 
-    def commutes_with(self, letters: Iterable[tuple[str, int]], x: str) -> bool:
-        return all(self.paired(n, x) for n, _ in letters)
+    def index_definitions(self) -> None:
+        """Index the current relators for one engine round: each generator
+        maps to its definitional relators as (relator index, relator,
+        definition).  The pairs settled by last round's proofs are
+        forgotten."""
+        self.definitions: dict[str, list[tuple[int, Word, Word]]] = {}
+        for idx, r in enumerate(self.relators):
+            for g in dict.fromkeys(n for n, _ in r.letters):
+                definition = defining_rotation(r, g)
+                if definition is not None:
+                    self.definitions.setdefault(g, []).append(
+                        (idx, r, definition))
+        # pair -> (step, pairs it needs) if proved this round, else None
+        self.settled: dict[frozenset[str], _Rule | None] = {}
 
     def substitute_everywhere(self, name: str, definition: Word) -> None:
         images = {name: definition}
@@ -152,45 +169,84 @@ class _State:
 
 # -- move discovery --------------------------------------------------------
 
-def _closure_pass(state: _State) -> list[TraceStep]:
-    """One fixpoint run of commuting-pair discovery.  Seeds from relators
-    that are commutators of two letters; derives more pairs from
-    single-occurrence (definitional) relators whose definition already
-    commutes with a generator."""
-    steps: list[TraceStep] = []
+def _prove_pair(state: _State, x: str, y: str,
+                steps: list[TraceStep]) -> bool:
+    """Prove that x and y commute, appending the steps of the proof to
+    `steps`, each after the steps it depends on.  Collects the pairs the
+    goal depends on, derives among them until nothing changes, and keeps
+    every pair it settles, proved or not, for the rest of the round.  It
+    loops instead of recursing, so a long chain of definitions can neither
+    exhaust the stack nor be searched more than once."""
+    if state.paired(x, y):
+        return True
+    goal = frozenset((x, y))
+    rules: dict[frozenset[str], list[_Rule]] = {}
+    todo = [goal]
+    while todo:
+        pair = todo.pop()
+        if pair not in rules and pair not in state.settled \
+                and not state.paired(*pair):
+            rules[pair] = _pair_rules(state, pair)
+            todo += [q for _, premises in rules[pair] for q in premises]
     changed = True
     while changed:
         changed = False
-        for r in state.relators:
-            names = r.names()
-            if len(r) == 4 and len(names) == 2:
-                x, y = sorted(names)
-                if state.paired(x, y):
-                    continue
-                if any(cyclically_equal(r, commutator(gen(x, ex), gen(y, ey)))
-                       for ex in (1, -1) for ey in (1, -1)):
-                    state.pairs.add(frozenset((x, y)))
-                    steps.append(PairFromRelator(x, y, r))
+        for pair, options in rules.items():
+            if pair in state.settled:
+                continue
+            for step, premises in options:
+                if all(state.paired(*q) or state.settled.get(q)
+                       for q in premises):
+                    state.settled[pair] = (step, premises)
                     changed = True
-        for r in state.relators:
-            for g in dict.fromkeys(n for n, _ in r.letters):
-                definition = defining_rotation(r, g)
-                if definition is None:
-                    continue
-                for other in state.gens:
-                    if other == g or state.paired(g, other):
-                        continue
-                    if state.commutes_with(definition.letters, other):
-                        state.pairs.add(frozenset((g, other)))
-                        steps.append(PairFromDefinition(g, other, r))
-                        changed = True
-    return steps
+                    break
+    for pair in rules:
+        state.settled.setdefault(pair, None)
+    if state.settled[goal] is None:
+        return False
+    todo = [goal]           # emit the goal's proof, premises first
+    while todo:
+        pair = todo[-1]
+        step, premises = state.settled[pair]
+        waiting = [q for q in premises if not state.paired(*q)]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        if not state.paired(*pair):
+            state.pairs.add(pair)
+            steps.append(step)
+    return True
 
 
-def _find_cancel(state: _State) -> CommutationCancel | None:
+def _pair_rules(state: _State, pair: frozenset[str]) -> list[_Rule]:
+    """The steps that can prove a pair, each with the pairs it needs: a
+    commutator relator needs none, a definition of either generator needs
+    each of its letters to commute with the other generator."""
+    x, y = sorted(pair)
+    rules: list[_Rule] = [
+        (PairFromRelator(x, y, r), []) for r in state.relators
+        if len(r) == 4 and r.names() == pair and any(
+            cyclically_equal(r, commutator(gen(x, ex), gen(y, ey)))
+            for ex in (1, -1) for ey in (1, -1))]
+    for g, other in ((x, y), (y, x)):
+        rules += [(PairFromDefinition(g, other, r),
+                   [frozenset((n, other)) for n in
+                    dict.fromkeys(n for n, _ in definition.letters)
+                    if n != other])
+                  for _, r, definition in state.definitions.get(g, ())]
+    return rules
+
+
+def _find_cancel(state: _State,
+                 steps: list[TraceStep]) -> CommutationCancel | None:
     """First commutation cancellation x^e ... x^-e (interior commuting with
     x), checking both the inner arc and, via rotation, the cyclic outer
-    arc of each candidate pair."""
+    arc of each candidate pair.  The commuting pairs it needs are proved
+    on demand, their steps appended to `steps`."""
+    def commutes(letters: Iterable[tuple[str, int]], x: str) -> bool:
+        return all(_prove_pair(state, n, x, steps) for n, _ in letters)
+
     for r in state.relators:
         L = len(r)
         letters = r.letters
@@ -199,10 +255,10 @@ def _find_cancel(state: _State) -> CommutationCancel | None:
             for j in range(i + 1, L):
                 if letters[j] != (xi, -ei):
                     continue
-                if state.commutes_with(letters[i + 1:j], xi):
+                if commutes(letters[i + 1:j], xi):
                     return _make_cancel(state, r, 0, i, j, xi)
                 exterior = letters[j + 1:] + letters[:i]
-                if state.commutes_with(exterior, xi):
+                if commutes(exterior, xi):
                     return _make_cancel(state, r, j, 0, L - j + i, xi)
     return None
 
@@ -226,11 +282,8 @@ def _find_elimination(state: _State) -> Eliminate | None:
         words += (rel, key)
     total = Counter(n for w in words for n, _ in w.letters)
     best = None
-    for idx, r in enumerate(state.relators):
-        for g in sorted(r.names()):
-            definition = defining_rotation(r, g)
-            if definition is None:
-                continue
+    for g, entries in state.definitions.items():
+        for idx, r, definition in entries:
             # r mentions g exactly once, as it defines g
             cost = (total[g] - 1) * max(len(definition) - 1, 0)
             cand = (cost, len(definition), g, idx)
@@ -329,20 +382,15 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
     while True:
         if spent():
             return state, trace, True
-        progress = False
-        new = _closure_pass(state)
-        trace.extend(new)
-        progress |= bool(new)
-        if allow_discharge:
-            new = _discharge_pass(state)
-            trace.extend(new)
-            progress |= bool(new)
+        discharged = _discharge_pass(state) if allow_discharge else []
+        trace.extend(discharged)
+        state.index_definitions()
         step = _find_elimination(state)
         if step is not None and not step.definition:
             trace.append(step)
             _apply_elimination(state, step)
             continue
-        cancel = _find_cancel(state)
+        cancel = _find_cancel(state, trace)
         if cancel is not None:
             trace.append(cancel)
             _apply_rewrite(state, cancel)
@@ -356,7 +404,7 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
             trace.append(repl)
             _apply_rewrite(state, repl)
             continue
-        if not progress:
+        if not discharged:
             return state, trace, False
 
 
@@ -373,7 +421,9 @@ def commutation_closure(p: FpPresentation) -> frozenset[frozenset[str]]:
     closure rules (commutator relators; definitional relators whose
     definition commutes letterwise)."""
     state = _State(p)
-    _closure_pass(state)
+    for i, x in enumerate(state.gens):
+        for y in state.gens[i + 1:]:
+            _prove_pair(state, x, y, [])
     return frozenset(state.pairs)
 
 

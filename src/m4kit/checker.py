@@ -6,8 +6,9 @@ set it maintains itself.  It never consults the engine, the abelianization
 or the coset enumerator, so a bug there cannot hide here: every step is
 re-verified against its own soundness contract (see trace.py) before it is
 applied, the terminal state must match the certificate's, and the verdict
-must be forced by that terminal state.  The fields the verdict determines
-(target match, H1, coset index and subgroup) must agree with it.
+must be forced by that terminal state.  The fields the trace and the
+verdict determine (step count, reason, target match, H1, coset index and
+subgroup) must agree with them.
 
 Raises CheckFailure with a specific message on the first discrepancy.
 """
@@ -295,9 +296,17 @@ def _target_of(verdict: str, order: int | None) -> str | None:
 
 
 def _check_forced_fields(cert: Certificate) -> None:
-    """The fields a verdict determines must agree with it: the target
-    match, and for a definite verdict its abelianization, the coset index
-    (1, or null when not corroborated) and the coset subgroup."""
+    """The fields the trace and the verdict determine must agree with them:
+    the step count, the reason (null exactly when the verdict is definite),
+    the target match, and for a definite verdict its abelianization, the
+    coset index (1, or null when not corroborated) and the coset subgroup."""
+    if cert.steps_used != len(cert.trace):
+        _fail(f"steps_used is {cert.steps_used} but the trace has "
+              f"{len(cert.trace)} steps")
+    definite = cert.verdict in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC)
+    if definite != (cert.reason is None):
+        _fail(f"reason {cert.reason!r} for a {cert.verdict} verdict (must be "
+              f"null exactly when the verdict is definite)")
     if (cert.target is None) != (cert.matches_target is None):
         _fail("target and matches_target must both be set or both be null")
     if cert.target is not None and \
@@ -306,7 +315,7 @@ def _check_forced_fields(cert: Certificate) -> None:
         _fail(f"matches_target is {cert.matches_target} for a "
               f"{_target_of(cert.verdict, cert.order) or 'inconclusive'} "
               f"verdict and target {cert.target!r}")
-    if cert.verdict not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC):
+    if not definite:
         return
     h1 = {TRIVIAL: (0, ()), INFINITE_CYCLIC: (1, ())}.get(
         cert.verdict, (0, (cert.order,)))

@@ -152,6 +152,8 @@ def edited(data, **fields):
     {"matches_target": True},                # a match, but no target
     {"coset_index": 99},
     {"h1_rank": 5},
+    {"steps_used": 999},                     # the trace has fewer steps
+    {"reason": "forged"},                    # a reason on a definite verdict
 ])
 def test_forced_field_edits_rejected(probe, fields):
     replay(edited(probe))
@@ -201,3 +203,24 @@ def test_cli_replay_exits_fail_on_forced_field_edit(probe, tmp_path, capsys):
     path.write_text(json.dumps({**probe, "h1_rank": 5}))
     assert main(["replay", str(path)]) == 1
     assert "h1 rank 5" in capsys.readouterr().err
+
+
+# -- fields the trace determines --------------------------------------------
+
+def test_inconclusive_certificate_must_give_a_reason():
+    c = certify(pres("a b", "a^2", "b^2", "(a b)^7"))
+    replay(c)
+    with pytest.raises(CheckFailure, match="reason None"):
+        replay(replace(c, reason=None))
+    with pytest.raises(CheckFailure, match="steps_used"):
+        replay(replace(c, steps_used=c.steps_used + 1))
+
+
+@pytest.mark.parametrize("fields", [{"steps_used": 999}, {"reason": "forged"}],
+                         ids=["steps_used", "reason"])
+def test_cli_replay_exits_fail_on_free_field_edit(probe, tmp_path, capsys,
+                                                  fields):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({**probe, **fields}))
+    assert main(["replay", str(path)]) == 1
+    assert str(next(iter(fields.values()))) in capsys.readouterr().err

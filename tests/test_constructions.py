@@ -91,6 +91,16 @@ def test_sign_choice_changes_words_not_invariants():
     assert h1_core(base) == h1_core(flipped)
 
 
+@pytest.mark.parametrize("build", [exotic_cp2_2, exotic_cp2_4, exotic_cp2_6],
+                         ids=lambda f: f.__name__)
+def test_every_sign_choice_reaches_the_presentation(build):
+    # the sign robustness criterion certifies each choice; it tests nothing
+    # unless the four choices really give four different presentations
+    presentations = {build(2, eps1=eps1, eps3=eps3).pi1
+                     for eps1 in (1, -1) for eps3 in (1, -1)}
+    assert len(presentations) == 4
+
+
 def test_names_are_compositional():
     assert exotic_cp2_2().name == "T2xG2(1,1)#BT4(1,1,1)"
     assert finite_cyclic_example().name == "G2xG2(1)#BT4(0,0,1)"
