@@ -53,7 +53,6 @@ from .geography import (
     freedman_model,
     in_odd_region,
     realize_pair,
-    supported_points,
 )
 from .manifest import (
     Manifest,
@@ -102,7 +101,6 @@ __all__ = [
     "CosetCount", "Exceeded", "coset_enumeration",
     "FreedmanModel", "GeoPoint", "GeographyError", "Realization",
     "coords", "freedman_model", "in_odd_region", "realize_pair",
-    "supported_points",
     "Manifest", "ManifestError", "canonicalize", "format_manifest",
     "parse_manifest", "report_json", "run_manifest",
     "ConditionalRelator", "FpPresentation", "MeridionalTier",

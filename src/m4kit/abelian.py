@@ -196,20 +196,6 @@ class AbelianGroup:
     rank: int
     torsion: tuple[int, ...] = ()
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    @property
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.rank:
-            return None
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
-
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"

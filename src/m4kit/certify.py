@@ -112,7 +112,6 @@ class _State:
         self.conditional: list[tuple[Word, Word, Word]] = [
             (c.relator, c.key, c.relator) for c in p.conditional if c.relator]
         self.tiers: list[MeridionalTier] = list(p.meridional)
-        self.distinguished: list[tuple[str, Word]] = list(p.distinguished)
         self.pairs: set[frozenset[str]] = set()
         self.activated: list[Word] = []      # original forms, for reporting
         self.index_definitions()
@@ -127,11 +126,11 @@ class _State:
         forgotten."""
         self.definitions: dict[str, list[tuple[int, Word, Word]]] = {}
         for idx, r in enumerate(self.relators):
-            for g in dict.fromkeys(n for n, _ in r.letters):
-                definition = defining_rotation(r, g)
-                if definition is not None:
+            # a Counter keeps first-appearance order, so the index is stable
+            for g, count in Counter(n for n, _ in r.letters).items():
+                if count == 1:
                     self.definitions.setdefault(g, []).append(
-                        (idx, r, definition))
+                        (idx, r, defining_rotation(r, g)))
         # pair -> (step, pairs it needs) if proved this round, else None
         self.settled: dict[frozenset[str], _Rule | None] = {}
 
@@ -151,8 +150,6 @@ class _State:
         self.conditional = new_cond
         self.tiers = [MeridionalTier(t.label, substitute(t.key, images))
                       for t in self.tiers]
-        self.distinguished = [(n, substitute(w, images))
-                              for n, w in self.distinguished]
         self.gens.remove(name)
         self.pairs = {pr for pr in self.pairs if name not in pr}
 
@@ -163,7 +160,6 @@ class _State:
             conditional=tuple(ConditionalRelator(rel, key)
                               for rel, key, _ in self.conditional),
             meridional=tuple(self.tiers),
-            distinguished=tuple(self.distinguished),
         )
 
 

@@ -55,7 +55,6 @@ class _Replay:
         self.relators = [r for r in self.relators if r]
         self.conditional = [(c.relator, c.key) for c in p.conditional if c.relator]
         self.tiers = [(t.label, t.key) for t in p.meridional]
-        self.distinguished = list(p.distinguished)
         self.pairs: set[frozenset[str]] = set()
         self.activations = 0
 
@@ -152,8 +151,6 @@ class _Replay:
                 new_cond.append((rel2, substitute(key, images)))
         self.conditional = new_cond
         self.tiers = [(label, substitute(key, images)) for label, key in self.tiers]
-        self.distinguished = [(n, substitute(w, images))
-                              for n, w in self.distinguished]
         self.gens.remove(s.gen)
         self.pairs = {pr for pr in self.pairs if s.gen not in pr}
 
@@ -218,7 +215,6 @@ class _Replay:
                               for rel, key in self.conditional),
             meridional=tuple(MeridionalTier(label, key)
                              for label, key in self.tiers),
-            distinguished=tuple(self.distinguished),
         )
 
 

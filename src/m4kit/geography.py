@@ -180,13 +180,6 @@ def _recipe(chi: int, c1sq: int) -> tuple[MarkedManifold, str]:
         "chi >= 2")
 
 
-def supported_points(max_chi: int) -> list[GeoPoint]:
-    pts = [GeoPoint(1, 5), GeoPoint(1, 7), GeoPoint(2, 9), GeoPoint(2, 11),
-           GeoPoint(2, 13)]
-    pts += [GeoPoint(x, 8 * x - 1) for x in range(2, max_chi + 1)]
-    return [p for p in pts if p.chi <= max_chi]
-
-
 def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
                  ) -> Realization:
     """Build the supported realization at (chi, c1sq) and certify it.

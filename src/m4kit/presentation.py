@@ -1,10 +1,10 @@
 """Finite presentations with surgery-flavoured extras.
 
-Beyond generators and relators, a presentation here can carry three kinds
+Beyond generators and relators, a presentation here can carry two kinds
 of side data that the rest of the package leans on:
 
 * ``meridional`` tiers — a symbolic marker for a family of unnamed extra
-  generators, every one of which is a conjugate of a distinguished
+  generators, every one of which is a conjugate of a fixed
   boundary circle (the *key* word).  Such generators die in any quotient
   where the key dies, so we never materialise them; a tier is discharged
   once the key word has been proved trivial.
@@ -15,17 +15,12 @@ of side data that the rest of the package leans on:
   certification engine may activate one only after the key's image has
   become freely trivial.
 
-* ``distinguished`` words — named markers (meridians, images of standard
-  curves) that are carried through every substitution so that their fate
-  can be read off afterwards.
-
 All types are immutable; operations return new presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from .words import (
     NAME_RE,
@@ -67,7 +62,6 @@ class FpPresentation:
     relators: tuple[Word, ...] = ()
     conditional: tuple[ConditionalRelator, ...] = ()
     meridional: tuple[MeridionalTier, ...] = ()
-    distinguished: tuple[tuple[str, Word], ...] = ()
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -84,11 +78,6 @@ class FpPresentation:
             self._check_word(c.key, "conditional key")
         for t in self.meridional:
             self._check_word(t.key, f"meridional key for {t.label!r}")
-        labels = [name for name, _ in self.distinguished]
-        if len(labels) != len(set(labels)):
-            raise PresentationError("duplicate distinguished label")
-        for _, w in self.distinguished:
-            self._check_word(w, "distinguished word")
 
     def _check_word(self, w: Word, what: str) -> None:
         stray = w.names() - set(self.generators)
@@ -133,55 +122,39 @@ class FpPresentation:
     def strip_meridional(self) -> "FpPresentation":
         return replace(self, meridional=())
 
-    def rename_generators(self, mapping: Mapping[str, str]) -> "FpPresentation":
-        """Rename generators; mapping must stay injective on the full set."""
-        full = {g: mapping.get(g, g) for g in self.generators}
-        if len(set(full.values())) != len(full):
-            raise PresentationError("rename is not injective")
-        word_map = {old: gen(new) for old, new in full.items() if old != new}
+    def with_prefix(self, prefix: str) -> "FpPresentation":
+        """Prefix every generator name and tier label, rewriting every word
+        to match.  This is the one rename."""
+        images = {g: gen(prefix + g) for g in self.generators}
 
         def sub(w: Word) -> Word:
-            return substitute(w, word_map)
+            return substitute(w, images)
 
         return FpPresentation(
-            generators=tuple(full[g] for g in self.generators),
+            generators=tuple(prefix + g for g in self.generators),
             relators=tuple(sub(r) for r in self.relators),
             conditional=tuple(ConditionalRelator(sub(c.relator), sub(c.key))
                               for c in self.conditional),
-            meridional=tuple(MeridionalTier(t.label, sub(t.key))
+            meridional=tuple(MeridionalTier(prefix + t.label, sub(t.key))
                              for t in self.meridional),
-            distinguished=tuple((n, sub(w)) for n, w in self.distinguished),
         )
-
-    def with_prefix(self, prefix: str) -> "FpPresentation":
-        """Prefix every generator name, tier label and distinguished label."""
-        p = self.rename_generators({g: prefix + g for g in self.generators})
-        return replace(
-            p,
-            meridional=tuple(MeridionalTier(prefix + t.label, t.key)
-                             for t in p.meridional),
-            distinguished=tuple((prefix + n, w) for n, w in p.distinguished))
 
     def __str__(self) -> str:
         return format_presentation(self)
 
 
 def free_product(left: FpPresentation, right: FpPresentation) -> FpPresentation:
-    """Disjoint union of presentations.  Generator (and distinguished-label)
-    clashes are errors; the caller renames first with with_prefix(), which
-    prefixes generators, tier labels and distinguished labels alike."""
+    """Disjoint union of presentations.  A generator clash is an error; the
+    caller renames first with with_prefix(), which prefixes generators and
+    tier labels alike."""
     clash = set(left.generators) & set(right.generators)
     if clash:
         raise PresentationError(f"generator clash in free product: {sorted(clash)}")
-    lclash = {n for n, _ in left.distinguished} & {n for n, _ in right.distinguished}
-    if lclash:
-        raise PresentationError(f"distinguished-label clash: {sorted(lclash)}")
     return FpPresentation(
         generators=left.generators + right.generators,
         relators=left.relators + right.relators,
         conditional=left.conditional + right.conditional,
         meridional=left.meridional + right.meridional,
-        distinguished=left.distinguished + right.distinguished,
     )
 
 
@@ -210,8 +183,6 @@ def format_presentation(p: FpPresentation) -> str:
               for c in p.conditional]
     lines += [f"meridional: {t.label} : {format_word(t.key)}"
               for t in p.meridional]
-    lines += [f"distinguished: {n} = {format_word(w)}"
-              for n, w in p.distinguished]
     return "\n".join(lines)
 
 
@@ -227,7 +198,6 @@ def parse_presentation(text: str) -> FpPresentation:
     relators: list[Word] = []
     conditional: list[ConditionalRelator] = []
     meridional: list[MeridionalTier] = []
-    distinguished: list[tuple[str, Word]] = []
     saw_generators = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,11 +227,6 @@ def parse_presentation(text: str) -> FpPresentation:
                     raise PresentationError("meridional needs 'label : key'")
                 meridional.append(MeridionalTier(label.strip(),
                                                  parse_word(key_text.strip())))
-            elif kind == "distinguished":
-                name, sep2, word_text = rest.partition("=")
-                if not sep2:
-                    raise PresentationError("distinguished needs 'name = word'")
-                distinguished.append((name.strip(), parse_word(word_text.strip())))
             else:
                 raise PresentationError(f"unknown section {kind!r}")
         except (WordSyntaxError, PresentationError) as exc:
@@ -273,5 +238,4 @@ def parse_presentation(text: str) -> FpPresentation:
         relators=tuple(r for r in relators if r),
         conditional=tuple(conditional),
         meridional=tuple(meridional),
-        distinguished=tuple(distinguished),
     )

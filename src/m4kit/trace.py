@@ -24,8 +24,8 @@ Soundness contracts (P = presentation state before the step):
 * Eliminate(gen, definition, via): `via` is in P, mentions `gen` exactly
   once and rewrites to gen = definition (which avoids gen).  The relator
   is dropped, the generator removed, and the definition substituted into
-  every relator, conditional relator, key and distinguished word.  The
-  kill of a generator (relator g^±1) is the definition-is-empty case.
+  every relator, conditional relator and key.  The kill of a generator
+  (relator g^±1) is the definition-is-empty case.
 
 * ReplaceSubword(before, after, via, via_rotation, via_inverted, split,
   at): `via` is a *different* relator of P; rotating (and possibly
@@ -43,7 +43,7 @@ Soundness contracts (P = presentation state before the step):
 Bookkeeping shared by engine and checker (not recorded as steps): relators
 are kept freely and cyclically reduced at all times, empty relators are
 dropped, and a conditional relator whose current form is empty is dropped
-as vacuous.  Keys and distinguished words are only freely reduced.
+as vacuous.  Keys are only freely reduced.
 """
 
 from __future__ import annotations

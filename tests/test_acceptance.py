@@ -222,6 +222,7 @@ def test_criterion_07_realization_table():
         for chi, c1sq in rows:
             r = realization(chi, c1sq)
             assert r.point == GeoPoint(chi, c1sq)
+            assert in_odd_region(r.point)
             assert coords(r.manifold.euler, r.manifold.signature) == r.point
             assert r.manifold.symplectic
             # rows beyond the fully-worked ones may be inconclusive without

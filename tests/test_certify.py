@@ -27,7 +27,11 @@ from m4kit.presentation import (
     MeridionalTier,
     defining_rotation,
 )
-from m4kit.trace import CommutationCancel, PairFromDefinition
+from m4kit.trace import (
+    CertificateFormatError,
+    CommutationCancel,
+    PairFromDefinition,
+)
 from m4kit.words import (
     Word,
     commutator,
@@ -191,6 +195,10 @@ def test_certificate_json_round_trip():
     c = certify(p)
     data = json.loads(json.dumps(c.to_json(), sort_keys=True))
     assert Certificate.from_json(data) == c
+    # side data outside the four presentation fields is a format error
+    data["presentation"] += "\ndistinguished: mu = a"
+    with pytest.raises(CertificateFormatError):
+        Certificate.from_json(data)
 
 
 # SHA-256 of the certificate JSON (sort_keys=True) of the engine-scale

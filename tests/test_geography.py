@@ -16,7 +16,6 @@ from m4kit.geography import (
     freedman_model,
     in_odd_region,
     realize_pair,
-    supported_points,
 )
 
 
@@ -91,19 +90,6 @@ def test_freedman_model_demands_odd_parity():
 
 
 # -- realizations -------------------------------------------------------------------
-
-def test_supported_points_table():
-    pts = supported_points(4)
-    assert GeoPoint(1, 5) in pts
-    assert GeoPoint(1, 7) in pts
-    assert GeoPoint(2, 9) in pts
-    assert GeoPoint(2, 11) in pts
-    assert GeoPoint(2, 13) in pts
-    assert GeoPoint(2, 15) in pts
-    assert GeoPoint(3, 23) in pts
-    assert GeoPoint(4, 31) in pts
-    assert all(in_odd_region(p) for p in pts)
-
 
 def test_unsupported_pair_raises():
     with pytest.raises(GeographyError):

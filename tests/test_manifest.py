@@ -331,8 +331,13 @@ def _mangle_rotation(cert):
     cert["trace"][1]["rotation"] = "0"
 
 
+def _mangle_distinguished(cert):
+    cert["presentation"] += "\ndistinguished: mu = a"
+
+
 @pytest.mark.parametrize("mangle", [_mangle_schema, _mangle_kind,
-                                    _mangle_missing_field, _mangle_rotation])
+                                    _mangle_missing_field, _mangle_rotation,
+                                    _mangle_distinguished])
 def test_exit_usage_on_malformed_certificate(tmp_path, capsys, mangle):
     p = parse_presentation("generators: a, b\nrelator: [a, b]\n"
                            "relator: a b^2 a^-1 b^-1")

@@ -62,41 +62,15 @@ def test_meridional_tier_and_strip():
     assert p.strip_meridional().relators == p.relators
 
 
-def test_distinguished_labels_unique():
-    p = FpPresentation(AB.generators, AB.relators,
-                       distinguished=(("mu", gen("a")),))
-    with pytest.raises(PresentationError):
-        FpPresentation(AB.generators, AB.relators,
-                       distinguished=(("mu", gen("a")), ("mu", gen("b"))))
-    assert p.distinguished == (("mu", gen("a")),)
-
-
-def test_rename_generators_rewrites_everything():
-    p = FpPresentation(
-        ("a", "b"),
-        (parse_word("a b a^-1 b^-1"),),
-        conditional=(ConditionalRelator(gen("a"), gen("b")),),
-        meridional=(MeridionalTier("t", gen("b")),),
-        distinguished=(("mu", parse_word("a b")),),
-    )
-    q = p.rename_generators({"a": "x"})
-    assert q.generators == ("x", "b")
-    assert q.relators == (parse_word("x b x^-1 b^-1"),)
-    assert q.conditional[0].relator == gen("x")
-    assert q.meridional[0].key == gen("b")
-    assert q.distinguished == (("mu", parse_word("x b")),)
-
-
-def test_rename_collision_rejected():
-    with pytest.raises(PresentationError):
-        AB.rename_generators({"a": "b"})
-
-
 def test_with_prefix():
-    q = AB.with_meridional("g", gen("a")).with_prefix("L_")
+    q = (AB.with_meridional("g", gen("a"))
+         .with_conditional(parse_word("a^2 b"), gen("b"))
+         .with_prefix("L_"))
     assert q.generators == ("L_a", "L_b")
     assert q.relators == (parse_word("L_a L_b L_a^-1 L_b^-1"),)
     assert q.meridional == (MeridionalTier("L_g", gen("L_a")),)
+    assert q.conditional == (
+        ConditionalRelator(parse_word("L_a^2 L_b"), gen("L_b")),)
 
 
 def test_free_product_is_disjoint_union():
@@ -126,7 +100,6 @@ def test_format_parse_round_trip_with_all_features():
         (commutator(gen("a"), gen("b")), parse_word("a^4")),
         conditional=(ConditionalRelator(parse_word("b^2"), parse_word("a b a^-1 b^-1")),),
         meridional=(MeridionalTier("g", parse_word("a^4")),),
-        distinguished=(("mu", parse_word("b")),),
     )
     text = format_presentation(p)
     assert parse_presentation(text) == p
@@ -135,3 +108,5 @@ def test_format_parse_round_trip_with_all_features():
 def test_parse_presentation_rejects_unknown_line():
     with pytest.raises(PresentationError):
         parse_presentation("generators: a\nnonsense: a")
+    with pytest.raises(PresentationError):
+        parse_presentation("generators: a\ndistinguished: mu = a")

@@ -1,9 +1,12 @@
 """Source-level rules of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import m4kit
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "m4kit"
 
@@ -49,3 +52,26 @@ def test_checker_stays_independent_of_the_engine():
     assert imported.get("certify", set()) <= CHECKER_MAY_IMPORT, \
         imported["certify"] - CHECKER_MAY_IMPORT
     assert "coset" not in imported and "abelian" not in imported
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def test_names_the_benchmark_looks_up_exist():
+    # bench/spans.py wraps each LAYERS function through vars(module)[name] and
+    # bench/run.py calls m4.<name>; a deleted name breaks the benchmark only
+    spans = ast.parse((BENCH / "spans.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in spans.body
+                  if isinstance(node, ast.AnnAssign)
+                  and getattr(node.target, "id", None) == "LAYERS")
+    missing = [f"{module}.{name}"
+               for module, names in layers.values()
+               for name in names
+               if not callable(vars(importlib.import_module(module)).get(name))]
+    run = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    missing += [f"m4kit.{node.attr}" for node in ast.walk(run)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "m4"
+                and not hasattr(m4kit, node.attr)]
+    assert layers
+    assert missing == []
