@@ -9,11 +9,13 @@ The table is row-per-coset with one column per generator letter (g and
 g^-1, so column x ^ 1 is the inverse of column x).  Felsch strategy: the
 first undefined entry of each live coset, taken in order, defines a new
 coset, and every entry set anywhere is pushed as a deduction.  A deduction
-(a, x) scans, without defining, each cyclic rotation of a relator or its
-inverse that starts with x at a or with x^-1 at a·x, so a relator cycle is
-rechecked only when one of its entries changes.  Coincidences are processed
-with a queue over a union-find, and the table is compacted when dead
-cosets pile up so memory tracks the live count.
+(a, x) scans, without defining, each cyclic rotation that starts with x
+from a.  The rotations of both r and r^-1 are listed, so this one side
+reaches every relator cycle through the entry (scanning from a·x with
+x^-1 would walk the same cycles again), and a cycle is rechecked only when
+one of its entries changes.  Coincidences are processed with a queue over
+a union-find, and the table is compacted when dead cosets pile up so
+memory tracks the live count.
 """
 
 from __future__ import annotations
@@ -105,29 +107,31 @@ class _Enumerator:
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
+        table, find, merge = self.table, self.find, self._merge
+        deductions = self.deductions
         queue: list[int] = []
-        self._merge(a, b, queue)
+        merge(a, b, queue)
         qi = 0
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
-            for x in range(self.ncols):
-                d = self.table[dead][x]
+            row = table[dead]
+            for x, d in enumerate(row):
                 if d is None:
                     continue
-                self.table[dead][x] = None
+                row[x] = None
                 # drop the reverse arrow too; it will be re-routed below
-                if self.table[d][x ^ 1] == dead:
-                    self.table[d][x ^ 1] = None
-                mu, nu = self.find(dead), self.find(d)
-                if self.table[mu][x] is not None:
-                    self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][x ^ 1] is not None:
-                    self._merge(mu, self.table[nu][x ^ 1], queue)
+                if table[d][x ^ 1] == dead:
+                    table[d][x ^ 1] = None
+                mu, nu = find(dead), find(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
                 else:
-                    self.table[mu][x] = nu
-                    self.table[nu][x ^ 1] = mu
-                    self.deductions.append((mu, x))
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+                    deductions.append((mu, x))
 
     def scan_and_fill(self, a: int, w: tuple[int, ...]) -> None:
         """Trace w from coset a both ways, defining cosets to close the
@@ -156,54 +160,52 @@ class _Enumerator:
                 return
             self.define(f, w[i])
 
-    def scan(self, a: int, w: tuple[int, ...]) -> None:
-        """Trace w from coset a both ways without defining: a cycle that
-        closes on two cosets is a coincidence, a single gap a deduction."""
-        table = self.table
-        f, i, j = a, 0, len(w) - 1
-        while i <= j:
-            nxt = table[f][w[i]]
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        else:
-            if f != a:
-                self.coincidence(f, a)
-            return
-        b = a
-        while j > i:
-            nxt = table[b][w[j] ^ 1]
-            if nxt is None:
-                return               # two or more gaps: nothing follows
-            b = nxt
-            j -= 1
-        nxt = table[b][w[i] ^ 1]
-        if nxt is not None:
-            self.coincidence(f, nxt)
-        else:
-            table[f][w[i]] = b
-            table[b][w[i] ^ 1] = f
-            self.deductions.append((f, w[i]))
-
     def process_deductions(self) -> None:
-        """Scan every relator cycle through each pending entry (a, x)."""
-        parent, rotations = self.parent, self.rotations
+        """Scan every relator cycle through each pending entry (a, x),
+        without defining: a cycle that closes on two cosets is a
+        coincidence, a single gap a deduction."""
+        # only compact() replaces table and parent, and never during a drain
+        table, parent, rotations = self.table, self.parent, self.rotations
+        coincidence = self.coincidence
         stack = self.deductions
         while stack:
             a, x = stack.pop()
             if parent[a] != a:
                 continue             # merged away; its entries moved on
+            # rotations[x] holds the rotations of r and of r^-1, so the
+            # cycles through (a, x) are all scanned from a
             for w in rotations[x]:
-                self.scan(a, w)
-                if parent[a] != a:
-                    break
-            else:
-                b = self.table[a][x]
-                for w in rotations[x ^ 1]:
-                    self.scan(b, w)
-                    if parent[b] != b:
+                f, i, j = a, 0, len(w) - 1
+                while i <= j:
+                    nxt = table[f][w[i]]
+                    if nxt is None:
                         break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != a:
+                        coincidence(f, a)
+                        if parent[a] != a:
+                            break
+                    continue
+                b = a
+                while j > i:
+                    nxt = table[b][w[j] ^ 1]
+                    if nxt is None:
+                        break        # two or more gaps: nothing follows
+                    b = nxt
+                    j -= 1
+                else:
+                    y = w[i]
+                    nxt = table[b][y ^ 1]
+                    if nxt is None:
+                        table[f][y] = b
+                        table[b][y ^ 1] = f
+                        stack.append((f, y))
+                    else:
+                        coincidence(f, nxt)
+                        if parent[a] != a:
+                            break
 
     def compact(self) -> dict[int, int]:
         """Renumber live cosets, preserving order; returns old -> new."""
@@ -222,6 +224,42 @@ class _Enumerator:
         return remap
 
 
+    def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
+        """Enumerate the cosets of the subgroup generated by `subgroup`,
+        leaving the closed table (or the table at the cap) in place."""
+        try:
+            for w in subgroup:
+                self.scan_and_fill(0, self.compile(w))
+            # a closing scan sets entries without pushing them: check them all
+            self.deductions = [(a, x) for a, row in enumerate(self.table)
+                               if self.parent[a] == a
+                               for x, b in enumerate(row) if b is not None]
+            self.process_deductions()
+            alpha = 0
+            while alpha < len(self.table):
+                if self.parent[alpha] != alpha:
+                    alpha += 1
+                    continue
+                for x in range(self.ncols):
+                    if self.table[alpha][x] is None:
+                        self.define(alpha, x)
+                        self.process_deductions()
+                        if self.parent[alpha] != alpha:
+                            break
+                if (len(self.table) > 4096
+                        and self.live * 2 < len(self.table)):
+                    remap = self.compact()
+                    # Resume after every already-processed coset: live roots
+                    # with old number <= alpha occupy exactly the new numbers
+                    # below this count (compaction preserves order).
+                    alpha = sum(1 for old in remap if old <= alpha)
+                    continue
+                alpha += 1
+        except _Overflow:
+            return Exceeded(self.max_cosets)
+        return CosetCount(index=self.live, total_defined=self.total_defined)
+
+
 def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
                       max_cosets: int = 1_000_000) -> CosetCount | Exceeded:
     """Index of the subgroup generated by `subgroup` in the group presented
@@ -231,36 +269,4 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
         raise ValueError("strip/discharge the meridional tier first")
     if p.conditional:
         raise ValueError("decide conditional relators before enumerating")
-    enum = _Enumerator(p.generators, max_cosets, p.relators)
-    try:
-        for w in subgroup:
-            enum.scan_and_fill(0, enum.compile(w))
-        # a closing scan sets entries without pushing them: check them all
-        enum.deductions = [(a, x) for a, row in enumerate(enum.table)
-                           if enum.parent[a] == a
-                           for x, b in enumerate(row) if b is not None]
-        enum.process_deductions()
-        alpha = 0
-        while alpha < len(enum.table):
-            if enum.parent[alpha] != alpha:
-                alpha += 1
-                continue
-            for x in range(enum.ncols):
-                if enum.table[alpha][x] is None:
-                    enum.define(alpha, x)
-                    enum.process_deductions()
-                    if enum.parent[alpha] != alpha:
-                        break
-            if (len(enum.table) > 4096
-                    and enum.live * 2 < len(enum.table)):
-                remap = enum.compact()
-                # Resume after every already-processed coset: live roots with
-                # old number <= alpha occupy exactly the new numbers below
-                # this count (compaction preserves order).
-                alpha = sum(1 for old in remap if old <= alpha)
-                continue
-            alpha += 1
-    except _Overflow:
-        return Exceeded(max_cosets)
-    return CosetCount(index=enum.live,
-                      total_defined=enum.total_defined)
+    return _Enumerator(p.generators, max_cosets, p.relators).run(subgroup)

@@ -1,10 +1,13 @@
 """Coset enumeration against groups of known order / subgroups of known index.
 
 Oracle values are textbook: |S3| = 6, |Q8| = 8, |D4| = 8, |A5| = 60,
-|PSL(2,7)| = 168, cyclic orders and indices by Lagrange.  The test at the
-bottom pins the compaction resume logic on a table that actually crosses
-the compaction threshold.
+|PSL(2,7)| = 168, cyclic orders and indices by Lagrange.  Further down,
+one test pins the compaction resume logic on a table that actually crosses
+the compaction threshold, one pins the cosets defined on the paper's
+family, and the closed-table tests check the finished table itself.
 """
+
+from random import Random
 
 import pytest
 
@@ -91,10 +94,13 @@ A5 = pres("a b", "a^2", "b^3", "(a b)^5")
 PSL27 = pres("a b", "a^2", "b^3", "(a b)^7", "[a, b]^4")
 
 
-@pytest.mark.parametrize("p, subgroup, index", [
+LISTED_SUBGROUPS = [
     (A5, "", 60), (A5, "a", 30), (A5, "b", 20), (A5, "a b", 12),
     (PSL27, "", 168), (PSL27, "a", 84), (PSL27, "b", 56), (PSL27, "a b", 24),
-])
+]
+
+
+@pytest.mark.parametrize("p, subgroup, index", LISTED_SUBGROUPS)
 def test_non_abelian_indices_define_no_spare_coset(p, subgroup, index):
     result = coset_enumeration(p, [parse_word(subgroup)] if subgroup else [])
     assert result.index == index
@@ -172,3 +178,84 @@ def test_compaction_resume_regression():
     assert result.index == 1
     # the point of the fixture: the threshold really was crossed
     assert result.total_defined > 4096
+
+
+# -- work pinned on the paper's family ----------------------------------------
+
+# Cosets defined on the core of each odd_sweep member (the benchmark's
+# diagonal).  A change to the definition order or the deduction rule moves
+# these counts, so it cannot pass as a mere speed-up.
+@pytest.mark.parametrize("n, m, defined", [
+    (2, 1, 370), (4, 2, 840), (6, 3, 1448), (8, 1, 2182), (10, 3, 3144),
+])
+def test_odd_family_cores_define_pinned_cosets(n, m, defined):
+    core = certify(exotic_odd_cp2(n, m).pi1,
+                   budget=Budget(corroborate=False)).core()
+    assert coset_enumeration(core) == CosetCount(index=1,
+                                                 total_defined=defined)
+
+
+# -- the closed table ---------------------------------------------------------
+
+def _trace(enum, c, w):
+    for x in w:
+        c = enum.find(enum.table[c][x])
+    return c
+
+
+def _assert_closed(p, subgroup):
+    """Run to completion and check the finished table; returns the index."""
+    enum = _Enumerator(p.generators, 100_000, p.relators)
+    result = enum.run(subgroup)
+    assert isinstance(result, CosetCount)
+    live = [c for c in range(len(enum.table)) if enum.find(c) == c]
+    assert len(live) == result.index
+    assert 0 in live
+    for c in live:
+        row = enum.table[c]
+        assert None not in row, (c, row)
+        for x, d in enumerate(row):
+            assert enum.find(enum.table[enum.find(d)][x ^ 1]) == c, (c, x)
+        for r in p.relators:
+            assert _trace(enum, c, enum.compile(r)) == c, (c, str(r))
+    for w in subgroup:
+        assert _trace(enum, 0, enum.compile(w)) == 0, str(w)
+    return result.index
+
+
+@pytest.mark.parametrize("p, subgroup, index", LISTED_SUBGROUPS + [
+    (parse_presentation(_COLLAPSING), "", 1),
+])
+def test_closed_table_is_complete_and_consistent(p, subgroup, index):
+    assert _assert_closed(
+        p, [parse_word(subgroup)] if subgroup else []) == index
+
+
+def _random_finite_presentations(count, seed):
+    """Seeded draws of power relators plus one or two random words, kept
+    when the enumeration closes under a small cap (so the group is finite)
+    on more than one coset (so the table has something to check)."""
+    rng = Random(seed)
+    found = []
+    while len(found) < count:
+        gens = tuple("abc"[:rng.randint(2, 3)])
+        rels = [gen(g) ** rng.randint(2, 4) for g in gens]
+        for _ in range(rng.randint(1, 2)):
+            w = parse_word("1")
+            for _ in range(rng.randint(4, 10)):
+                w = w * gen(rng.choice(gens)) ** rng.choice((1, -1))
+            if w:
+                rels.append(w)
+        p = FpPresentation(gens, tuple(rels))
+        subgroup = [gen(rng.choice(gens))] if rng.random() < 0.5 else []
+        result = coset_enumeration(p, subgroup, max_cosets=2000)
+        if isinstance(result, CosetCount) and result.index > 1:
+            found.append((p, subgroup))
+    return found
+
+
+def test_closed_table_on_random_finite_presentations():
+    cases = _random_finite_presentations(50, 0xC05E7)
+    assert sum(1 for _, subgroup in cases if subgroup) >= 10
+    for p, subgroup in cases:
+        _assert_closed(p, subgroup)
