@@ -83,12 +83,17 @@ def _check_smith(m: IntMatrix, d: IntMatrix, u: IntMatrix, v: IntMatrix,
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form over Z with recorded transforms.
 
-    Pivoting always picks a smallest-magnitude nonzero entry, which keeps
-    intermediate growth tame for the small matrices we see.  Every row or
-    column operation is mirrored on integer inverses of U and V, and the
-    result is checked by _check_smith (U M V = D, U U^-1 = V V^-1 = I,
-    divisibility chain) before being returned; a failed check raises
-    SmithCheckError, also under python -O.
+    Pivoting always picks a smallest-magnitude nonzero entry, the first in
+    row-major order, which keeps intermediate growth tame for the small
+    matrices we see.  No nonzero entry is smaller than a unit, so the
+    search stops at the first entry of magnitude 1, and a unit pivot skips
+    the divisibility scan of the trailing block, since it divides every
+    entry.  Relation matrices are mostly unit entries, so most pivots end
+    their search early (Havas, Holt & Rees, Linear Algebra Appl. 192,
+    1993).  Every row or column operation is mirrored on integer inverses
+    of U and V, and the result is checked by _check_smith (U M V = D,
+    U U^-1 = V V^-1 = I, divisibility chain) before being returned; a
+    failed check raises SmithCheckError, also under python -O.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -133,13 +138,19 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     t = 0
     while True:
-        # smallest-magnitude nonzero entry of the trailing block
-        pivot = None
+        # first smallest-magnitude nonzero entry of the trailing block, in
+        # row-major order; no entry beats a unit, so the search ends there
+        pivot, least = None, 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None
-                                     or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = abs(row[j])
+                if x and (pivot is None or x < least):
+                    pivot, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -169,17 +180,14 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 continue
             break
 
-        # divisibility: the pivot must divide the whole trailing block
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if bad:
-            add_row(bad[0], t, 1)     # drag the offending row up, redo block
+        # divisibility: the pivot must divide the whole trailing block,
+        # which a unit always does
+        p = a[t][t]
+        bad = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])),
+            None)
+        if bad is not None:
+            add_row(bad, t, 1)        # drag the offending row up, redo block
             continue
         if a[t][t] < 0:
             negate_row(t)
@@ -202,7 +210,14 @@ class AbelianGroup:
 
 
 def cokernel(m: IntMatrix, n_cols: int) -> AbelianGroup:
-    """Z^n_cols / (row space of m)."""
+    """Z^n_cols / (row space of m).
+
+    Zero rows are dropped first: they add nothing to the row space, so the
+    cokernel is the same, and the Smith form (and its witness check) then
+    works on the nonzero rows only.  Relation matrices have many, one for
+    each relator with zero exponent sum in every generator, such as a
+    commutator."""
+    m = [row for row in m if any(row)]
     if not m:
         return AbelianGroup(rank=n_cols)
     diag = smith_normal_form(m).diagonal

@@ -114,6 +114,8 @@ class _State:
         self.tiers: list[MeridionalTier] = list(p.meridional)
         self.pairs: set[frozenset[str]] = set()
         self.activated: list[Word] = []      # original forms, for reporting
+        # relator -> [(g, definition)] for each g it mentions once
+        self.defines: dict[Word, list[tuple[str, Word]]] = {}
         self.index_definitions()
 
     def paired(self, a: str, b: str) -> bool:
@@ -122,15 +124,23 @@ class _State:
     def index_definitions(self) -> None:
         """Index the current relators for one engine round: each generator
         maps to its definitional relators as (relator index, relator,
-        definition).  The pairs settled by last round's proofs are
-        forgotten."""
+        definition).  A relator's definitions are computed once, when it
+        first appears, and kept while it survives: an elimination rebuilds
+        only the relators it touches.  The pairs settled by last round's
+        proofs are forgotten."""
+        seen, self.defines = self.defines, {}
         self.definitions: dict[str, list[tuple[int, Word, Word]]] = {}
         for idx, r in enumerate(self.relators):
-            # a Counter keeps first-appearance order, so the index is stable
-            for g, count in Counter(n for n, _ in r.letters).items():
-                if count == 1:
-                    self.definitions.setdefault(g, []).append(
-                        (idx, r, defining_rotation(r, g)))
+            entries = self.defines.get(r, seen.get(r))
+            if entries is None:
+                # a Counter keeps first-appearance order, so the index is
+                # stable
+                entries = [(g, defining_rotation(r, g)) for g, count
+                           in Counter(n for n, _ in r.letters).items()
+                           if count == 1]
+            self.defines[r] = entries
+            for g, definition in entries:
+                self.definitions.setdefault(g, []).append((idx, r, definition))
         # pair -> (step, pairs it needs) if proved this round, else None
         self.settled: dict[frozenset[str], _Rule | None] = {}
 

@@ -114,7 +114,10 @@ def commutator(x: Word, y: Word) -> Word:
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Apply the homomorphism sending each name in `images` to its image
-    (other generators map to themselves)."""
+    (other generators map to themselves).  When no letter of w is in
+    `images`, w itself is returned, not a copy."""
+    if images.keys().isdisjoint([n for n, _ in w.letters]):
+        return w
     out: list[Letter] = []
     for name, sign in w.letters:
         if name in images:
@@ -127,14 +130,15 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse letters from the two ends.  The result is the
-    shortest word in the conjugacy class of w."""
+    shortest word in the conjugacy class of w; when nothing is stripped it
+    is w itself, not a copy."""
     letters = w.letters
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i][0] == letters[j - 1][0] \
             and letters[i][1] == -letters[j - 1][1]:
         i += 1
         j -= 1
-    return Word(letters[i:j])
+    return Word(letters[i:j]) if i else w
 
 
 def rotate(w: Word, k: int) -> Word:

@@ -5,9 +5,12 @@ facts d_1 = gcd(entries) and d_1 ... d_k = gcd(k x k minors); the property
 block then checks the defining equations U M V = D, unimodularity (by an
 independent determinant), and the divisibility chain on random matrices.
 The fault-injection block feeds the built-in witness check broken Smith
-forms, each of which must raise.
+forms, each of which must raise.  The full-scan block keeps the pivot rule
+without its unit shortcuts as a reference, and requires the same D, U and
+V from both.
 """
 
+import random
 import re
 import subprocess
 import sys
@@ -26,6 +29,7 @@ from m4kit.abelian import (
     relation_matrix,
     smith_normal_form,
 )
+from m4kit.constructions import exotic_odd_cp2
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier, PresentationError
 from m4kit.words import commutator, gen, parse_word
 
@@ -183,6 +187,113 @@ def test_snf_square_preserves_determinant_magnitude(m):
     assert prod == abs(determinant(m))
 
 
+# -- the full-scan pivot rule, kept as an oracle --------------------------------
+
+def full_scan_smith(m):
+    """(D, U, V) by the pivot rule the unit shortcuts must reproduce: each
+    pivot search scans the whole trailing block for its first smallest
+    entry, and each pivot is followed by a full divisibility scan."""
+    rows, cols = len(m), len(m[0])
+    a = [row[:] for row in m]
+    u, v = identity_matrix(rows), identity_matrix(cols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in a + v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while True:
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j])
+                                     < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, rows):
+                if a[i][t] == 0:
+                    continue
+                add_row(t, i, -(a[i][t] // a[t][t]))
+                if a[i][t] != 0:
+                    swap_rows(t, i)
+            if any(a[i][t] for i in range(t + 1, rows)):
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j] == 0:
+                    continue
+                add_col(t, j, -(a[t][j] // a[t][t]))
+                if a[t][j] != 0:
+                    swap_cols(t, j)
+            if any(a[i][t] for i in range(t + 1, rows)) or \
+               any(a[t][j] for j in range(t + 1, cols)):
+                continue
+            break
+        bad = [i for i in range(t + 1, rows) for j in range(t + 1, cols)
+               if a[i][j] % a[t][t] != 0]
+        if bad:
+            add_row(bad[0], t, 1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return a, u, v
+
+
+def random_matrices(count, seed):
+    """Seeded matrices of 1-9 rows and columns with entries in -6..6: some
+    sparse like relation matrices, some with a zero row or column, and
+    every third one free of units."""
+    rng = random.Random(seed)
+    for k in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        values = [x for x in range(-6, 7) if x and (k % 3 or abs(x) != 1)]
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[rng.choice(values) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if k % 4 == 0:
+            m[rng.randrange(rows)] = [0] * cols
+        if k % 5 == 0:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        yield m
+
+
+def test_snf_matches_the_full_scan_oracle_on_random_matrices():
+    matrices = list(random_matrices(600, seed=20240))
+    assert sum(not any(x in (1, -1) for row in m for x in row)
+               for m in matrices) >= 200
+    for m in matrices:
+        f = smith_normal_form(m)
+        assert (f.d, f.u, f.v) == full_scan_smith(m), m
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_snf_matches_the_full_scan_oracle_on_the_paper_family(n):
+    p = exotic_odd_cp2(n, 1).pi1.strip_meridional()
+    m = relation_matrix(p, include_h1_safe_conditionals=True)
+    for matrix in (m, [row for row in m if any(row)]):
+        f = smith_normal_form(matrix)
+        assert (f.d, f.u, f.v) == full_scan_smith(matrix)
+
+
 # -- cokernels / H1 -----------------------------------------------------------
 
 def test_cokernel_oracles():
@@ -191,6 +302,18 @@ def test_cokernel_oracles():
     assert cokernel([[1]], 1) == AbelianGroup(0)
     assert cokernel([[2, 0], [0, 4]], 2) == AbelianGroup(0, (2, 4))
     assert cokernel([[0, 0]], 2) == AbelianGroup(2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.lists(st.integers(min_value=0, max_value=6), max_size=4))
+def test_cokernel_ignores_zero_rows(m, at):
+    n_cols = len(m[0])
+    padded = [row[:] for row in m]
+    for i in at:
+        padded.insert(min(i, len(padded)), [0] * n_cols)
+    nonzero = [row for row in m if any(row)]
+    assert cokernel(padded, n_cols) == cokernel(m, n_cols) \
+        == cokernel(nonzero, n_cols)
 
 
 def test_abelian_group_order_and_str():

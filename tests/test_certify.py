@@ -2,6 +2,7 @@
 tier discharge / conditional activation, gates, and byte-stable traces."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -17,10 +18,19 @@ from m4kit.certify import (
     certify,
     commutation_closure,
     simplify,
+    _State,
+    _run_engine,
 )
 from m4kit.abelian import AbelianGroup, h1
 from m4kit.checker import replay
-from m4kit.constructions import exotic_odd_cp2
+from m4kit.constructions import (
+    cyclic_family,
+    exotic_cp2_2,
+    exotic_cp2_4,
+    exotic_cp2_6,
+    exotic_odd_cp2,
+    finite_cyclic_example,
+)
 from m4kit.presentation import (
     ConditionalRelator,
     FpPresentation,
@@ -219,6 +229,15 @@ def test_engine_scale_certificate_bytes(n, eps1, eps3):
     assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_SCALE_SHA256[n]
 
 
+# SHA-256 of the certificate JSON (sort_keys=True) at n = 80, computed
+# before relators untouched by an elimination were reused across rounds and
+# before the Smith form stopped at unit pivots: the certificate must not
+# change with them.
+SCALE_SHA256 = {
+    80: "32f1033731de54aa6d277bb3fa76fed11aa622723786c2aff57ac867bbe4f7e4",
+}
+
+
 @pytest.mark.parametrize("n", [70, 80])
 def test_paper_family_certified_at_scale(n):
     # the paper's family exists for every n >= 3; commuting pairs proved on
@@ -229,6 +248,51 @@ def test_paper_family_certified_at_scale(n):
     assert c.matches_target is True
     assert len(c.trace) <= 3 * n + 30
     replay(c, p)
+    if n in SCALE_SHA256:
+        text = json.dumps(c.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SCALE_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_definitions_found_once_per_relator(n, monkeypatch):
+    # a relator's definitions are found when it first appears and kept
+    # while no elimination touches it; finding them again for every
+    # relator in every round takes 4,112 calls at n = 40 and 14,552 at 80
+    engine = importlib.import_module("m4kit.certify")
+    calls = []
+
+    def counting(r, g):
+        calls.append(g)
+        return defining_rotation(r, g)
+
+    monkeypatch.setattr(engine, "defining_rotation", counting)
+    c = certify(exotic_odd_cp2(n, 1).pi1, budget=Budget(corroborate=False))
+    assert c.verdict == TRIVIAL
+    assert len(calls) <= 4 * n + 40
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exotic_cp2_2(2), lambda: exotic_cp2_4(2), lambda: exotic_cp2_6(2),
+    lambda: exotic_odd_cp2(6, 3), lambda: cyclic_family(4),
+    finite_cyclic_example,
+])
+def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
+    # every round searches for an elimination right after re-indexing, so
+    # this compares the index after every step of the engine
+    engine = importlib.import_module("m4kit.certify")
+    find, rounds = engine._find_elimination, []
+
+    def compare_then_find(state):
+        fresh = _State(FpPresentation(tuple(state.gens),
+                                      tuple(state.relators)))
+        assert list(state.definitions.items()) == \
+            list(fresh.definitions.items())
+        rounds.append(len(state.relators))
+        return find(state)
+
+    monkeypatch.setattr(engine, "_find_elimination", compare_then_find)
+    _run_engine(build().pi1, Budget(), allow_discharge=True)
+    assert len(rounds) > 5
 
 
 def test_trace_step_order_is_stable_for_symmetric_input():

@@ -127,6 +127,41 @@ def test_substitute_leaves_unmapped_names():
     assert substitute(w, {"x": a}) == parse_word("a z")
 
 
+images = st.dictionaries(names, words, max_size=3)
+
+
+def test_substitute_returns_an_untouched_word_itself():
+    w = parse_word("a b^-1 c")
+    assert substitute(w, {"d": a * b}) is w
+    assert substitute(w, {}) is w
+
+
+def test_cyclic_reduce_returns_a_reduced_word_itself():
+    w = parse_word("a b a^-1 c")
+    assert cyclic_reduce(w) is w
+    assert cyclic_reduce(IDENTITY) is IDENTITY
+
+
+@given(words, images)
+def test_substitute_equals_the_plain_construction(w, imgs):
+    expanded = []
+    for name, sign in w.letters:
+        if name in imgs:
+            img = imgs[name] if sign > 0 else imgs[name].inverse()
+            expanded += img.letters
+        else:
+            expanded.append((name, sign))
+    assert substitute(w, imgs) == Word(tuple(expanded))
+
+
+@given(words)
+def test_cyclic_reduce_equals_the_plain_construction(w):
+    letters = list(w.letters)
+    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    assert cyclic_reduce(w) == Word(tuple(letters))
+
+
 # -- cyclic structure -----------------------------------------------------------
 
 def test_cyclic_reduce_strips_conjugating_frame():
