@@ -99,6 +99,7 @@ class MarkedManifold:
         if len(names) != len(set(names)):
             raise PresentationError(f"{self.name}: duplicate surface/site names")
         gens = set(self.pi1.generators)
+        relators = set(self.pi1.relators)
         for t in self.sites:
             if t.curve not in gens:
                 raise PresentationError(
@@ -108,7 +109,7 @@ class MarkedManifold:
                     raise PresentationError(
                         f"site {t.name!r}: word {format_word(w)!r} uses "
                         "unknown generators")
-            if t.relator not in self.pi1.relators:
+            if t.relator not in relators:
                 raise PresentationError(
                     f"site {t.name!r}: its relator {format_word(t.relator)!r} "
                     "is not among the pi1 relators")
@@ -215,9 +216,9 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
     gens = ("a1", "b1", "a2", "b2") + tuple(x for pair in zip(cs, ds) for x in pair)
 
     surface_word = parse_word("[a1, b1] [a2, b2]")
-    fiber_word = Word()
-    for c, d in zip(cs, ds):
-        fiber_word = fiber_word * commutator(gen(c), gen(d))
+    # [c1, d1] ... [cn, dn]: distinct names, so already freely reduced
+    fiber_word = Word(tuple(letter for c, d in zip(cs, ds)
+                            for letter in ((c, 1), (d, 1), (c, -1), (d, -1))))
 
     rel = [
         _relator("[b1^-1, d1^-1]", "a1"),

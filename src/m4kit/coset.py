@@ -208,21 +208,21 @@ class _Enumerator:
                             break
 
     def compact(self) -> dict[int, int]:
-        """Renumber live cosets, preserving order; returns old -> new."""
-        remap: dict[int, int] = {}
-        for old in range(len(self.table)):
-            if self.parent[old] == old:
-                remap[old] = len(remap)
-        new_table = [[None] * self.ncols for _ in remap]
-        for old, new in remap.items():
-            for x in range(self.ncols):
-                d = self.table[old][x]
-                if d is not None:
-                    new_table[new][x] = remap[self.find(d)]
-        self.table = new_table
-        self.parent = list(range(len(remap)))
-        return remap
-
+        """Renumber live cosets, preserving order; returns old -> new for
+        the live ones."""
+        table, parent, find = self.table, self.parent, self.find
+        live = [old for old in range(len(table)) if parent[old] == old]
+        # remap[old]: the new number of old's root, for every old number
+        remap = [0] * len(table)
+        for new, old in enumerate(live):
+            remap[old] = new
+        for old in range(len(table)):
+            if parent[old] != old:
+                remap[old] = remap[find(old)]
+        self.table = [[None if d is None else remap[d] for d in table[old]]
+                      for old in live]
+        self.parent = list(range(len(live)))
+        return dict(zip(live, range(len(live))))
 
     def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
         """Enumerate the cosets of the subgroup generated by `subgroup`,

@@ -56,6 +56,16 @@ class ConditionalRelator:
     key: Word
 
 
+def _check_word(w: Word, what: str, generators: set[str]) -> None:
+    stray = w.names() - generators
+    if stray:
+        raise PresentationError(
+            f"{what} {format_word(w)!r} uses unknown generators {sorted(stray)}")
+    if any(sign not in (1, -1) for _, sign in w.letters):
+        raise PresentationError(
+            f"{what} {format_word(w)!r} has a sign other than +1 or -1")
+
+
 @dataclass(frozen=True, slots=True)
 class FpPresentation:
     generators: tuple[str, ...] = ()
@@ -72,21 +82,12 @@ class FpPresentation:
                 raise PresentationError(f"duplicate generator {g!r}")
             seen.add(g)
         for w in self.relators:
-            self._check_word(w, "relator")
+            _check_word(w, "relator", seen)
         for c in self.conditional:
-            self._check_word(c.relator, "conditional relator")
-            self._check_word(c.key, "conditional key")
+            _check_word(c.relator, "conditional relator", seen)
+            _check_word(c.key, "conditional key", seen)
         for t in self.meridional:
-            self._check_word(t.key, f"meridional key for {t.label!r}")
-
-    def _check_word(self, w: Word, what: str) -> None:
-        stray = w.names() - set(self.generators)
-        if stray:
-            raise PresentationError(
-                f"{what} {format_word(w)!r} uses unknown generators {sorted(stray)}")
-        if any(sign not in (1, -1) for _, sign in w.letters):
-            raise PresentationError(
-                f"{what} {format_word(w)!r} has a sign other than +1 or -1")
+            _check_word(t.key, f"meridional key for {t.label!r}", seen)
 
     # -- small immutable transforms ---------------------------------------
 

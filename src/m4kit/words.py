@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[str, int]
 
@@ -41,6 +41,11 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _invert(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The letters of the inverse word: reversed, every sign flipped."""
+    return tuple((name, -sign) for name, sign in reversed(letters))
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word.  Construct via gen(), parse_word(), or the
@@ -59,7 +64,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((n, -s) for n, s in reversed(self.letters)))
+        return Word(_invert(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
@@ -187,19 +192,26 @@ _TOKEN_RE = re.compile(
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
     for m in _TOKEN_RE.finditer(text):
-        if m.group("bad"):
+        kind = m.lastgroup      # exactly one group matches
+        if kind == "bad":
             raise WordSyntaxError(f"unexpected character {m.group('bad')!r} at column {m.start('bad') + 1}")
-        for kind in ("name", "int", "punct"):
-            if m.group(kind):
-                toks.append((kind, m.group(kind), m.start(kind)))
+        toks.append((kind, m.group(kind), m.start(kind)))
     return toks
 
 
 class _WordParser:
+    """Recursive descent over the tokens of one word.  Every rule appends
+    the letters it denotes to one list, `out`; commutators, inverses and
+    powers act on those letters unreduced, and parse_word reduces once at
+    the end.  Free reduction is confluent, so the word is the same as
+    reducing after every step.  The base of a power is reduced before it
+    is repeated, so that a power of a cancelling base stays short."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.out: list[Letter] = []
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -216,32 +228,30 @@ class _WordParser:
         if val != value:
             raise WordSyntaxError(f"expected {value!r} but found {val!r} at column {col + 1}")
 
-    def word(self, stop: tuple[str, ...] = ()) -> Word:
-        parts: list[Word] = []
+    def word(self, stop: tuple[str, ...] = ()) -> None:
         while True:
             tok = self.peek()
             if tok is None or (tok[0] == "punct" and tok[1] in stop):
-                break
-            parts.append(self.atom())
-        out = IDENTITY
-        for p in parts:
-            out = out * p
-        return out
+                return
+            self.atom()
 
-    def atom(self) -> Word:
+    def atom(self) -> None:
+        out = self.out
+        start = len(out)
         kind, val, col = self.take()
         if kind == "name":
-            base = gen(val)
+            out.append((val, 1))
         elif kind == "int" and val == "1":
-            base = IDENTITY
+            pass
         elif kind == "punct" and val == "[":
-            x = self.word(stop=(",",))
+            self.word(stop=(",",))
             self.expect(",")
-            y = self.word(stop=("]",))
+            mid = len(out)
+            self.word(stop=("]",))
             self.expect("]")
-            base = commutator(x, y)
+            out += _invert(out[start:mid]) + _invert(out[mid:])
         elif kind == "punct" and val == "(":
-            base = self.word(stop=(")",))
+            self.word(stop=(")",))
             self.expect(")")
         else:
             raise WordSyntaxError(f"unexpected token {val!r} at column {col + 1}")
@@ -251,8 +261,9 @@ class _WordParser:
             kind, val, col = self.take()
             if kind != "int":
                 raise WordSyntaxError(f"expected integer exponent at column {col + 1}")
-            base = base ** int(val)
-        return base
+            k = int(val)
+            base = _reduce(out[start:])
+            out[start:] = (base if k >= 0 else _invert(base)) * abs(k)
 
 
 def parse_word(text: str) -> Word:
@@ -263,11 +274,11 @@ def parse_word(text: str) -> Word:
     >>> parse_word("1")                # identity
     """
     parser = _WordParser(text)
-    w = parser.word()
+    parser.word()
     if parser.peek() is not None:
         kind, val, col = parser.peek()
         raise WordSyntaxError(f"trailing token {val!r} at column {col + 1}")
-    return w
+    return Word(tuple(parser.out))
 
 
 def format_word(w: Word) -> str:

@@ -228,8 +228,10 @@ def test_manifold_rejects_foreign_site_relator():
         torus_generators=("a", "b"),
         relator=parse_word("a^2"),       # not a pi1 relator
         unsurgered=parse_word("a^2"))
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError) as exc:
         MarkedManifold("X", 0, 0, "unknown", True, None, p, (), (bad_site,))
+    assert str(exc.value) == (
+        "site 's': its relator 'a^2' is not among the pi1 relators")
 
 
 def test_manifold_rejects_mismatched_complement():

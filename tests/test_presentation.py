@@ -19,8 +19,9 @@ AB = FpPresentation(("a", "b"), (commutator(gen("a"), gen("b")),))
 
 
 def test_validation_rejects_unknown_generator_in_relator():
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError) as exc:
         FpPresentation(("a",), (parse_word("a b"),))
+    assert str(exc.value) == "relator 'a b' uses unknown generators ['b']"
 
 
 def test_validation_rejects_duplicate_generator():
@@ -29,11 +30,19 @@ def test_validation_rejects_duplicate_generator():
 
 
 def test_validation_covers_conditional_and_tier_keys():
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError) as exc:
         FpPresentation(("a",), conditional=(
             ConditionalRelator(gen("a"), parse_word("q")),))
-    with pytest.raises(PresentationError):
+    assert str(exc.value) == "conditional key 'q' uses unknown generators ['q']"
+    with pytest.raises(PresentationError) as exc:
+        FpPresentation(("a",), conditional=(
+            ConditionalRelator(parse_word("a q"), gen("a")),))
+    assert str(exc.value) == (
+        "conditional relator 'a q' uses unknown generators ['q']")
+    with pytest.raises(PresentationError) as exc:
         FpPresentation(("a",), meridional=(MeridionalTier("t", gen("z")),))
+    assert str(exc.value) == (
+        "meridional key for 't' 'z' uses unknown generators ['z']")
 
 
 def test_with_and_without_relator():

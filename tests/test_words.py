@@ -213,10 +213,81 @@ def test_parse_nested_commutator():
     assert parse_word("[[a, b], c]") == commutator(commutator(a, b), c)
 
 
-@pytest.mark.parametrize("bad", ["a^", "a^x", "[a b]", "(a", "a)", "^2", "a,"])
+# Each malformed input and its exact message, pinned so that a change to the
+# parser keeps every check and its wording.
+_GARBAGE = {
+    "a^": "unexpected end of word in 'a^'",
+    "a^x": "expected integer exponent at column 3",
+    "[a b]": "unexpected token ']' at column 5",
+    "(a": "unexpected end of word in '(a'",
+    "a)": "unexpected token ')' at column 2",
+    "^2": "unexpected token '^' at column 1",
+    "a,": "unexpected token ',' at column 2",
+    "a $": "unexpected character '$' at column 3",
+}
+
+
+@pytest.mark.parametrize("bad", list(_GARBAGE))
 def test_parse_rejects_garbage(bad):
-    with pytest.raises(WordSyntaxError):
+    with pytest.raises(WordSyntaxError) as exc:
         parse_word(bad)
+    assert str(exc.value) == _GARBAGE[bad]
+
+
+# Syntax trees of the word grammar: ("name", n), ("one",), ("comm", x, y),
+# ("group", x), ("pow", x, k) and ("cat", [x, ...]).  Each is rendered to
+# text and, separately, evaluated with the Word algebra.
+_syntax_trees = st.recursive(
+    st.one_of(names.map(lambda n: ("name", n)), st.just(("one",))),
+    lambda kids: st.one_of(
+        st.tuples(st.just("comm"), kids, kids),
+        st.tuples(st.just("group"), kids),
+        st.tuples(st.just("pow"), kids, st.integers(min_value=-3, max_value=3)),
+        st.tuples(st.just("cat"), st.lists(kids, max_size=4)),
+    ),
+    max_leaves=16,
+)
+
+
+def _render(tree):
+    kind = tree[0]
+    if kind == "name":
+        return tree[1]
+    if kind == "one":
+        return "1"
+    if kind == "comm":
+        return f"[{_render(tree[1])}, {_render(tree[2])}]"
+    if kind == "group":
+        return f"({_render(tree[1])})"
+    if kind == "pow":
+        base = _render(tree[1])
+        if tree[1][0] not in ("name", "one", "comm", "group"):
+            base = f"({base})"
+        return f"{base}^{tree[2]}"
+    return " ".join(_render(t) for t in tree[1])
+
+
+def _evaluate(tree):
+    kind = tree[0]
+    if kind == "name":
+        return gen(tree[1])
+    if kind == "one":
+        return IDENTITY
+    if kind == "comm":
+        return commutator(_evaluate(tree[1]), _evaluate(tree[2]))
+    if kind == "group":
+        return _evaluate(tree[1])
+    if kind == "pow":
+        return _evaluate(tree[1]) ** tree[2]
+    out = IDENTITY
+    for t in tree[1]:
+        out = out * _evaluate(t)
+    return out
+
+
+@given(_syntax_trees)
+def test_parse_matches_the_word_algebra(tree):
+    assert parse_word(_render(tree)) == _evaluate(tree)
 
 
 @given(words)
