@@ -20,7 +20,9 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import gcd
+from operator import itemgetter
 from typing import Any, Iterable
 
 from .abelian import AbelianGroup, h1
@@ -92,6 +94,8 @@ class Budget:
                               f"integer, got {self.max_cosets!r}")
 
 
+_name = itemgetter(0)          # the generator of a letter
+
 # a step that proves a commuting pair, with the pairs it needs proved first
 _Rule = tuple[TraceStep, list[frozenset[str]]]
 
@@ -99,74 +103,116 @@ _Rule = tuple[TraceStep, list[frozenset[str]]]
 class _State:
     """Mutable working copy of a presentation plus the proved commuting
     pairs.  Relators are kept cyclically reduced and nonempty; conditional
-    relators with empty current form are dropped as vacuous."""
+    relators with empty current form are dropped as vacuous.
+
+    The relators live in a dict under keys from a counter that only grows.
+    A rewrite keeps its relator's key, so dict order is relator order.  An
+    occurrence index is kept up to date for exactly the words a move
+    changes: `occ` maps a generator to the keys of the relators that
+    mention it, `total` counts its letters over the relators, tier keys and
+    conditionals, and `definitions` maps it to {key: definition} for each
+    relator that mentions it once.  An elimination therefore rewrites only
+    the relators that mention the generator."""
 
     def __init__(self, p: FpPresentation):
         self.gens: list[str] = list(p.generators)
-        self.relators: list[Word] = []
+        self.rels: dict[int, Word] = {}
+        self.occ: dict[str, set[int]] = {}
+        self.total: Counter[str] = Counter()
+        self.definitions: dict[str, dict[int, Word]] = {}
+        self.next_key = 0
+        # generators whose count or definitions changed since the last
+        # search, and that search's heap of candidates (see _find_elimination)
+        self.dirty: set[str] = set()
+        self.heap: list[tuple[int, int, str, int]] = []
+        self.best: dict[str, tuple[int, int, str, int]] = {}
         for r in p.relators:
-            r = cyclic_reduce(r)
-            if r:
-                self.relators.append(r)
+            self.put(None, cyclic_reduce(r))
         # (current relator, current key, original relator)
         self.conditional: list[tuple[Word, Word, Word]] = [
             (c.relator, c.key, c.relator) for c in p.conditional if c.relator]
         self.tiers: list[MeridionalTier] = list(p.meridional)
+        for t in self.tiers:
+            self.count(t.key, 1)
+        for rel, key, _ in self.conditional:
+            self.count(rel, 1)
+            self.count(key, 1)
         self.pairs: set[frozenset[str]] = set()
+        # pair -> (step, pairs it needs) if proved this round, else None
+        self.settled: dict[frozenset[str], _Rule | None] = {}
         self.activated: list[Word] = []      # original forms, for reporting
-        # relator -> [(g, definition)] for each g it mentions once
-        self.defines: dict[Word, list[tuple[str, Word]]] = {}
-        self.index_definitions()
 
     def paired(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in self.pairs
 
-    def index_definitions(self) -> None:
-        """Index the current relators for one engine round: each generator
-        maps to its definitional relators as (relator index, relator,
-        definition).  A relator's definitions are computed once, when it
-        first appears, and kept while it survives: an elimination rebuilds
-        only the relators it touches.  The pairs settled by last round's
-        proofs are forgotten."""
-        seen, self.defines = self.defines, {}
-        self.definitions: dict[str, list[tuple[int, Word, Word]]] = {}
-        for idx, r in enumerate(self.relators):
-            entries = self.defines.get(r, seen.get(r))
-            if entries is None:
-                # a Counter keeps first-appearance order, so the index is
-                # stable
-                entries = [(g, defining_rotation(r, g)) for g, count
-                           in Counter(n for n, _ in r.letters).items()
-                           if count == 1]
-            self.defines[r] = entries
-            for g, definition in entries:
-                self.definitions.setdefault(g, []).append((idx, r, definition))
-        # pair -> (step, pairs it needs) if proved this round, else None
-        self.settled: dict[frozenset[str], _Rule | None] = {}
+    def count(self, w: Word, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) w's letters in `total`."""
+        for g, n in Counter(map(_name, w.letters)).items():
+            self.total[g] += sign * n
+            self.dirty.add(g)
+
+    def put(self, key: int | None, w: Word) -> None:
+        """Make w relator `key`, or a new last relator when key is None;
+        an empty w drops the relator.  Only the generators whose letter
+        count changes are re-counted, and only the definitions of the old
+        and new word are redone."""
+        if key is None:
+            key, self.next_key = self.next_key, self.next_key + 1
+            old: Counter[str] = Counter()
+        else:
+            old = Counter(map(_name, self.rels[key].letters))
+            for g in [g for g, n in old.items() if n == 1]:
+                del self.definitions[g][key]
+        new = Counter(map(_name, w.letters))
+        for g in {g for g, _ in old.items() ^ new.items()}:
+            self.total[g] += new[g] - old[g]
+            self.dirty.add(g)
+            if not old[g]:
+                self.occ.setdefault(g, set()).add(key)
+            elif not new[g]:
+                self.occ[g].discard(key)
+        if not w:
+            self.rels.pop(key, None)
+            return
+        self.rels[key] = w
+        for g in [g for g, n in new.items() if n == 1]:
+            self.definitions.setdefault(g, {})[key] = defining_rotation(w, g)
+            self.dirty.add(g)
+
+    def first_key(self, w: Word) -> int:
+        """The key of the first relator equal to w; w must be a relator."""
+        keys = min((self.occ[n] for n in w.names()), key=len)
+        return min(k for k in keys if self.rels[k] == w)
 
     def substitute_everywhere(self, name: str, definition: Word) -> None:
         images = {name: definition}
-        new_rels = []
-        for r in self.relators:
-            r2 = cyclic_reduce(substitute(r, images))
-            if r2:
-                new_rels.append(r2)
-        self.relators = new_rels
+        for key in list(self.occ.get(name, ())):
+            self.put(key, cyclic_reduce(substitute(self.rels[key], images)))
+
+        def sub(w: Word) -> Word:
+            if name not in w.names():
+                return w
+            self.count(w, -1)
+            w = substitute(w, images)
+            self.count(w, 1)
+            return w
+
         new_cond = []
         for rel, key, orig in self.conditional:
-            rel2 = substitute(rel, images)
-            if rel2:
-                new_cond.append((rel2, substitute(key, images), orig))
+            rel, key = sub(rel), sub(key)
+            if rel:
+                new_cond.append((rel, key, orig))
+            else:
+                self.count(key, -1)
         self.conditional = new_cond
-        self.tiers = [MeridionalTier(t.label, substitute(t.key, images))
-                      for t in self.tiers]
+        self.tiers = [MeridionalTier(t.label, sub(t.key)) for t in self.tiers]
         self.gens.remove(name)
         self.pairs = {pr for pr in self.pairs if name not in pr}
 
     def snapshot(self) -> FpPresentation:
         return FpPresentation(
             generators=tuple(self.gens),
-            relators=tuple(self.relators),
+            relators=tuple(self.rels.values()),
             conditional=tuple(ConditionalRelator(rel, key)
                               for rel, key, _ in self.conditional),
             meridional=tuple(self.tiers),
@@ -230,17 +276,20 @@ def _pair_rules(state: _State, pair: frozenset[str]) -> list[_Rule]:
     commutator relator needs none, a definition of either generator needs
     each of its letters to commute with the other generator."""
     x, y = sorted(pair)
+    both = state.occ.get(x, set()) & state.occ.get(y, set())
     rules: list[_Rule] = [
-        (PairFromRelator(x, y, r), []) for r in state.relators
+        (PairFromRelator(x, y, r), []) for r in
+        (state.rels[key] for key in sorted(both))
         if len(r) == 4 and r.names() == pair and any(
             cyclically_equal(r, commutator(gen(x, ex), gen(y, ey)))
             for ex in (1, -1) for ey in (1, -1))]
     for g, other in ((x, y), (y, x)):
-        rules += [(PairFromDefinition(g, other, r),
+        rules += [(PairFromDefinition(g, other, state.rels[key]),
                    [frozenset((n, other)) for n in
                     dict.fromkeys(n for n, _ in definition.letters)
                     if n != other])
-                  for _, r, definition in state.definitions.get(g, ())]
+                  for key, definition
+                  in sorted(state.definitions.get(g, {}).items())]
     return rules
 
 
@@ -253,7 +302,7 @@ def _find_cancel(state: _State,
     def commutes(letters: Iterable[tuple[str, int]], x: str) -> bool:
         return all(_prove_pair(state, n, x, steps) for n, _ in letters)
 
-    for r in state.relators:
+    for r in state.rels.values():
         L = len(r)
         letters = r.letters
         for i in range(L - 1):
@@ -282,32 +331,47 @@ def _find_elimination(state: _State) -> Eliminate | None:
     """Cheapest Tietze elimination.  A generator occurring exactly once in
     some relator can be eliminated; kills (relator g^±1) and renames
     (definition of length one) are free, otherwise the cost estimates the
-    growth caused by substituting the definition elsewhere."""
-    words = [*state.relators, *(t.key for t in state.tiers)]
-    for rel, key, _ in state.conditional:
-        words += (rel, key)
-    total = Counter(n for w in words for n, _ in w.letters)
-    best = None
-    for g, entries in state.definitions.items():
-        for idx, r, definition in entries:
-            # r mentions g exactly once, as it defines g
-            cost = (total[g] - 1) * max(len(definition) - 1, 0)
-            cand = (cost, len(definition), g, idx)
-            if best is None or cand < best[0]:
-                best = (cand, g, definition, r)
-    if best is None:
+    growth caused by substituting the definition elsewhere.  The least
+    (cost, len(definition), g, key) wins.
+
+    For a fixed g the cost grows with the definition's length, so g's best
+    candidate is its definition of least (length, key) whatever its letter
+    count.  The candidates wait in a heap that is invalidated lazily: each
+    generator whose count or definitions changed since the last search gets
+    a fresh entry, and an entry that is no longer its generator's best is
+    dropped when it reaches the top."""
+    for g in state.dirty:
+        entries = state.definitions.get(g)
+        if not entries:
+            state.best.pop(g, None)
+            continue
+        key, definition = min(entries.items(),
+                              key=lambda item: (len(item[1]), item[0]))
+        # rels[key] mentions g exactly once, as it defines g
+        cost = (state.total[g] - 1) * max(len(definition) - 1, 0)
+        cand = (cost, len(definition), g, key)
+        if state.best.get(g) != cand:
+            state.best[g] = cand
+            heappush(state.heap, cand)
+    state.dirty.clear()
+    heap = state.heap
+    while heap and state.best.get(heap[0][2]) != heap[0]:
+        heappop(heap)
+    if not heap:
         return None
-    _, g, definition, r = best
-    return Eliminate(gen=g, definition=definition, via=r)
+    _, _, g, key = heap[0]
+    return Eliminate(gen=g, definition=state.definitions[g][key],
+                     via=state.rels[key])
 
 
 def _find_replacement(state: _State) -> ReplaceSubword | None:
     """Length-reducing application of one relator inside another: if a
     rotation/inversion of `via` splits as s t with |s| > |t|, then s = t^-1
     in the group and any occurrence of s may be replaced by t^-1."""
-    for ti, target in enumerate(state.relators):
+    relators = list(state.rels.values())
+    for ti, target in enumerate(relators):
         tletters = target.letters
-        for vi, via in enumerate(state.relators):
+        for vi, via in enumerate(relators):
             if vi == ti or via == target or len(via) < 2:
                 continue
             for inverted in (False, True):
@@ -336,16 +400,11 @@ def _find_replacement(state: _State) -> ReplaceSubword | None:
 
 def _apply_rewrite(state: _State,
                    step: CommutationCancel | ReplaceSubword) -> None:
-    i = state.relators.index(step.before)
-    if step.after:
-        state.relators[i] = step.after
-    else:
-        del state.relators[i]
+    state.put(state.first_key(step.before), step.after)
 
 
 def _apply_elimination(state: _State, step: Eliminate) -> None:
-    i = state.relators.index(step.via)
-    del state.relators[i]
+    state.put(state.first_key(step.via), Word())
     state.substitute_everywhere(step.gen, step.definition)
 
 
@@ -365,9 +424,8 @@ def _discharge_pass(state: _State) -> list[TraceStep]:
         if not key:
             steps.append(ActivateConditional(rel))
             state.activated.append(orig)
-            promoted = cyclic_reduce(rel)
-            if promoted:
-                state.relators.append(promoted)
+            state.count(rel, -1)
+            state.put(None, cyclic_reduce(rel))
         else:
             remaining_cond.append((rel, key, orig))
     state.conditional = remaining_cond
@@ -390,7 +448,7 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
             return state, trace, True
         discharged = _discharge_pass(state) if allow_discharge else []
         trace.extend(discharged)
-        state.index_definitions()
+        state.settled = {}          # forget last round's settled pairs
         step = _find_elimination(state)
         if step is not None and not step.definition:
             trace.append(step)
@@ -554,7 +612,7 @@ def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str
             return (INCONCLUSIVE, None, None,
                     "conditional relator(s) never activated: key word was "
                     "never proved trivial")
-        exponents = [abs(r.exponent_sum(g)) for r in state.relators]
+        exponents = [abs(r.exponent_sum(g)) for r in state.rels.values()]
         d = 0
         for e in exponents:
             d = gcd(d, e)
@@ -567,7 +625,7 @@ def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str
                 "was not resolved")
     return (INCONCLUSIVE, None, None,
             f"simplification stalled with {len(state.gens)} generators and "
-            f"{len(state.relators)} relators")
+            f"{len(state.rels)} relators")
 
 
 _TARGETS = {TRIVIAL: "trivial", INFINITE_CYCLIC: "Z"}

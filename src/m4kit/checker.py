@@ -1,14 +1,14 @@
 """Independent replay of certificates.
 
 The checker rebuilds the derivation from a certificate's trace using word
-algebra only — free/cyclic reduction, rotation, substitution and a pair
-set it maintains itself.  It never consults the engine, the abelianization
-or the coset enumerator, so a bug there cannot hide here: every step is
-re-verified against its own soundness contract (see trace.py) before it is
-applied, the terminal state must match the certificate's, and the verdict
-must be forced by that terminal state.  The fields the trace and the
-verdict determine (step count, reason, target match, H1, coset index and
-subgroup) must agree with them.
+algebra only — free/cyclic reduction, rotation, substitution — and a pair
+set and an occurrence index it maintains itself.  It never consults the
+engine, the abelianization or the coset enumerator, so a bug there cannot
+hide here: every step is re-verified against its own soundness contract
+(see trace.py) before it is applied, the terminal state must match the
+certificate's, and the verdict must be forced by that terminal state.
+The fields the trace and the verdict determine (step count, reason,
+target match, H1, coset index and subgroup) must agree with them.
 
 Raises CheckFailure with a specific message on the first discrepancy.
 """
@@ -51,8 +51,13 @@ def _fail(msg: str) -> None:
 class _Replay:
     def __init__(self, p: FpPresentation):
         self.gens = list(p.generators)
-        self.relators = [cyclic_reduce(r) for r in p.relators]
-        self.relators = [r for r in self.relators if r]
+        # relators under keys that only grow, so dict order is relator
+        # order, and generator -> keys of the relators that mention it
+        self.rels: dict[int, Word] = {}
+        self.occ: dict[str, set[int]] = {}
+        self.next_key = 0
+        for r in p.relators:
+            self.put(None, cyclic_reduce(r))
         self.conditional = [(c.relator, c.key) for c in p.conditional if c.relator]
         self.tiers = [(t.label, t.key) for t in p.meridional]
         self.pairs: set[frozenset[str]] = set()
@@ -61,12 +66,31 @@ class _Replay:
     def paired(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in self.pairs
 
+    def put(self, key: int | None, w: Word) -> None:
+        """Make w relator `key`, or a new last relator when key is None;
+        an empty w drops the relator."""
+        old = frozenset()
+        if key is None:
+            key, self.next_key = self.next_key, self.next_key + 1
+        else:
+            old = self.rels[key].names()
+        new = w.names()
+        for n in old - new:
+            self.occ[n].discard(key)
+        for n in new - old:
+            self.occ.setdefault(n, set()).add(key)
+        if w:
+            self.rels[key] = w
+        else:
+            self.rels.pop(key, None)
+
     def require_relator(self, w: Word, what: str) -> int:
-        try:
-            return self.relators.index(w)
-        except ValueError:
+        """The key of the first relator equal to w."""
+        keys = [k for k in self.occ.get(w.letters[0][0], ())
+                if self.rels[k] == w] if w else []
+        if not keys:
             _fail(f"{what}: relator {format_word(w)!r} is not in the state")
-            raise  # unreachable
+        return min(keys)
 
     def rewrite_of(self, r: Word, name: str) -> Word:
         """The definition of `name` read off relator r (which must mention
@@ -136,21 +160,21 @@ class _Replay:
             _fail(f"eliminate: relator {format_word(s.via)!r} defines "
                   f"{s.gen} = {format_word(definition)}, not "
                   f"{format_word(s.definition)}")
-        del self.relators[idx]
+        self.put(idx, Word())
         images = {s.gen: definition}
-        new_rels = []
-        for r in self.relators:
-            r2 = cyclic_reduce(substitute(r, images))
-            if r2:
-                new_rels.append(r2)
-        self.relators = new_rels
+        for k in list(self.occ.get(s.gen, ())):
+            self.put(k, cyclic_reduce(substitute(self.rels[k], images)))
+
+        def sub(w: Word) -> Word:
+            return substitute(w, images) if s.gen in w.names() else w
+
         new_cond = []
         for rel, key in self.conditional:
-            rel2 = substitute(rel, images)
+            rel2 = sub(rel)
             if rel2:
-                new_cond.append((rel2, substitute(key, images)))
+                new_cond.append((rel2, sub(key)))
         self.conditional = new_cond
-        self.tiers = [(label, substitute(key, images)) for label, key in self.tiers]
+        self.tiers = [(label, sub(key)) for label, key in self.tiers]
         self.gens.remove(s.gen)
         self.pairs = {pr for pr in self.pairs if s.gen not in pr}
 
@@ -178,23 +202,18 @@ class _Replay:
     def _rewrite(self, idx: int, letters: tuple[tuple[str, int], ...],
                  recorded: Word, what: str) -> None:
         """Reduce the rewritten letters, require the step's recorded
-        result, and put it in place of relator idx (dropping it if empty)."""
+        result, and put it in place of relator idx."""
         after = cyclic_reduce(Word(letters))
         if after != recorded:
             _fail(f"{what}: recorded result does not match "
                   f"({format_word(after)} != {format_word(recorded)})")
-        if after:
-            self.relators[idx] = after
-        else:
-            del self.relators[idx]
+        self.put(idx, after)
 
     def activate_conditional(self, s: ActivateConditional) -> None:
         for k, (rel, key) in enumerate(self.conditional):
             if rel == s.relator and not key:
                 del self.conditional[k]
-                promoted = cyclic_reduce(rel)
-                if promoted:
-                    self.relators.append(promoted)
+                self.put(None, cyclic_reduce(rel))
                 self.activations += 1
                 return
         _fail(f"activate_conditional: no conditional relator "
@@ -210,7 +229,7 @@ class _Replay:
     def snapshot(self) -> FpPresentation:
         return FpPresentation(
             generators=tuple(self.gens),
-            relators=tuple(self.relators),
+            relators=tuple(self.rels.values()),
             conditional=tuple(ConditionalRelator(rel, key)
                               for rel, key in self.conditional),
             meridional=tuple(MeridionalTier(label, key)
@@ -266,7 +285,7 @@ def replay(cert: Certificate, presentation: FpPresentation | None = None) -> Non
             _fail(f"cyclic verdict: surviving generators {state.gens} do not "
                   f"match claimed generator {cert.generator!r}")
         d = 0
-        for r in state.relators:
+        for r in state.rels.values():
             if r.names() != {cert.generator}:
                 _fail("cyclic verdict: non-power relator survives")
             d = gcd(d, abs(r.exponent_sum(cert.generator)))

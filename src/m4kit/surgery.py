@@ -25,7 +25,7 @@ from dataclasses import replace
 from math import gcd
 
 from .blocks import EmbeddedSurface, MarkedManifold, SurgeryDatum
-from .presentation import free_product
+from .presentation import ConditionalRelator, FpPresentation
 from .words import Word, gen, substitute
 
 
@@ -158,7 +158,9 @@ def fiber_sum(left: MarkedManifold, left_surface: str,
             f"generator names {sorted(clash)} appear on both sides; "
             "pass prefix= to rename the right summand")
 
-    candidate = free_product(S.complement_pi1, T.complement_pi1)
+    left_pi1, right_pi1 = S.complement_pi1, T.complement_pi1
+    relators = [*left_pi1.relators, *right_pi1.relators]
+    conditional = [*left_pi1.conditional, *right_pi1.conditional]
     for (ln, lw), (rn, rw_) in zip(S.generator_images, T.generator_images):
         ident = lw * rw_.inverse()
         if not ident:
@@ -170,19 +172,28 @@ def fiber_sum(left: MarkedManifold, left_surface: str,
                 f"cannot identify {ln} with {rn}: both images are only "
                 "known modulo a meridian")
         if l_mod:
-            candidate = candidate.with_conditional(ident, S.meridian)
+            conditional.append(ConditionalRelator(ident, S.meridian))
         elif r_mod:
-            candidate = candidate.with_conditional(ident, T.meridian)
+            conditional.append(ConditionalRelator(ident, T.meridian))
         else:
-            candidate = candidate.with_relators(ident)
+            relators.append(ident)
+
+    # built once from the collected words, so that each presentation
+    # checks each word once
+    def presentation(rels: list[Word]) -> FpPresentation:
+        return FpPresentation(
+            left_pi1.generators + right_pi1.generators, tuple(rels),
+            tuple(conditional), left_pi1.meridional + right_pi1.meridional)
 
     mu = S.meridian * T.meridian
     if mu:
-        closed = candidate.with_relators(mu)
-        complement = closed.without_relator(mu)
+        closed = presentation(relators + [mu])
+        # the complement is the closed sum without its first copy of mu
+        relators.append(mu)
+        relators.remove(mu)
+        complement = presentation(relators)
     else:
-        closed = candidate
-        complement = candidate
+        closed = complement = presentation(relators)
 
     survivor = EmbeddedSurface(
         name=S.name, genus=S.genus, self_intersection=0,

@@ -43,7 +43,9 @@ Soundness contracts (P = presentation state before the step):
 Bookkeeping shared by engine and checker (not recorded as steps): relators
 are kept freely and cyclically reduced at all times, empty relators are
 dropped, and a conditional relator whose current form is empty is dropped
-as vacuous.  Keys are only freely reduced.
+as vacuous.  Keys are only freely reduced.  A rewrite keeps the relator's
+place, an activated relator comes last, and a step that names a relator
+held more than once acts on its first copy.
 """
 
 from __future__ import annotations

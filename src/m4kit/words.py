@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[str, int]
+_name = itemgetter(0)          # the generator of a letter
 
 # Generator names: a letter followed by letters/digits/underscores.  Sign
 # characters, whitespace and brackets are syntax, never part of a name.
@@ -81,7 +83,7 @@ class Word:
 
     def names(self) -> frozenset[str]:
         """The generator names actually occurring in the word."""
-        return frozenset(n for n, _ in self.letters)
+        return frozenset(map(_name, self.letters))
 
     def exponent_sum(self, name: str) -> int:
         return sum(s for n, s in self.letters if n == name)
@@ -121,7 +123,7 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Apply the homomorphism sending each name in `images` to its image
     (other generators map to themselves).  When no letter of w is in
     `images`, w itself is returned, not a copy."""
-    if images.keys().isdisjoint([n for n, _ in w.letters]):
+    if images.keys().isdisjoint(map(_name, w.letters)):
         return w
     out: list[Letter] = []
     for name, sign in w.letters:
@@ -223,12 +225,10 @@ class _WordParser:
         self.pos += 1
         return tok
 
-    def expect(self, value: str) -> None:
-        kind, val, col = self.take()
-        if val != value:
-            raise WordSyntaxError(f"expected {value!r} but found {val!r} at column {col + 1}")
-
     def word(self, stop: tuple[str, ...] = ()) -> None:
+        """Parse atoms until a stop token, left unread, or the end of the
+        input.  The next take() therefore reads that stop token or raises
+        at the end."""
         while True:
             tok = self.peek()
             if tok is None or (tok[0] == "punct" and tok[1] in stop):
@@ -245,14 +245,14 @@ class _WordParser:
             pass
         elif kind == "punct" and val == "[":
             self.word(stop=(",",))
-            self.expect(",")
+            self.take()
             mid = len(out)
             self.word(stop=("]",))
-            self.expect("]")
+            self.take()
             out += _invert(out[start:mid]) + _invert(out[mid:])
         elif kind == "punct" and val == "(":
             self.word(stop=(")",))
-            self.expect(")")
+            self.take()
         else:
             raise WordSyntaxError(f"unexpected token {val!r} at column {col + 1}")
         tok = self.peek()
@@ -274,10 +274,7 @@ def parse_word(text: str) -> Word:
     >>> parse_word("1")                # identity
     """
     parser = _WordParser(text)
-    parser.word()
-    if parser.peek() is not None:
-        kind, val, col = parser.peek()
-        raise WordSyntaxError(f"trailing token {val!r} at column {col + 1}")
+    parser.word()               # with no stop token it reads every token
     return Word(tuple(parser.out))
 
 

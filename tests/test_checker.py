@@ -6,13 +6,22 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from m4kit.certify import Certificate, certify
-from m4kit.checker import CheckFailure, replay
+from m4kit.certify import Budget, Certificate, certify
+from m4kit.checker import CheckFailure, _HANDLERS, _Replay, replay
 from m4kit.cli import main
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier
-from m4kit.trace import Eliminate
-from m4kit.words import gen, parse_word
+from m4kit.trace import (
+    ActivateConditional,
+    CommutationCancel,
+    DischargeMeridional,
+    Eliminate,
+    PairFromDefinition,
+    PairFromRelator,
+    ReplaceSubword,
+)
+from m4kit.words import Word, commutator, cyclic_reduce, gen, parse_word, substitute
 
 
 def pres(gens: str, *rels: str, **extra) -> FpPresentation:
@@ -224,3 +233,143 @@ def test_cli_replay_exits_fail_on_free_field_edit(probe, tmp_path, capsys,
     path.write_text(json.dumps({**probe, **fields}))
     assert main(["replay", str(path)]) == 1
     assert str(next(iter(fields.values()))) in capsys.readouterr().err
+
+
+# -- the occurrence index ----------------------------------------------------
+
+def replay_states(cert):
+    """Replay cert's trace step by step as replay does, yielding the
+    checker's state after each step."""
+    state = _Replay(cert.presentation)
+    yield state
+    for step in cert.trace:
+        _HANDLERS[type(step)](state, step)
+        yield state
+
+
+def assert_index_matches(state):
+    occ = {}
+    for key, r in state.rels.items():
+        for n in r.names():
+            occ.setdefault(n, set()).add(key)
+    assert {n: keys for n, keys in state.occ.items() if keys} == occ
+    assert list(state.rels) == sorted(state.rels)
+
+
+def reference_replay(cert):
+    """Reference oracle: the terminal state of the list-based replay the
+    checker ran before it indexed relators by the generators they mention.
+    It applies each step's recorded effect without checking it; a step
+    acts on the first relator equal to the one it names."""
+    p = cert.presentation
+    gens = list(p.generators)
+    rels = [r for r in map(cyclic_reduce, p.relators) if r]
+    cond = [(c.relator, c.key) for c in p.conditional if c.relator]
+    tiers = [(t.label, t.key) for t in p.meridional]
+    for s in cert.trace:
+        if isinstance(s, (CommutationCancel, ReplaceSubword)):
+            i = rels.index(s.before)
+            rels[i:i + 1] = [s.after] if s.after else []
+        elif isinstance(s, Eliminate):
+            del rels[rels.index(s.via)]
+
+            def sub(w):
+                return substitute(w, {s.gen: s.definition})
+
+            rels = [r for r in (cyclic_reduce(sub(r)) for r in rels) if r]
+            cond = [(sub(rel), sub(key)) for rel, key in cond if sub(rel)]
+            tiers = [(label, sub(key)) for label, key in tiers]
+            gens.remove(s.gen)
+        elif isinstance(s, ActivateConditional):
+            rel, _ = cond.pop(next(k for k, (rel, key) in enumerate(cond)
+                                   if rel == s.relator and not key))
+            rels += [cyclic_reduce(rel)] if cyclic_reduce(rel) else []
+        elif isinstance(s, DischargeMeridional):
+            del tiers[next(k for k, (label, key) in enumerate(tiers)
+                           if label == s.label and not key)]
+    return FpPresentation(
+        tuple(gens), tuple(rels),
+        tuple(ConditionalRelator(rel, key) for rel, key in cond),
+        tuple(MeridionalTier(label, key) for label, key in tiers))
+
+
+def test_index_matches_the_relators_after_every_step(certs):
+    for c in [*certs.values(),
+              certify(pres("a b", "a^2", "b^2", "(a b)^7"))]:
+        for state in replay_states(c):
+            assert_index_matches(state)
+        assert state.snapshot() == c.final == reference_replay(c)
+
+
+R = "a b a^-1 b^2"                  # b^3 once a and b commute
+DUPLICATES_P = pres("a b c", R, "c^7", R, "[a, b]")
+
+
+def test_duplicate_relator_rewrites_the_first_copy():
+    # the budget stops the engine after one cancellation, so only one copy
+    # of R is rewritten, and it must be the first in both engine and checker
+    c = certify(DUPLICATES_P, budget=Budget(max_derivation_steps=2,
+                                            corroborate=False))
+    assert [type(s) for s in c.trace] == [PairFromRelator, CommutationCancel]
+    first = tuple(parse_word(w) for w in ("b^3", "c^7", R, "[a, b]"))
+    assert c.final.relators == first
+    replay(c, DUPLICATES_P)
+    assert reference_replay(c) == c.final
+    second = tuple(parse_word(w) for w in (R, "c^7", "b^3", "[a, b]"))
+    with pytest.raises(CheckFailure, match="terminal state"):
+        replay(replace(c, final=replace(c.final, relators=second)))
+
+
+EMPTY = Word()
+
+
+@pytest.mark.parametrize("step", [
+    PairFromRelator("a", "b", EMPTY),
+    PairFromDefinition("a", "b", EMPTY),
+    CommutationCancel(EMPTY, EMPTY, 0, 0, 1, "a"),
+    Eliminate("a", EMPTY, EMPTY),
+    ReplaceSubword(EMPTY, EMPTY, parse_word("a b"), 0, False, 2, 0),
+    ReplaceSubword(parse_word(R), parse_word("b^3"), EMPTY, 0, False, 1, 0),
+    ActivateConditional(EMPTY),
+    Eliminate("a", gen("b"), parse_word("a b^-1 c")),   # not in the state
+    Eliminate("a", EMPTY, gen("z")),                    # nor is z
+    CommutationCancel(parse_word("c^7 a"), gen("c"), 0, 0, 1, "c"),
+], ids=lambda s: f"{type(s).__name__}")
+def test_steps_naming_a_relator_outside_the_state_fail(step):
+    c = certify(DUPLICATES_P, budget=Budget(corroborate=False))
+    with pytest.raises(CheckFailure, match="^step 0: .*(not in the state"
+                                           "|no conditional relator '1')"):
+        replay(replace(c, trace=(step,) + c.trace))
+
+
+@st.composite
+def presentations_with_duplicates(draw):
+    gens = [f"g{i}" for i in range(draw(st.integers(1, 5)))]
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+
+    def words(min_size):
+        return st.lists(letter, min_size=min_size, max_size=6).map(
+            lambda letters: Word(tuple(letters)))
+
+    pair = st.tuples(letter, letter).map(
+        lambda ab: commutator(gen(*ab[0]), gen(*ab[1])))
+    rels = draw(st.lists(st.one_of(words(1), pair), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(1, 3))):       # equal relators
+        rels.insert(draw(st.integers(0, len(rels))),
+                    draw(st.sampled_from(rels)))
+    cond = draw(st.lists(st.tuples(words(1), words(0)), max_size=2))
+    tiers = draw(st.lists(words(0), max_size=1))
+    return FpPresentation(
+        tuple(gens), tuple(r for r in rels if r),
+        tuple(ConditionalRelator(rel, key) for rel, key in cond),
+        tuple(MeridionalTier(f"t{i}", key) for i, key in enumerate(tiers)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_with_duplicates())
+def test_indexed_replay_matches_the_list_replay(p):
+    c = certify(p, budget=Budget(max_derivation_steps=200, corroborate=False))
+    for state in replay_states(c):
+        assert_index_matches(state)
+    assert state.snapshot() == reference_replay(c) == c.final
+    replay(c, p)

@@ -2,6 +2,8 @@
 parameter ranges, abelianization oracles, and plumbing of the sign choice.
 Certification of the groups themselves happens in the acceptance suite."""
 
+import importlib
+
 import pytest
 
 from m4kit.abelian import AbelianGroup, h1
@@ -150,3 +152,21 @@ def test_building_a_family_member_is_linear_work(n, monkeypatch):
     assert len(M.pi1.generators) == 2 * n + 8
     assert counts["eq"] <= 8 * n
     assert counts["new"] <= 30 * n
+
+
+def test_each_word_is_checked_once_per_presentation(monkeypatch):
+    # g2xgn's pi1 and complement, and fiber_sum's closed sum and complement:
+    # four presentations, each checking every word once.  Adding each
+    # identification to a new presentation checks 1,595 words at n = 40.
+    presentation = importlib.import_module("m4kit.presentation")
+    check, calls = presentation._check_word, []
+
+    def counting(w, what, generators):
+        calls.append(w)
+        check(w, what, generators)
+
+    monkeypatch.setattr(presentation, "_check_word", counting)
+    p = exotic_odd_cp2(40, 1).pi1
+    words = len(p.relators) + 2 * len(p.conditional) + len(p.meridional)
+    assert words == 180
+    assert len(calls) <= 4 * words
