@@ -11,28 +11,9 @@ from dataclasses import dataclass
 from .presentation import FpPresentation, PresentationError
 
 IntMatrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product a b.  Each row of the result sums the rows of b scaled
-    by the nonzero entries of the matching row of a, so the cost follows
-    the nonzeros of a, not its full size."""
-    if a and len(a[0]) != len(b):
-        raise ValueError(f"cannot multiply a {len(a)}x{len(a[0])} matrix "
-                         f"by a {len(b)}-row matrix")
-    width = len(b[0]) if b else 0
-    product = []
-    for row in a:
-        acc = [0] * width
-        for x, b_row in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
-        product.append(acc)
-    return product
+# one elementary operation on the lines (rows, or columns) of a matrix:
+# ("swap", i, j), ("negate", i), or ("add", i, j, q) for line j += q line i
+Operation = tuple
 
 
 class SmithCheckError(ArithmeticError):
@@ -42,12 +23,14 @@ class SmithCheckError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = U M V with U, V unimodular and D diagonal, each diagonal entry
-    nonnegative and dividing the next."""
+    """D = U M V with D diagonal, each diagonal entry nonnegative and
+    dividing the next.  U and V are kept as logs of elementary operations:
+    U is the product of the row operations and V of the column operations,
+    so both are unimodular by construction."""
 
     d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    row_ops: list[Operation]
+    col_ops: list[Operation]
 
     @property
     def diagonal(self) -> list[int]:
@@ -55,21 +38,45 @@ class SmithForm:
                                                 len(self.d[0]) if self.d else 0))]
 
 
-def _check_smith(m: IntMatrix, d: IntMatrix, u: IntMatrix, v: IntMatrix,
-                 u_inv: IntMatrix, v_inv: IntMatrix) -> None:
-    """Raise SmithCheckError unless U M V = D, D is diagonal, U U^-1 = I,
-    V V^-1 = I and the diagonal of D is a nonnegative divisibility chain
-    with its zeros last.  Integer matrices whose product is I have
-    determinant ±1, so the two inverse products prove U and V unimodular."""
-    if mat_mul(mat_mul(u, m), v) != d:
+def _replay(lines: IntMatrix, ops: list[Operation], what: str) -> None:
+    """Apply a log of elementary operations to `lines` in place.  Raise
+    SmithCheckError on any other operation: an unknown kind, an index out
+    of range, or a line added to itself (which scales it by 1 + q)."""
+    n = len(lines)
+    for op in ops:
+        match op:
+            case ("swap", int(i), int(j)) if 0 <= i < n and 0 <= j < n:
+                lines[i], lines[j] = lines[j], lines[i]
+            case ("negate", int(i)) if 0 <= i < n:
+                lines[i] = [-x for x in lines[i]]
+            case ("add", int(i), int(j), int(q)) if (
+                    i != j and 0 <= i < n and 0 <= j < n):
+                lines[j] = [x + q * y for x, y in zip(lines[j], lines[i])]
+            case _:
+                raise SmithCheckError(f"{op!r} is not an elementary {what} "
+                                      f"operation on {n} {what}s")
+
+
+def _transpose(a: IntMatrix, width: int) -> IntMatrix:
+    return [[row[j] for row in a] for j in range(width)]
+
+
+def _check_smith(m: IntMatrix, form: SmithForm) -> None:
+    """Raise SmithCheckError unless replaying the logs on M gives D, every
+    logged operation is elementary, D is diagonal and its diagonal is a
+    nonnegative divisibility chain with its zeros last.  Row operations
+    act on the rows of M, then column operations on the rows of the
+    transpose: the two kinds commute, so this is U M V."""
+    rows = [row[:] for row in m]
+    _replay(rows, form.row_ops, "row")
+    cols = _transpose(rows, len(m[0]) if m else 0)
+    _replay(cols, form.col_ops, "column")
+    if _transpose(cols, len(m)) != form.d:
         raise SmithCheckError("U M V != D")
+    d = form.d
     if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
         raise SmithCheckError("D is not diagonal")
-    if mat_mul(u, u_inv) != identity_matrix(len(u)):
-        raise SmithCheckError("U U^-1 != I: U is not unimodular")
-    if mat_mul(v, v_inv) != identity_matrix(len(v)):
-        raise SmithCheckError("V V^-1 != I: V is not unimodular")
-    diag = SmithForm(d, u, v).diagonal
+    diag = form.diagonal
     if any(x < 0 for x in diag):
         raise SmithCheckError("negative diagonal entry")
     for x, y in zip(diag, diag[1:]):
@@ -81,7 +88,7 @@ def _check_smith(m: IntMatrix, d: IntMatrix, u: IntMatrix, v: IntMatrix,
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form over Z with recorded transforms.
+    """Smith normal form over Z with a logged witness.
 
     Pivoting always picks a smallest-magnitude nonzero entry, the first in
     row-major order, which keeps intermediate growth tame for the small
@@ -90,51 +97,36 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     the divisibility scan of the trailing block, since it divides every
     entry.  Relation matrices are mostly unit entries, so most pivots end
     their search early (Havas, Holt & Rees, Linear Algebra Appl. 192,
-    1993).  Every row or column operation is mirrored on integer inverses
-    of U and V, and the result is checked by _check_smith (U M V = D,
-    U U^-1 = V V^-1 = I, divisibility chain) before being returned; a
-    failed check raises SmithCheckError, also under python -O.
+    1993).  The elimination transforms M alone and logs each elementary
+    operation.  The result is checked by _check_smith, which replays the
+    logs on M with its own code, before being returned; a failed check
+    raises SmithCheckError, also under python -O.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
     a = [row[:] for row in m]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-    # U^-1 transposed and V^-1: the inverse of each operation on U or V is
-    # a row operation on these, as cheap as the operation itself
-    u_inv_t = identity_matrix(rows)
-    v_inv = identity_matrix(cols)
+    row_ops: list[Operation] = []
+    col_ops: list[Operation] = []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
+        row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        col_ops.append(("swap", i, j))
 
     def add_row(src, dst, q):        # row dst += q * row src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        u_inv_t[src] = [x - q * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
+        row_ops.append(("add", src, dst, q))
 
     def add_col(src, dst, q):        # col dst += q * col src
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        u_inv_t[i] = [-x for x in u_inv_t[i]]
+        col_ops.append(("add", src, dst, q))
 
     t = 0
     while True:
@@ -190,11 +182,13 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             add_row(bad, t, 1)        # drag the offending row up, redo block
             continue
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            row_ops.append(("negate", t))
         t += 1
 
-    _check_smith(m, a, u, v, [list(col) for col in zip(*u_inv_t)], v_inv)
-    return SmithForm(d=a, u=u, v=v)
+    form = SmithForm(d=a, row_ops=row_ops, col_ops=col_ops)
+    _check_smith(m, form)
+    return form
 
 
 @dataclass(frozen=True)

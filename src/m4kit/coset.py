@@ -20,6 +20,7 @@ memory tracks the live count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -207,9 +208,9 @@ class _Enumerator:
                         if parent[a] != a:
                             break
 
-    def compact(self) -> dict[int, int]:
-        """Renumber live cosets, preserving order; returns old -> new for
-        the live ones."""
+    def compact(self) -> list[int]:
+        """Renumber live cosets, preserving order; returns the sorted old
+        numbers of the live ones, so live[new] is the old number of new."""
         table, parent, find = self.table, self.parent, self.find
         live = [old for old in range(len(table)) if parent[old] == old]
         # remap[old]: the new number of old's root, for every old number
@@ -222,7 +223,7 @@ class _Enumerator:
         self.table = [[None if d is None else remap[d] for d in table[old]]
                       for old in live]
         self.parent = list(range(len(live)))
-        return dict(zip(live, range(len(live))))
+        return live
 
     def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
         """Enumerate the cosets of the subgroup generated by `subgroup`,
@@ -248,11 +249,11 @@ class _Enumerator:
                             break
                 if (len(self.table) > 4096
                         and self.live * 2 < len(self.table)):
-                    remap = self.compact()
+                    live = self.compact()
                     # Resume after every already-processed coset: live roots
                     # with old number <= alpha occupy exactly the new numbers
                     # below this count (compaction preserves order).
-                    alpha = sum(1 for old in remap if old <= alpha)
+                    alpha = bisect_right(live, alpha)
                     continue
                 alpha += 1
         except _Overflow:

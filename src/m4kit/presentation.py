@@ -91,9 +91,6 @@ class FpPresentation:
 
     # -- small immutable transforms ---------------------------------------
 
-    def with_relators(self, *extra: Word) -> "FpPresentation":
-        return replace(self, relators=self.relators + tuple(extra))
-
     def without_relator(self, w: Word) -> "FpPresentation":
         """Remove one occurrence of `w` (exact value) from the relator list."""
         rels = list(self.relators)
@@ -111,10 +108,6 @@ class FpPresentation:
             raise PresentationError(f"relator {format_word(old)!r} not present")
         rels[i] = new
         return replace(self, relators=tuple(rels))
-
-    def with_conditional(self, relator: Word, key: Word) -> "FpPresentation":
-        return replace(self, conditional=self.conditional
-                       + (ConditionalRelator(relator, key),))
 
     def with_meridional(self, label: str, key: Word) -> "FpPresentation":
         return replace(self, meridional=self.meridional
@@ -142,21 +135,6 @@ class FpPresentation:
 
     def __str__(self) -> str:
         return format_presentation(self)
-
-
-def free_product(left: FpPresentation, right: FpPresentation) -> FpPresentation:
-    """Disjoint union of presentations.  A generator clash is an error; the
-    caller renames first with with_prefix(), which prefixes generators and
-    tier labels alike."""
-    clash = set(left.generators) & set(right.generators)
-    if clash:
-        raise PresentationError(f"generator clash in free product: {sorted(clash)}")
-    return FpPresentation(
-        generators=left.generators + right.generators,
-        relators=left.relators + right.relators,
-        conditional=left.conditional + right.conditional,
-        meridional=left.meridional + right.meridional,
-    )
 
 
 def defining_rotation(r: Word, name: str) -> Word | None:

@@ -2,12 +2,13 @@
 
 The SNF oracle values below were computed by hand from the two standard
 facts d_1 = gcd(entries) and d_1 ... d_k = gcd(k x k minors); the property
-block then checks the defining equations U M V = D, unimodularity (by an
-independent determinant), and the divisibility chain on random matrices.
-The fault-injection block feeds the built-in witness check broken Smith
-forms, each of which must raise.  The full-scan block keeps the pivot rule
-without its unit shortcuts as a reference, and requires the same D, U and
-V from both.
+block rebuilds U and V from the operation logs and checks the defining
+equations U M V = D, unimodularity (by an independent determinant), and
+the divisibility chain on random matrices.  The fault-injection block
+feeds the built-in witness check broken Smith forms, each of which must
+raise.  The full-scan block keeps the pivot rule without its unit
+shortcuts as a reference, and requires the same D and the same logged
+operations from both.
 """
 
 import random
@@ -21,17 +22,44 @@ from hypothesis import given, settings, strategies as st
 from m4kit.abelian import (
     AbelianGroup,
     SmithCheckError,
+    SmithForm,
     _check_smith,
     cokernel,
     h1,
-    identity_matrix,
-    mat_mul,
     relation_matrix,
     smith_normal_form,
 )
 from m4kit.constructions import exotic_odd_cp2
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier, PresentationError
 from m4kit.words import commutator, gen, parse_word
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def transforms(m, f):
+    """(U, V) as the products of the logged operations: each operation is
+    applied to the lines of an identity matrix, columns of V as rows of
+    its transpose.  Written apart from the package's own replay."""
+    def apply(ops, n):
+        e = identity_matrix(n)
+        for op in ops:
+            if op[0] == "swap":
+                e[op[1]], e[op[2]] = e[op[2]], e[op[1]]
+            elif op[0] == "negate":
+                e[op[1]] = [-x for x in e[op[1]]]
+            else:
+                _, i, j, q = op
+                e[j] = [x + q * y for x, y in zip(e[j], e[i])]
+        return e
+    v_t = apply(f.col_ops, len(m[0]) if m else 0)
+    return apply(f.row_ops, len(m)), [list(col) for col in zip(*v_t)]
 
 
 def determinant(m):
@@ -79,9 +107,10 @@ def test_snf_oracles(matrix, diag):
 def test_snf_transforms_witness_the_form():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     f = smith_normal_form(m)
-    assert mat_mul(mat_mul(f.u, m), f.v) == f.d
-    assert abs(determinant(f.u)) == 1
-    assert abs(determinant(f.v)) == 1
+    u, v = transforms(m, f)
+    assert mat_mul(mat_mul(u, m), v) == f.d
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
 
 
 def test_determinant_oracles():
@@ -91,15 +120,6 @@ def test_determinant_oracles():
     assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # 3-cycle is even
 
 
-def test_mat_mul_oracles():
-    assert mat_mul([[1, 2], [3, 4]], [[5, 6], [7, 8]]) == [[19, 22], [43, 50]]
-    assert mat_mul([[0, 0, 2]], [[1], [5], [-3]]) == [[-6]]
-    assert mat_mul([[1], [0]], [[4, 5]]) == [[4, 5], [0, 0]]
-    assert mat_mul([], [[1]]) == []
-    with pytest.raises(ValueError):
-        mat_mul([[1, 2]], [[1, 2]])
-
-
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
@@ -107,44 +127,68 @@ def test_ragged_matrix_rejected():
 
 # -- fault injection: the witness check must catch each broken form -----------
 
-# a hand-checked witness: U M V = D, U is its own inverse
+# a hand-checked witness: row 1 -= 3 row 0, negate row 1, then
+# column 1 -= 2 column 0 takes M to D
 M = [[2, 4], [6, 8]]
 D = [[2, 0], [0, 4]]
-U = [[1, 0], [3, -1]]
-V = [[1, -2], [0, 1]]
-V_INV = [[1, 2], [0, 1]]
-I1, I2 = identity_matrix(1), identity_matrix(2)
+ROW_OPS = [("add", 0, 1, -3), ("negate", 1)]
+COL_OPS = [("add", 0, 1, -2)]
 
 
 def test_hand_witness_passes_the_check():
-    _check_smith(M, D, U, V, U, V_INV)
+    _check_smith(M, SmithForm(D, ROW_OPS, COL_OPS))
 
 
-@pytest.mark.parametrize("m, d, u, v, u_inv, v_inv, message", [
-    (M, [[2, 0], [0, 8]], U, V, U, V_INV, "U M V != D"),
-    (M, D, U, V, U, V, "V V^-1 != I"),
-    # U = [[2]] has no integer inverse; [[1]] does not invert it
-    ([[1]], [[2]], [[2]], I1, I1, I1, "U U^-1 != I"),
-    ([[2, 0], [0, 3]], [[2, 0], [0, 3]], I2, I2, I2, I2,
+@pytest.mark.parametrize("m, form, message", [
+    (M, SmithForm([[2, 0], [0, 8]], ROW_OPS, COL_OPS), "U M V != D"),
+    # D is right, but the log does not produce it
+    (M, SmithForm(D, ROW_OPS, COL_OPS + [("swap", 0, 1)]), "U M V != D"),
+    # row 0 += row 0 doubles it: the replay gives D, but U = [[2]] is not
+    # unimodular, so the operation must be refused
+    ([[1]], SmithForm([[2]], [("add", 0, 0, 1)], []),
+     "('add', 0, 0, 1) is not an elementary row operation"),
+    ([[1]], SmithForm([[1]], [], [("swap", 0, 1)]),
+     "('swap', 0, 1) is not an elementary column operation on 1 columns"),
+    ([[1]], SmithForm([[1]], [("negate", -1)], []),
+     "is not an elementary row operation"),
+    ([[1]], SmithForm([[1]], [("scale", 0, 1)], []),
+     "is not an elementary row operation"),
+    ([[2, 0], [0, 3]], SmithForm([[2, 0], [0, 3]], [], []),
      "2 does not divide 3"),
-    ([[0, 0], [0, 3]], [[0, 0], [0, 3]], I2, I2, I2, I2,
+    ([[0, 0], [0, 3]], SmithForm([[0, 0], [0, 3]], [], []),
      "zero followed by a nonzero"),
-    ([[-2]], [[-2]], I1, I1, I1, I1, "negative"),
-    ([[1, 1]], [[1, 1]], I1, I2, I1, I2, "not diagonal"),
-])
-def test_witness_check_raises(m, d, u, v, u_inv, v_inv, message):
+    ([[-2]], SmithForm([[-2]], [], []), "negative"),
+    ([[1, 1]], SmithForm([[1, 1]], [], []), "not diagonal"),
+], ids=["wrong D", "wrong D from the log", "line added to itself",
+        "index out of range", "negative index", "unknown kind",
+        "broken chain", "zero before a nonzero", "negative entry",
+        "not diagonal"])
+def test_witness_check_raises(m, form, message):
     with pytest.raises(SmithCheckError, match=re.escape(message)):
-        _check_smith(m, d, u, v, u_inv, v_inv)
+        _check_smith(m, form)
+
+
+@pytest.mark.parametrize("m", [[], [[], []], [[0, 0]], [[0], [0], [0]]],
+                         ids=["no rows", "no columns", "one zero row",
+                              "one zero column"])
+def test_empty_and_zero_shapes_pass_the_check(m):
+    f = smith_normal_form(m)
+    assert f.d == m
+    _check_smith(m, f)
+    # the shape of D is part of the witness, including its empty rows
+    with pytest.raises(SmithCheckError, match="U M V != D"):
+        _check_smith(m, SmithForm(m[:-1] if m else [[]], [], []))
 
 
 def test_witness_check_raises_under_optimize():
     # the check is an exception, not an assert: python -O keeps it
-    code = ("from m4kit.abelian import _check_smith\n"
-            "_check_smith([[1]], [[2]], [[2]], [[1]], [[1]], [[1]])\n")
+    code = ("from m4kit.abelian import SmithForm, _check_smith\n"
+            "_check_smith([[1]], SmithForm([[2]], [('add', 0, 0, 1)], []))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 1
-    assert "SmithCheckError: U U^-1 != I" in proc.stderr
+    assert ("SmithCheckError: ('add', 0, 0, 1) is not an elementary row "
+            "operation") in proc.stderr
 
 
 # -- property block -----------------------------------------------------------
@@ -163,9 +207,10 @@ def matrices(draw):
 @given(matrices())
 def test_snf_defining_equations(m):
     f = smith_normal_form(m)
-    assert mat_mul(mat_mul(f.u, m), f.v) == f.d
-    assert abs(determinant(f.u)) == 1
-    assert abs(determinant(f.v)) == 1
+    u, v = transforms(m, f)
+    assert mat_mul(mat_mul(u, m), v) == f.d
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
     diag = f.diagonal
     assert all(d >= 0 for d in diag)
     for x, y in zip(diag, diag[1:]):
@@ -190,28 +235,31 @@ def test_snf_square_preserves_determinant_magnitude(m):
 # -- the full-scan pivot rule, kept as an oracle --------------------------------
 
 def full_scan_smith(m):
-    """(D, U, V) by the pivot rule the unit shortcuts must reproduce: each
-    pivot search scans the whole trailing block for its first smallest
-    entry, and each pivot is followed by a full divisibility scan."""
+    """(D, row operations, column operations) by the pivot rule the unit
+    shortcuts must reproduce: each pivot search scans the whole trailing
+    block for its first smallest entry, and each pivot is followed by a
+    full divisibility scan."""
     rows, cols = len(m), len(m[0])
     a = [row[:] for row in m]
-    u, v = identity_matrix(rows), identity_matrix(cols)
+    row_ops, col_ops = [], []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
-        for row in a + v:
+        for row in a:
             row[i], row[j] = row[j], row[i]
+        col_ops.append(("swap", i, j))
 
     def add_row(src, dst, q):
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        row_ops.append(("add", src, dst, q))
 
     def add_col(src, dst, q):
-        for row in a + v:
+        for row in a:
             row[dst] += q * row[src]
+        col_ops.append(("add", src, dst, q))
 
     t = 0
     while True:
@@ -251,9 +299,9 @@ def full_scan_smith(m):
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            row_ops.append(("negate", t))
         t += 1
-    return a, u, v
+    return a, row_ops, col_ops
 
 
 def random_matrices(count, seed):
@@ -282,7 +330,7 @@ def test_snf_matches_the_full_scan_oracle_on_random_matrices():
                for m in matrices) >= 200
     for m in matrices:
         f = smith_normal_form(m)
-        assert (f.d, f.u, f.v) == full_scan_smith(m), m
+        assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(m), m
 
 
 @pytest.mark.parametrize("n", [5, 20])
@@ -291,7 +339,7 @@ def test_snf_matches_the_full_scan_oracle_on_the_paper_family(n):
     m = relation_matrix(p, include_h1_safe_conditionals=True)
     for matrix in (m, [row for row in m if any(row)]):
         f = smith_normal_form(matrix)
-        assert (f.d, f.u, f.v) == full_scan_smith(matrix)
+        assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(matrix)
 
 
 # -- cokernels / H1 -----------------------------------------------------------

@@ -156,12 +156,17 @@ def test_compact_preserves_order_and_root_zero():
     enum.coincidence(5, 2)
     enum.coincidence(7, 2)
     live_before = enum.live
-    remap = enum.compact()
-    assert enum.live == live_before
-    assert remap[0] == 0                      # the subgroup coset never moves
-    olds = sorted(remap)
-    news = [remap[o] for o in olds]
-    assert news == list(range(len(olds)))     # order-preserving and dense
+    edges = {(old, x): enum.find(b) for old in range(len(enum.table))
+             if enum.parent[old] == old
+             for x, b in enumerate(enum.table[old]) if b is not None}
+    live = enum.compact()
+    assert enum.live == live_before == len(live)
+    assert live[0] == 0                       # the subgroup coset never moves
+    assert live == sorted(set(live))          # order-preserving
+    assert enum.parent == list(range(len(live)))
+    # live[new] is the old number of new: every entry is renumbered to match
+    assert {(live[k], x): live[b] for k, row in enumerate(enum.table)
+            for x, b in enumerate(row) if b is not None} == edges
 
 
 # The core of exotic_odd_cp2(20, 1) (input relators plus activated

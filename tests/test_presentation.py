@@ -1,4 +1,4 @@
-"""Presentations: validation, the small immutable transforms, free products,
+"""Presentations: validation, the small immutable transforms,
 meridional tiers, conditional relators, and the text round-trip."""
 
 import pytest
@@ -10,7 +10,6 @@ from m4kit.presentation import (
     PresentationError,
     defining_rotation,
     format_presentation,
-    free_product,
     parse_presentation,
 )
 from m4kit.words import commutator, gen, parse_word
@@ -46,7 +45,7 @@ def test_validation_covers_conditional_and_tier_keys():
 
 
 def test_with_and_without_relator():
-    p = AB.with_relators(parse_word("a^2"))
+    p = FpPresentation(AB.generators, AB.relators + (parse_word("a^2"),))
     assert parse_word("a^2") in p.relators
     q = p.without_relator(parse_word("a^2"))
     assert q.relators == AB.relators
@@ -72,25 +71,14 @@ def test_meridional_tier_and_strip():
 
 
 def test_with_prefix():
-    q = (AB.with_meridional("g", gen("a"))
-         .with_conditional(parse_word("a^2 b"), gen("b"))
-         .with_prefix("L_"))
+    q = FpPresentation(AB.generators, AB.relators, conditional=(
+        ConditionalRelator(parse_word("a^2 b"), gen("b")),)
+    ).with_meridional("g", gen("a")).with_prefix("L_")
     assert q.generators == ("L_a", "L_b")
     assert q.relators == (parse_word("L_a L_b L_a^-1 L_b^-1"),)
     assert q.meridional == (MeridionalTier("L_g", gen("L_a")),)
     assert q.conditional == (
         ConditionalRelator(parse_word("L_a^2 L_b"), gen("L_b")),)
-
-
-def test_free_product_is_disjoint_union():
-    q = free_product(AB, FpPresentation(("c",), (parse_word("c^2"),)))
-    assert q.generators == ("a", "b", "c")
-    assert set(q.relators) == {AB.relators[0], parse_word("c^2")}
-
-
-def test_free_product_rejects_generator_clash():
-    with pytest.raises(PresentationError):
-        free_product(AB, FpPresentation(("a",)))
 
 
 def test_defining_rotation_reads_off_definition():

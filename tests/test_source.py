@@ -75,3 +75,44 @@ def test_names_the_benchmark_looks_up_exist():
                 and not hasattr(m4kit, node.attr)]
     assert layers
     assert missing == []
+
+
+def replay_reached_outside_the_check(source):
+    """Whether `smith_normal_form` reaches `_replay` other than through
+    `_check_smith`: following the names that each module-level function
+    mentions, its nested operations included, with `_check_smith` cut."""
+    tree = ast.parse(source)
+    mentions = {node.name: {n.id for n in ast.walk(node)
+                            if isinstance(n, ast.Name)}
+                for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_replay" in mentions["_check_smith"]
+    assert "_check_smith" in mentions["smith_normal_form"]
+    seen, todo = set(), ["smith_normal_form"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name == "_check_smith":
+            continue
+        seen.add(name)
+        todo.extend(mentions.get(name, ()))
+    return "_replay" in seen
+
+
+def test_the_smith_witness_stays_independent_of_the_elimination():
+    # the elimination updates its matrix in place and only logs operations;
+    # the witness check replays the log with its own code, so a fault in
+    # the elimination's arithmetic shows up as U M V != D
+    source = (PACKAGE / "abelian.py").read_text(encoding="utf-8")
+    assert not replay_reached_outside_the_check(source)
+    # the rule catches an operation that calls the replay, directly or
+    # through a helper
+    tree = ast.parse(source)
+    snf = next(node for node in tree.body
+               if getattr(node, "name", None) == "smith_normal_form")
+    add_row = next(node for node in snf.body
+                   if getattr(node, "name", None) == "add_row")
+    add_row.body.append(ast.parse('_replay(a, row_ops[-1:], "row")').body[0])
+    assert replay_reached_outside_the_check(ast.unparse(tree))
+    add_row.body[-1] = ast.parse("helper()").body[0]
+    tree.body.append(ast.parse('def helper():\n    _replay([], [], "row")'
+                               ).body[0])
+    assert replay_reached_outside_the_check(ast.unparse(tree))
