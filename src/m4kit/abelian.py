@@ -110,14 +110,16 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     row_ops: list[Operation] = []
     col_ops: list[Operation] = []
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        row_ops.append(("swap", i, j))
+    def swap_rows(i, j):             # a pivot already in place logs nothing
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        col_ops.append(("swap", i, j))
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            col_ops.append(("swap", i, j))
 
     def add_row(src, dst, q):        # row dst += q * row src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]

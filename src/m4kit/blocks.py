@@ -15,7 +15,11 @@ Conventions:
   lhs rhs^-1, in the listed order.
 * A surgery site stores the relator currently standing at it, the curve
   and pushoff words that a fresh surgery would combine, and the relator
-  the site would carry in the unsurgered (coefficient-zero) state.
+  the site would carry in the unsurgered (coefficient-zero) state.  Each
+  site is stated once, and its relator is computed from it: the
+  four-torus blocks use SurgeryDatum.surgered, the rule torus_surgery
+  applies, and the surface-product blocks the paper's orientation (see
+  _product_site).
 * Surface curve images marked "modulo meridian" are only valid up to the
   surface's meridian; fiber summing turns such an identification into a
   conditional relator keyed on that meridian.
@@ -23,7 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .presentation import FpPresentation, PresentationError
@@ -36,7 +40,7 @@ class SurgeryDatum:
 
     `relator` is the relator currently standing at the site (it is always
     literally present in the ambient pi1); performing a new surgery deletes
-    it and installs curve^k (pushoff^m)^-1, or `unsurgered` when k = 0.
+    it and installs `surgered(k, m)`.
     `torus_generators` are the two ambient generators the torus carries;
     `pushoff` doubles as the meridian of the torus in the ambient manifold.
     """
@@ -47,6 +51,13 @@ class SurgeryDatum:
     torus_generators: tuple[str, str]
     relator: Word
     unsurgered: Word
+
+    def surgered(self, k: int, m: int) -> Word:
+        """The relator a k/m surgery installs here: curve^k (pushoff^m)^-1,
+        or `unsurgered` when k = 0."""
+        if k == 0:
+            return self.unsurgered
+        return gen(self.curve) ** k * (self.pushoff ** m).inverse()
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +152,40 @@ def _words(*texts: str) -> tuple[Word, ...]:
     return tuple(parse_word(t) for t in texts)
 
 
-def _relator(lhs: str, rhs: str) -> Word:
-    return parse_word(lhs) * parse_word(rhs).inverse()
+def _product_site(name: str, curve: str, pushoff: str,
+                  torus: tuple[str, str], k: int, m: int) -> SurgeryDatum:
+    """One site of a surface-product block, twisted k/m.
+
+    Its relator is the paper's relation pushoff^m = curve^k, stored as
+    pushoff^m curve^-k: the inverse of what SurgeryDatum.surgered installs,
+    kept because certificate bytes pin it.  At k = 0 it is the pushoff,
+    which is also the site's unsurgered relator; the inverse of
+    surgered(0, m) would be the pushoff's inverse and change t2xg2(0, q).
+    """
+    word = parse_word(pushoff)
+    return SurgeryDatum(name, curve, word, torus,
+                        word ** m * gen(curve) ** -k, word)
+
+
+def _surgered_site(name: str, curve: str, pushoff: Word,
+                   torus: tuple[str, str], unsurgered: str,
+                   k: int, m: int) -> SurgeryDatum:
+    """One four-torus site after a k/m surgery (k = 0: untouched), carrying
+    the relator that torus_surgery would install."""
+    word = parse_word(unsurgered)
+    site = SurgeryDatum(name, curve, pushoff, torus, word, word)
+    return replace(site, relator=site.surgered(k, m))
+
+
+def _sigma2(meridian: Word, complement: FpPresentation) -> EmbeddedSurface:
+    """The genus-2 factor a1, b1, a2, b2 of a surface-product block, its
+    curves their own images."""
+    return EmbeddedSurface(
+        name="Sigma2", genus=2, self_intersection=0,
+        generator_images=tuple((g, gen(g)) for g in ("a1", "b1", "a2", "b2")),
+        modulo_meridian=frozenset(), meridian=meridian,
+        complement_pi1=complement,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,42 +201,22 @@ def t2xg2(p: int, q: int) -> MarkedManifold:
     """
     if p < 0 or q < 0:
         raise ValueError(f"T2xG2 needs p, q >= 0, got p={p}, q={q}")
-    rel = [
-        _relator("[b1^-1, d^-1]", "a1"),
-        _relator("[a1^-1, d]", "b1"),
-        _relator("[d^-1, b2^-1]", f"c^{p}"),
-        _relator("[c^-1, b2]", f"d^{q}"),
-        parse_word("[a1, c]"),
-        parse_word("[b1, c]"),
-        parse_word("[a2, c]"),
-        parse_word("[a2, d]"),
-        parse_word("[a1, b1] [a2, b2]"),
-        parse_word("[c, d]"),
-    ]
-    pi1 = FpPresentation(("a1", "b1", "a2", "b2", "c", "d"), tuple(rel))
-    complement = pi1.without_relator(parse_word("[c, d]"))
-    sigma2 = EmbeddedSurface(
-        name="Sigma2", genus=2, self_intersection=0,
-        generator_images=(("a1", gen("a1")), ("b1", gen("b1")),
-                          ("a2", gen("a2")), ("b2", gen("b2"))),
-        modulo_meridian=frozenset(),
-        meridian=parse_word("[c, d]"),
-        complement_pi1=complement,
-    )
     sites = (
-        SurgeryDatum("a1'xc'", "a1", parse_word("[b1^-1, d^-1]"),
-                     ("a1", "c"), rel[0], parse_word("[b1^-1, d^-1]")),
-        SurgeryDatum("b1'xc''", "b1", parse_word("[a1^-1, d]"),
-                     ("b1", "c"), rel[1], parse_word("[a1^-1, d]")),
-        SurgeryDatum("a2'xc'", "c", parse_word("[d^-1, b2^-1]"),
-                     ("a2", "c"), rel[2], parse_word("[d^-1, b2^-1]")),
-        SurgeryDatum("a2''xd'", "d", parse_word("[c^-1, b2]"),
-                     ("a2", "d"), rel[3], parse_word("[c^-1, b2]")),
+        _product_site("a1'xc'", "a1", "[b1^-1, d^-1]", ("a1", "c"), 1, 1),
+        _product_site("b1'xc''", "b1", "[a1^-1, d]", ("b1", "c"), 1, 1),
+        _product_site("a2'xc'", "c", "[d^-1, b2^-1]", ("a2", "c"), p, 1),
+        _product_site("a2''xd'", "d", "[c^-1, b2]", ("a2", "d"), q, 1),
     )
+    rel = (*(s.relator for s in sites),
+           *_words("[a1, c]", "[b1, c]", "[a2, c]", "[a2, d]",
+                   "[a1, b1] [a2, b2]"))
+    gens_ = ("a1", "b1", "a2", "b2", "c", "d")
+    meridian = parse_word("[c, d]")
     return MarkedManifold(
         name=f"T2xG2({p},{q})", euler=0, signature=0, parity="unknown",
         symplectic=True, minimal=(True if (p, q) == (1, 1) else None),
-        pi1=pi1, surfaces=(sigma2,), sites=sites,
+        pi1=FpPresentation(gens_, rel + (meridian,)),
+        surfaces=(_sigma2(meridian, FpPresentation(gens_, rel)),), sites=sites,
     )
 
 
@@ -215,81 +238,70 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
     ds = [f"d{j}" for j in range(1, n + 1)]
     gens = ("a1", "b1", "a2", "b2") + tuple(x for pair in zip(cs, ds) for x in pair)
 
-    surface_word = parse_word("[a1, b1] [a2, b2]")
+    sites = [
+        _product_site("a1'xc1'", "a1", "[b1^-1, d1^-1]", ("a1", "c1"), 1, 1),
+        _product_site("b1'xc1''", "b1", "[a1^-1, d1]", ("b1", "c1"), 1, 1),
+        _product_site("a2'xc2'", "a2", "[b2^-1, d2^-1]", ("a2", "c2"), 1, 1),
+        _product_site("b2'xc2''", "b2", "[a2^-1, d2]", ("b2", "c2"), 1, 1),
+        _product_site("a2'xc1'", "c1", "[d1^-1, b2^-1]", ("a2", "c1"), 1, 1),
+        _product_site("a2''xd1'", "d1", "[c1^-1, b2]", ("a2", "d1"), 1, 1),
+        _product_site("a1'xc2'", "c2", "[d2^-1, b1^-1]", ("a1", "c2"), 1, 1),
+        _product_site("a1''xd2'", "d2", "[c2^-1, b1]", ("a1", "d2"), 1, m),
+    ]
+    rel = [s.relator for s in sites]
+    rel += _words("[a1, c1]", "[a1, c2]", "[a1, d2]", "[b1, c1]",
+                  "[a2, c1]", "[a2, c2]", "[a2, d1]", "[b2, c2]",
+                  "[a1, b1] [a2, b2]")
     # [c1, d1] ... [cn, dn]: distinct names, so already freely reduced
     fiber_word = Word(tuple(letter for c, d in zip(cs, ds)
                             for letter in ((c, 1), (d, 1), (c, -1), (d, -1))))
-
-    rel = [
-        _relator("[b1^-1, d1^-1]", "a1"),
-        _relator("[a1^-1, d1]", "b1"),
-        _relator("[b2^-1, d2^-1]", "a2"),
-        _relator("[a2^-1, d2]", "b2"),
-        _relator("[d1^-1, b2^-1]", "c1"),
-        _relator("[c1^-1, b2]", "d1"),
-        _relator("[d2^-1, b1^-1]", "c2"),
-        _relator(f"[c2^-1, b1]^{m}", "d2"),
-        parse_word("[a1, c1]"), parse_word("[a1, c2]"), parse_word("[a1, d2]"),
-        parse_word("[b1, c1]"),
-        parse_word("[a2, c1]"), parse_word("[a2, c2]"), parse_word("[a2, d1]"),
-        parse_word("[b2, c2]"),
-        surface_word,
-        fiber_word,
-    ]
+    tail: list[Word] = []
     for j in range(3, n + 1):
-        rel.append(_relator(f"[a1^-1, d{j}^-1]", f"c{j}"))
-        rel.append(_relator(f"[a2^-1, c{j}^-1]", f"d{j}"))
-        rel.append(parse_word(f"[b1, c{j}]"))
-        rel.append(parse_word(f"[b2, d{j}]"))
+        pair = (
+            _product_site(f"b1'xc{j}'", f"c{j}", f"[a1^-1, d{j}^-1]",
+                          ("b1", f"c{j}"), 1, 1),
+            _product_site(f"b2'xd{j}'", f"d{j}", f"[a2^-1, c{j}^-1]",
+                          ("b2", f"d{j}"), 1, 1),
+        )
+        sites += pair
+        tail += (pair[0].relator, pair[1].relator,
+                 *_words(f"[b1, c{j}]", f"[b2, d{j}]"))
 
-    pi1 = FpPresentation(gens, tuple(rel))
-    complement = pi1.without_relator(fiber_word)
-    sigma2 = EmbeddedSurface(
-        name="Sigma2", genus=2, self_intersection=0,
-        generator_images=(("a1", gen("a1")), ("b1", gen("b1")),
-                          ("a2", gen("a2")), ("b2", gen("b2"))),
-        modulo_meridian=frozenset(),
-        meridian=fiber_word,
-        complement_pi1=complement,
-    )
-    sites = [
-        SurgeryDatum("a1'xc1'", "a1", parse_word("[b1^-1, d1^-1]"),
-                     ("a1", "c1"), rel[0], parse_word("[b1^-1, d1^-1]")),
-        SurgeryDatum("b1'xc1''", "b1", parse_word("[a1^-1, d1]"),
-                     ("b1", "c1"), rel[1], parse_word("[a1^-1, d1]")),
-        SurgeryDatum("a2'xc2'", "a2", parse_word("[b2^-1, d2^-1]"),
-                     ("a2", "c2"), rel[2], parse_word("[b2^-1, d2^-1]")),
-        SurgeryDatum("b2'xc2''", "b2", parse_word("[a2^-1, d2]"),
-                     ("b2", "c2"), rel[3], parse_word("[a2^-1, d2]")),
-        SurgeryDatum("a2'xc1'", "c1", parse_word("[d1^-1, b2^-1]"),
-                     ("a2", "c1"), rel[4], parse_word("[d1^-1, b2^-1]")),
-        SurgeryDatum("a2''xd1'", "d1", parse_word("[c1^-1, b2]"),
-                     ("a2", "d1"), rel[5], parse_word("[c1^-1, b2]")),
-        SurgeryDatum("a1'xc2'", "c2", parse_word("[d2^-1, b1^-1]"),
-                     ("a1", "c2"), rel[6], parse_word("[d2^-1, b1^-1]")),
-        SurgeryDatum("a1''xd2'", "d2", parse_word("[c2^-1, b1]"),
-                     ("a1", "d2"), rel[7], parse_word("[c2^-1, b1]")),
-    ]
-    extra = rel[18:]
-    for j in range(3, n + 1):
-        base = 4 * (j - 3)
-        sites.append(SurgeryDatum(
-            f"b1'xc{j}'", f"c{j}", parse_word(f"[a1^-1, d{j}^-1]"),
-            ("b1", f"c{j}"), extra[base], parse_word(f"[a1^-1, d{j}^-1]")))
-        sites.append(SurgeryDatum(
-            f"b2'xd{j}'", f"d{j}", parse_word(f"[a2^-1, c{j}^-1]"),
-            ("b2", f"d{j}"), extra[base + 1], parse_word(f"[a2^-1, c{j}^-1]")))
-
+    complement = FpPresentation(gens, (*rel, *tail))
     return MarkedManifold(
         name=f"G2xG{n}({m})", euler=4 * n - 4, signature=0, parity="unknown",
         symplectic=(m == 1), minimal=None,
-        pi1=pi1, surfaces=(sigma2,), sites=tuple(sites),
+        pi1=FpPresentation(gens, (*rel, fiber_word, *tail)),
+        surfaces=(_sigma2(fiber_word, complement),), sites=tuple(sites),
     )
 
 
 # ---------------------------------------------------------------------------
-# blown-up four-torus with two torus twists (e = 1, sigma = -1)
+# the four-torus, blown up once and twice, with two torus twists
 # ---------------------------------------------------------------------------
+
+_ALPHAS = ("alpha1", "alpha2", "alpha3", "alpha4")
+
+
+def _t4(q: int, r: int, m: int, eps1: int, eps3: int,
+        ) -> tuple[tuple[SurgeryDatum, ...], tuple[Word, ...], FpPresentation]:
+    """The four-torus with surgeries 1/q and m/r at its two sites (a zero
+    leaves that site untouched): its sites, the pi1 relators that the
+    blown-up block's surface complement keeps, and pi1."""
+    sites = (
+        _surgered_site("alpha2'xalpha3'", "alpha3",
+                       parse_word("[alpha1^-1, alpha4^-1]"),
+                       ("alpha2", "alpha3"), "[alpha1, alpha4]", q, 1),
+        _surgered_site("alpha2''xalpha4'", "alpha4",
+                       commutator(gen("alpha1", eps1), gen("alpha3", eps3)),
+                       ("alpha2", "alpha4"), "[alpha1, alpha3]", r, m),
+    )
+    core = (sites[0].relator, sites[1].relator,
+            *_words("[alpha2, alpha3]", "[alpha2, alpha4]"))
+    pi1 = FpPresentation(_ALPHAS, core + _words("[alpha1, alpha2]",
+                                                "[alpha3, alpha4]"))
+    return sites, core, pi1
+
 
 def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedManifold:
     """The four-torus blown up once, then twisted by two torus surgeries
@@ -312,40 +324,17 @@ def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedMani
     if r == 0 and m != 1:
         raise ValueError("skipping the second surgery (r = 0) forces m = 1")
 
-    if q == 0:
-        site1_rel = parse_word("[alpha1, alpha4]")
-    else:
-        site1_rel = _relator(f"alpha3^{q}", "[alpha1^-1, alpha4^-1]")
-    pushoff2 = commutator(gen("alpha1", eps1), gen("alpha3", eps3))
-    if r == 0:
-        site2_rel = parse_word("[alpha1, alpha3]")
-    else:
-        site2_rel = gen("alpha4") ** r * (pushoff2 ** m).inverse()
-
-    core = (site1_rel, site2_rel,
-            parse_word("[alpha2, alpha3]"), parse_word("[alpha2, alpha4]"))
-    gens_ = ("alpha1", "alpha2", "alpha3", "alpha4")
-    pi1 = FpPresentation(gens_, core + _words("[alpha1, alpha2]",
-                                              "[alpha3, alpha4]"))
-    complement = FpPresentation(gens_, core).with_meridional(
-        "g", parse_word("[alpha3, alpha4]"))
+    sites, core, pi1 = _t4(q, r, m, eps1, eps3)
+    meridian = parse_word("[alpha3, alpha4]")
     sigmabar2 = EmbeddedSurface(
         name="SigmaBar2", genus=2, self_intersection=0,
         generator_images=(("abar1", gen("alpha1")), ("bbar1", gen("alpha2")),
                           ("abar2", parse_word("alpha3^2")),
                           ("bbar2", gen("alpha4"))),
         modulo_meridian=frozenset({"abar2"}),
-        meridian=parse_word("[alpha3, alpha4]"),
-        complement_pi1=complement,
-    )
-    sites = (
-        SurgeryDatum("alpha2'xalpha3'", "alpha3",
-                     parse_word("[alpha1^-1, alpha4^-1]"),
-                     ("alpha2", "alpha3"), site1_rel,
-                     parse_word("[alpha1, alpha4]")),
-        SurgeryDatum("alpha2''xalpha4'", "alpha4", pushoff2,
-                     ("alpha2", "alpha4"), site2_rel,
-                     parse_word("[alpha1, alpha3]")),
+        meridian=meridian,
+        complement_pi1=FpPresentation(_ALPHAS, core).with_meridional(
+            "g", meridian),
     )
     return MarkedManifold(
         name=f"BT4({q},{r},{m})", euler=1, signature=-1, parity="odd",
@@ -354,9 +343,47 @@ def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedMani
     )
 
 
-# ---------------------------------------------------------------------------
-# twice blown-up four-torus with two torus twists (e = 2, sigma = -2)
-# ---------------------------------------------------------------------------
+def t4() -> MarkedManifold:
+    """The four-torus itself, with the two standard surgery sites armed but
+    untouched.  Twisting both and blowing up once reproduces bt4 — a route
+    the tests compare against the direct constructor."""
+    sites, _, pi1 = _t4(0, 0, 1, 1, -1)
+    return MarkedManifold(
+        name="T4", euler=0, signature=0, parity="even",
+        symplectic=True, minimal=True,
+        pi1=pi1, surfaces=(), sites=sites,
+    )
+
+
+def _bbt4(q: int, r: int, name: str) -> MarkedManifold:
+    """The twice blown-up four-torus with surgeries 1/q and 1/r at its two
+    sites (a zero leaves that site untouched)."""
+    sites = (
+        _surgered_site("alpha1'xalpha3'", "alpha1",
+                       parse_word("[alpha2^-1, alpha4^-1]"),
+                       ("alpha1", "alpha3"), "[alpha2, alpha4]", q, 1),
+        _surgered_site("alpha2'xalpha3''", "alpha2",
+                       parse_word("[alpha1^-1, alpha4]"),
+                       ("alpha2", "alpha3"), "[alpha1, alpha4]", r, 1),
+    )
+    pi1 = FpPresentation(_ALPHAS, (
+        sites[0].relator, sites[1].relator,
+        *_words("[alpha1, alpha3]", "[alpha2, alpha3]", "[alpha1, alpha2]",
+                "[alpha3, alpha4]")))
+    sigmahat2 = EmbeddedSurface(
+        name="SigmaHat2", genus=2, self_intersection=0,
+        generator_images=(("ahat1", gen("alpha1")), ("bhat1", gen("alpha2")),
+                          ("ahat2", gen("alpha3")), ("bhat2", gen("alpha4"))),
+        modulo_meridian=frozenset(),
+        meridian=Word(),
+        complement_pi1=pi1,
+    )
+    return MarkedManifold(
+        name=name, euler=2, signature=-2, parity="odd",
+        symplectic=True, minimal=False,
+        pi1=pi1, surfaces=(sigmahat2,), sites=sites,
+    )
+
 
 def bbt4(q: int, r: int) -> MarkedManifold:
     """The four-torus blown up twice, with two torus surgeries of
@@ -367,44 +394,8 @@ def bbt4(q: int, r: int) -> MarkedManifold:
     exact."""
     if q < 1 or r < 1:
         raise ValueError(f"BBT4 needs q, r >= 1, got q={q}, r={r}")
-    rel = (
-        _relator(f"alpha1^{q}", "[alpha2^-1, alpha4^-1]"),
-        _relator(f"alpha2^{r}", "[alpha1^-1, alpha4]"),
-        parse_word("[alpha1, alpha3]"),
-        parse_word("[alpha2, alpha3]"),
-        parse_word("[alpha1, alpha2]"),
-        parse_word("[alpha3, alpha4]"),
-    )
-    gens_ = ("alpha1", "alpha2", "alpha3", "alpha4")
-    pi1 = FpPresentation(gens_, rel)
-    sigmahat2 = EmbeddedSurface(
-        name="SigmaHat2", genus=2, self_intersection=0,
-        generator_images=(("ahat1", gen("alpha1")), ("bhat1", gen("alpha2")),
-                          ("ahat2", gen("alpha3")), ("bhat2", gen("alpha4"))),
-        modulo_meridian=frozenset(),
-        meridian=Word(),
-        complement_pi1=pi1,
-    )
-    sites = (
-        SurgeryDatum("alpha1'xalpha3'", "alpha1",
-                     parse_word("[alpha2^-1, alpha4^-1]"),
-                     ("alpha1", "alpha3"), rel[0],
-                     parse_word("[alpha2, alpha4]")),
-        SurgeryDatum("alpha2'xalpha3''", "alpha2",
-                     parse_word("[alpha1^-1, alpha4]"),
-                     ("alpha2", "alpha3"), rel[1],
-                     parse_word("[alpha1, alpha4]")),
-    )
-    return MarkedManifold(
-        name=f"BBT4({q},{r})", euler=2, signature=-2, parity="odd",
-        symplectic=True, minimal=False,
-        pi1=pi1, surfaces=(sigmahat2,), sites=sites,
-    )
+    return _bbt4(q, r, f"BBT4({q},{r})")
 
-
-# ---------------------------------------------------------------------------
-# the untwisted degenerate relatives used by chained sums and route checks
-# ---------------------------------------------------------------------------
 
 def t4b2() -> MarkedManifold:
     """The four-torus blown up twice, surgeries left undone: pi1 = Z^4 and
@@ -412,71 +403,12 @@ def t4b2() -> MarkedManifold:
     meridian, all images exact).  This is the q = r = 0 degeneration of
     bbt4 and the standard second summand for stretching a construction by
     (chi, c1^2) = (+1, +8)."""
-    rel = (
-        parse_word("[alpha2, alpha4]"),
-        parse_word("[alpha1, alpha4]"),
-        parse_word("[alpha1, alpha3]"),
-        parse_word("[alpha2, alpha3]"),
-        parse_word("[alpha1, alpha2]"),
-        parse_word("[alpha3, alpha4]"),
-    )
-    gens_ = ("alpha1", "alpha2", "alpha3", "alpha4")
-    pi1 = FpPresentation(gens_, rel)
-    sigmahat2 = EmbeddedSurface(
-        name="SigmaHat2", genus=2, self_intersection=0,
-        generator_images=(("ahat1", gen("alpha1")), ("bhat1", gen("alpha2")),
-                          ("ahat2", gen("alpha3")), ("bhat2", gen("alpha4"))),
-        modulo_meridian=frozenset(),
-        meridian=Word(),
-        complement_pi1=pi1,
-    )
-    sites = (
-        SurgeryDatum("alpha1'xalpha3'", "alpha1",
-                     parse_word("[alpha2^-1, alpha4^-1]"),
-                     ("alpha1", "alpha3"), rel[0],
-                     parse_word("[alpha2, alpha4]")),
-        SurgeryDatum("alpha2'xalpha3''", "alpha2",
-                     parse_word("[alpha1^-1, alpha4]"),
-                     ("alpha2", "alpha3"), rel[1],
-                     parse_word("[alpha1, alpha4]")),
-    )
-    return MarkedManifold(
-        name="T4b2", euler=2, signature=-2, parity="odd",
-        symplectic=True, minimal=False,
-        pi1=pi1, surfaces=(sigmahat2,), sites=sites,
-    )
+    return _bbt4(0, 0, "T4b2")
 
 
-def t4() -> MarkedManifold:
-    """The four-torus itself, with the two standard surgery sites armed but
-    untouched.  Twisting both and blowing up once reproduces bt4 — a route
-    the tests compare against the direct constructor."""
-    rel = (
-        parse_word("[alpha1, alpha4]"),
-        parse_word("[alpha1, alpha3]"),
-        parse_word("[alpha2, alpha3]"),
-        parse_word("[alpha2, alpha4]"),
-        parse_word("[alpha1, alpha2]"),
-        parse_word("[alpha3, alpha4]"),
-    )
-    gens_ = ("alpha1", "alpha2", "alpha3", "alpha4")
-    pi1 = FpPresentation(gens_, rel)
-    sites = (
-        SurgeryDatum("alpha2'xalpha3'", "alpha3",
-                     parse_word("[alpha1^-1, alpha4^-1]"),
-                     ("alpha2", "alpha3"), rel[0],
-                     parse_word("[alpha1, alpha4]")),
-        SurgeryDatum("alpha2''xalpha4'", "alpha4",
-                     parse_word("[alpha1, alpha3^-1]"),
-                     ("alpha2", "alpha4"), rel[1],
-                     parse_word("[alpha1, alpha3]")),
-    )
-    return MarkedManifold(
-        name="T4", euler=0, signature=0, parity="even",
-        symplectic=True, minimal=True,
-        pi1=pi1, surfaces=(), sites=sites,
-    )
-
+# ---------------------------------------------------------------------------
+# torus x sphere blown up four times (e = 4, sigma = -4), no sites
+# ---------------------------------------------------------------------------
 
 def t2xs2b4() -> MarkedManifold:
     """A torus-ruled surface (torus x sphere) blown up four times, with the

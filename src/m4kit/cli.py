@@ -198,7 +198,7 @@ block constructors (use in `block NAME = CTOR(...)`):
                    SigmaTilde2 (trivial meridian) e=4  sigma=-4  symplectic
 
 operations: torus_surgery(base, site, k, m=1), blow_up(base, n=1),
-            fiber_sum(left, lsurf, right, rsurf, prefix=None)
+            fiber_sum(left, left_surface, right, right_surface, prefix=None)
 
 composites (python API, m4kit.constructions): exotic_cp2_2(m),
 exotic_odd_cp2(n, m), cyclic_family(p, m), exotic_cp2_4(m),

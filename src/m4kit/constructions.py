@@ -34,7 +34,12 @@ def exotic_cp2_2(m: int = 1, *, eps1: int = 1, eps3: int = -1) -> MarkedManifold
 def exotic_odd_cp2(n: int, m: int = 1, *,
                    eps1: int = 1, eps3: int = -1) -> MarkedManifold:
     """Fiber sum with e = 4n + 1, sigma = -1 (n >= 2): exotic copies of the
-    connected sum of 2n - 1 projective planes and 2n reversed ones."""
+    connected sum of 2n - 1 projective planes and 2n reversed ones.
+
+    eps1 and eps3 reach no relator: they orient the pushoff of the second
+    site of bt4(1, 0, ...), whose surgery r = 0 skips, so all four choices
+    give one presentation.  They stay because bench/run.py passes them
+    (ROADMAP item 5)."""
     return fiber_sum(g2xgn(n, m), "Sigma2",
                      bt4(1, 0, 1, eps1, eps3), "SigmaBar2")
 

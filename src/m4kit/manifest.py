@@ -35,6 +35,8 @@ they are produced.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -50,6 +52,7 @@ from .certify import (
     target_of,
 )
 from .geography import GeographyError, coords, freedman_model, in_odd_region
+# the operations are looked up in globals() when a definition calls them
 from .surgery import blow_up, fiber_sum, torus_surgery
 
 
@@ -300,26 +303,25 @@ def format_manifest(m: Manifest) -> str:
 # (parameter name, value tag, required, default)
 _Schema = tuple[tuple[str, str, bool, Any], ...]
 
-_BLOCK_SCHEMAS: dict[str, _Schema] = {
-    "T2xG2": (("p", "int", True, None), ("q", "int", True, None)),
-    "G2xGn": (("n", "int", True, None), ("m", "int", True, None)),
-    "BT4": (("q", "int", True, None), ("r", "int", True, None),
-            ("m", "int", False, 1), ("eps1", "int", False, 1),
-            ("eps3", "int", False, -1)),
-    "BBT4": (("q", "int", True, None), ("r", "int", True, None)),
-    "T4b2": (),
-    "T4": (),
-    "T2xS2b4": (),
-}
-_OP_SCHEMAS: dict[str, _Schema] = {
-    "torus_surgery": (("base", "ref", True, None), ("site", "str", True, None),
-                      ("k", "int", True, None), ("m", "int", False, 1)),
-    "blow_up": (("base", "ref", True, None), ("n", "int", False, 1)),
-    "fiber_sum": (("left", "ref", True, None), ("left_surface", "str", True, None),
-                  ("right", "ref", True, None),
-                  ("right_surface", "str", True, None),
-                  ("prefix", "str", False, None)),
-}
+# parameter annotation -> value tag
+_TAGS = {int: "int", str: "str", str | None: "str", MarkedManifold: "ref"}
+
+
+def _callee(d: Definition) -> Callable[..., MarkedManifold]:
+    """The function a definition calls, looked up at call time: a block
+    through CATALOG, an operation through this module's globals."""
+    if d.kind == "block":
+        return CATALOG[d.ctor]
+    return globals()[_OPERATION[d.kind]]
+
+
+@functools.cache
+def _schema(fn: Callable[..., MarkedManifold]) -> _Schema:
+    """The arguments fn takes in a manifest, read from its signature."""
+    return tuple(
+        (p.name, _TAGS[p.annotation], p.default is p.empty,
+         None if p.default is p.empty else p.default)
+        for p in inspect.signature(fn, eval_str=True).parameters.values())
 
 
 def _bind(schema: _Schema, args: tuple[tuple[str | None, Value], ...],
@@ -365,8 +367,7 @@ def canonicalize(m: Manifest) -> Manifest:
         if not isinstance(item, Definition):
             items.append(item)
             continue
-        schema = (_BLOCK_SCHEMAS[item.ctor] if item.kind == "block"
-                  else _OP_SCHEMAS[item.ctor])
+        schema = _schema(_callee(item))
         bound = _bind(schema, item.args, item.ctor, item.line)
         args = []
         for name, tag, _, _ in schema:
@@ -386,19 +387,13 @@ def _build_definition(d: Definition, env: dict[str, MarkedManifold],
                                 d.line)
         return env[name]
 
-    if d.kind == "block":
-        bound = _bind(_BLOCK_SCHEMAS[d.ctor], d.args, d.ctor, d.line)
-        ctor: Callable[..., MarkedManifold] = CATALOG[d.ctor]
-        return ctor(**bound)
-    bound = _bind(_OP_SCHEMAS[d.ctor], d.args, d.ctor, d.line)
-    if d.kind == "surgery":
-        return torus_surgery(ref(bound["base"]), bound["site"],
-                             bound["k"], bound["m"])
-    if d.kind == "blowup":
-        return blow_up(ref(bound["base"]), bound["n"])
-    return fiber_sum(ref(bound["left"]), bound["left_surface"],
-                     ref(bound["right"]), bound["right_surface"],
-                     prefix=bound["prefix"])
+    fn = _callee(d)
+    schema = _schema(fn)
+    bound = _bind(schema, d.args, d.ctor, d.line)
+    for name, tag, _, _ in schema:
+        if tag == "ref":
+            bound[name] = ref(bound[name])
+    return fn(**bound)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ class SurgeryError(ValueError):
     pass
 
 
-def torus_surgery(M: MarkedManifold, site_name: str, k: int, m: int = 1,
+def torus_surgery(base: MarkedManifold, site: str, k: int, m: int = 1,
                   ) -> MarkedManifold:
-    """Perform coefficient-k/m torus surgery at one of M's sites.
+    """Perform coefficient-k/m torus surgery at one of base's sites.
 
     Requires k >= 0, m >= 1, gcd(k, m) = 1.  With k = 0 the surgery is the
     trivial (unsurgering) one, which forces m = 1 and reinstates the
@@ -44,35 +44,32 @@ def torus_surgery(M: MarkedManifold, site_name: str, k: int, m: int = 1,
     signature are unchanged; oddness of the intersection form survives,
     evenness need not.
     """
-    site = M.site(site_name)
+    datum = base.site(site)
     if k < 0 or m < 1:
         raise SurgeryError(f"bad surgery coefficient {k}/{m}")
     if gcd(k, m) != 1:
         raise SurgeryError(f"surgery coefficient {k}/{m} is not reduced")
-    if k == 0:
-        new_rel = site.unsurgered
-    else:
-        new_rel = gen(site.curve) ** k * (site.pushoff ** m).inverse()
-    old_rel = site.relator
+    new_rel = datum.surgered(k, m)
+    old_rel = datum.relator
 
-    pi1 = M.pi1.replace_relator(old_rel, new_rel)
+    pi1 = base.pi1.replace_relator(old_rel, new_rel)
     surfaces = tuple(
         replace(s, complement_pi1=s.complement_pi1.replace_relator(old_rel, new_rel))
         if old_rel in s.complement_pi1.relators else s
-        for s in M.surfaces)
+        for s in base.surfaces)
     sites = tuple(
-        replace(t, relator=new_rel) if t.name == site_name else t
-        for t in M.sites)
+        replace(t, relator=new_rel) if t.name == site else t
+        for t in base.sites)
     return MarkedManifold(
-        name=f"{M.name}+surg({site_name},{k},{m})",
-        euler=M.euler, signature=M.signature,
-        parity=("odd" if M.parity == "odd" else "unknown"),
-        symplectic=(M.symplectic and m == 1), minimal=None,
+        name=f"{base.name}+surg({site},{k},{m})",
+        euler=base.euler, signature=base.signature,
+        parity=("odd" if base.parity == "odd" else "unknown"),
+        symplectic=(base.symplectic and m == 1), minimal=None,
         pi1=pi1, surfaces=surfaces, sites=sites,
     )
 
 
-def blow_up(M: MarkedManifold, n: int = 1) -> MarkedManifold:
+def blow_up(base: MarkedManifold, n: int = 1) -> MarkedManifold:
     """Connected sum with n reversed projective planes.
 
     The fundamental group and all markings are untouched (the sum is taken
@@ -83,10 +80,10 @@ def blow_up(M: MarkedManifold, n: int = 1) -> MarkedManifold:
         raise SurgeryError("blow_up needs n >= 1")
     suffix = "#CP2bar" if n == 1 else f"#{n}CP2bar"
     return MarkedManifold(
-        name=M.name + suffix,
-        euler=M.euler + n, signature=M.signature - n,
-        parity="odd", symplectic=M.symplectic, minimal=False,
-        pi1=M.pi1, surfaces=M.surfaces, sites=M.sites,
+        name=base.name + suffix,
+        euler=base.euler + n, signature=base.signature - n,
+        parity="odd", symplectic=base.symplectic, minimal=False,
+        pi1=base.pi1, surfaces=base.surfaces, sites=base.sites,
     )
 
 

@@ -8,7 +8,7 @@ the divisibility chain on random matrices.  The fault-injection block
 feeds the built-in witness check broken Smith forms, each of which must
 raise.  The full-scan block keeps the pivot rule without its unit
 shortcuts as a reference, and requires the same D and the same logged
-operations from both.
+operations from both, with no swap of a line with itself.
 """
 
 import random
@@ -244,13 +244,15 @@ def full_scan_smith(m):
     row_ops, col_ops = [], []
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        row_ops.append(("swap", i, j))
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        col_ops.append(("swap", i, j))
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            col_ops.append(("swap", i, j))
 
     def add_row(src, dst, q):
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
@@ -304,6 +306,13 @@ def full_scan_smith(m):
     return a, row_ops, col_ops
 
 
+def identity_swaps(f):
+    """The logged swaps of a line with itself: a pivot already in place
+    needs no operation, so the log holds none."""
+    return [op for op in f.row_ops + f.col_ops
+            if op[0] == "swap" and op[1] == op[2]]
+
+
 def random_matrices(count, seed):
     """Seeded matrices of 1-9 rows and columns with entries in -6..6: some
     sparse like relation matrices, some with a zero row or column, and
@@ -331,6 +340,7 @@ def test_snf_matches_the_full_scan_oracle_on_random_matrices():
     for m in matrices:
         f = smith_normal_form(m)
         assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(m), m
+        assert not identity_swaps(f), m
 
 
 @pytest.mark.parametrize("n", [5, 20])
@@ -340,6 +350,7 @@ def test_snf_matches_the_full_scan_oracle_on_the_paper_family(n):
     for matrix in (m, [row for row in m if any(row)]):
         f = smith_normal_form(matrix)
         assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(matrix)
+        assert not identity_swaps(f)
 
 
 # -- cokernels / H1 -----------------------------------------------------------

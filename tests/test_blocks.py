@@ -4,8 +4,11 @@ surfaces and surgery sites, characteristic numbers, and H1 oracles.
 The _EXPECTED strings below were transcribed by hand, independently of
 blocks.py, from the blocks' standard presentations (products of surface
 groups twisted by the stated surgeries); any silent edit to a constructor
-shows up here as a relator diff.
+shows up here as a relator diff.  A SHA-256 over a grid of builds (blocks,
+surgeries and constructions) pins every other field as well.
 """
+
+import hashlib
 
 import pytest
 
@@ -23,8 +26,17 @@ from m4kit.blocks import (
     t4,
     t4b2,
 )
+from m4kit.constructions import (
+    cyclic_family,
+    exotic_cp2_2,
+    exotic_cp2_4,
+    exotic_cp2_6,
+    exotic_odd_cp2,
+    finite_cyclic_example,
+)
 from m4kit.presentation import FpPresentation, PresentationError, parse_presentation
-from m4kit.words import commutator, gen, parse_word
+from m4kit.surgery import blow_up, torus_surgery
+from m4kit.words import Word, commutator, gen, parse_word
 
 _EXPECTED = {
     "t2xg2(1,1)": """
@@ -80,6 +92,31 @@ _EXPECTED = {
         generators: c, d
         relator: c d c^-1 d^-1
     """,
+    "g2xgn(3,2)": """
+        generators: a1, b1, a2, b2, c1, d1, c2, d2, c3, d3
+        relator: b1^-1 d1^-1 b1 d1 a1^-1
+        relator: a1^-1 d1 a1 d1^-1 b1^-1
+        relator: b2^-1 d2^-1 b2 d2 a2^-1
+        relator: a2^-1 d2 a2 d2^-1 b2^-1
+        relator: d1^-1 b2^-1 d1 b2 c1^-1
+        relator: c1^-1 b2 c1 b2^-1 d1^-1
+        relator: d2^-1 b1^-1 d2 b1 c2^-1
+        relator: c2^-1 b1 c2 b1^-1 c2^-1 b1 c2 b1^-1 d2^-1
+        relator: a1 c1 a1^-1 c1^-1
+        relator: a1 c2 a1^-1 c2^-1
+        relator: a1 d2 a1^-1 d2^-1
+        relator: b1 c1 b1^-1 c1^-1
+        relator: a2 c1 a2^-1 c1^-1
+        relator: a2 c2 a2^-1 c2^-1
+        relator: a2 d1 a2^-1 d1^-1
+        relator: b2 c2 b2^-1 c2^-1
+        relator: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1
+        relator: c1 d1 c1^-1 d1^-1 c2 d2 c2^-1 d2^-1 c3 d3 c3^-1 d3^-1
+        relator: a1^-1 d3^-1 a1 d3 c3^-1
+        relator: a2^-1 c3^-1 a2 c3 d3^-1
+        relator: b1 c3 b1^-1 c3^-1
+        relator: b2 d3 b2^-1 d3^-1
+    """,
 }
 
 
@@ -90,6 +127,7 @@ _EXPECTED = {
     ("t4()", t4),
     ("t4b2()", t4b2),
     ("t2xs2b4()", t2xs2b4),
+    ("g2xgn(3,2)", lambda: g2xgn(3, 2)),
 ])
 def test_transcription_fixtures(key, build):
     expected = parse_presentation(_EXPECTED[key])
@@ -264,3 +302,85 @@ def test_surface_lookup_helpers():
     assert M.site("a2'xc'").curve == "c"
     with pytest.raises(KeyError):
         M.site("nope")
+
+
+# -- every build, pinned ------------------------------------------------------------
+
+def _canonical(x):
+    """A text form of a build that does not depend on the hash seed."""
+    if isinstance(x, frozenset):
+        return repr(sorted(x))
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_canonical, x)) + ")"
+    if hasattr(x, "__dataclass_fields__") and not isinstance(x, Word):
+        return type(x).__name__ + "(" + ", ".join(
+            f"{f}={_canonical(getattr(x, f))}"
+            for f in x.__dataclass_fields__) + ")"
+    return repr(x)
+
+
+def _builds():
+    """(label, thunk) for every block over a parameter grid, validation
+    errors included, surgery at every site of the blocks, and every
+    construction."""
+    grid = [(f"t2xg2({p},{q})", lambda p=p, q=q: t2xg2(p, q))
+            for p in range(-1, 4) for q in range(-1, 4)]
+    grid += [(f"g2xgn({n},{m})", lambda n=n, m=m: g2xgn(n, m))
+             for n in range(1, 6) for m in range(0, 4)]
+    grid += [(f"bt4({q},{r},{m})", lambda q=q, r=r, m=m: bt4(q, r, m))
+             for q in range(-1, 4) for r in range(-1, 4) for m in range(0, 4)]
+    grid += [(f"bt4({q},{r},1,{e1},{e3})",
+              lambda q=q, r=r, e1=e1, e3=e3: bt4(q, r, 1, e1, e3))
+             for q, r in ((0, 0), (1, 0), (1, 1), (2, 3))
+             for e1 in (1, -1, 0) for e3 in (1, -1, 2)]
+    grid += [(f"bbt4({q},{r})", lambda q=q, r=r: bbt4(q, r))
+             for q in range(-1, 5) for r in range(-1, 5)]
+    grid += [("t4()", t4), ("t4b2()", t4b2), ("t2xs2b4()", t2xs2b4)]
+    grid += [(f"blow_up(t4(),{n})", lambda n=n: blow_up(t4(), n))
+             for n in range(0, 3)]
+    for M in (t2xg2(1, 1), t2xg2(0, 0), g2xgn(3, 2), bt4(1, 1, 1),
+              bt4(0, 0, 1), bbt4(1, 1), t4(), t4b2()):
+        grid += [(f"torus_surgery({M.name},{s.name},{k},{m})",
+                  lambda M=M, s=s, k=k, m=m: torus_surgery(M, s.name, k, m))
+                 for s in M.sites
+                 for k, m in ((0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 4))]
+    grid += [(f"exotic_cp2_2({m},{e1},{e3})",
+              lambda m=m, e1=e1, e3=e3: exotic_cp2_2(m, eps1=e1, eps3=e3))
+             for m in (1, 2) for e1 in (1, -1) for e3 in (1, -1)]
+    grid += [(f"exotic_odd_cp2({n},{m})", lambda n=n, m=m: exotic_odd_cp2(n, m))
+             for n in range(2, 6) for m in range(1, 4)]
+    grid += [(f"exotic_odd_cp2(3,1,{e1},{e3})",
+              lambda e1=e1, e3=e3: exotic_odd_cp2(3, 1, eps1=e1, eps3=e3))
+             for e1 in (1, -1) for e3 in (1, -1)]
+    grid += [(f"cyclic_family({p},{m})", lambda p=p, m=m: cyclic_family(p, m))
+             for p in range(0, 4) for m in (1, 2)]
+    grid += [(f"exotic_cp2_4({m},{e1},{e3})",
+              lambda m=m, e1=e1, e3=e3: exotic_cp2_4(m, eps1=e1, eps3=e3))
+             for m in (1, 2) for e1 in (1, -1) for e3 in (1, -1)]
+    grid += [(f"exotic_cp2_6({m},{e1},{e3})",
+              lambda m=m, e1=e1, e3=e3: exotic_cp2_6(m, eps1=e1, eps3=e3))
+             for m in (1, 2) for e1 in (1, -1) for e3 in (1, -1)]
+    grid += [("finite_cyclic_example()", finite_cyclic_example)]
+    return grid
+
+
+def _build_digest() -> tuple[int, str]:
+    h = hashlib.sha256()
+    builds = _builds()
+    for label, build in builds:
+        try:
+            got = _canonical(build())
+        except ValueError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        h.update(f"{label} -> {got}\n".encode())
+    return len(builds), h.hexdigest()
+
+
+# every field of every build above, pinned: recompute only for a build
+# that is meant to change
+BUILD_DIGEST = (
+    440, "4c6400eb240b8b9cc034d66a61adeabca135cd388a47b9adbe3b98e47176eca9")
+
+
+def test_every_build_matches_its_pinned_digest():
+    assert _build_digest() == BUILD_DIGEST

@@ -2,14 +2,18 @@
 evaluation, deterministic reports, and process exit codes."""
 
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from m4kit import manifest, surgery
+from m4kit.blocks import CATALOG
 from m4kit.certify import certify
 from m4kit.cli import main
 from m4kit.manifest import (
@@ -375,3 +379,49 @@ def test_catalog_prints(capsys):
     out = capsys.readouterr().out
     for name in ("T2xG2", "G2xGn", "BT4", "BBT4", "T4b2", "T4", "T2xS2b4"):
         assert name in out
+
+
+OPERATIONS = ("torus_surgery", "blow_up", "fiber_sum")
+
+
+def test_catalog_calls_match_the_signatures(capsys):
+    # each block and operation call that `m4kit catalog` prints is the
+    # function's own parameter list, so a manifest can use those keywords
+    assert main(["catalog"]) == 0
+    printed = dict(re.findall(r"\b(\w+)\(([^()]*)\)", capsys.readouterr().out))
+    functions = {**CATALOG, **{op: vars(surgery)[op] for op in OPERATIONS}}
+    for name, fn in functions.items():
+        params = inspect.signature(fn).parameters.values()
+        expected = ", ".join(
+            p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in params)
+        assert printed[name] == expected, name
+
+
+# the argument schemas of the manifest language, transcribed by hand:
+# (parameter, value tag, required, default)
+SCHEMAS = {
+    "T2xG2": (("p", "int", True, None), ("q", "int", True, None)),
+    "G2xGn": (("n", "int", True, None), ("m", "int", True, None)),
+    "BT4": (("q", "int", True, None), ("r", "int", True, None),
+            ("m", "int", False, 1), ("eps1", "int", False, 1),
+            ("eps3", "int", False, -1)),
+    "BBT4": (("q", "int", True, None), ("r", "int", True, None)),
+    "T4b2": (),
+    "T4": (),
+    "T2xS2b4": (),
+    "torus_surgery": (("base", "ref", True, None), ("site", "str", True, None),
+                      ("k", "int", True, None), ("m", "int", False, 1)),
+    "blow_up": (("base", "ref", True, None), ("n", "int", False, 1)),
+    "fiber_sum": (("left", "ref", True, None),
+                  ("left_surface", "str", True, None),
+                  ("right", "ref", True, None),
+                  ("right_surface", "str", True, None),
+                  ("prefix", "str", False, None)),
+}
+
+
+def test_schemas_read_from_signatures_pin_the_language():
+    functions = {**CATALOG, **{op: vars(manifest)[op] for op in OPERATIONS}}
+    assert {name: manifest._schema(fn) for name, fn in functions.items()} \
+        == SCHEMAS

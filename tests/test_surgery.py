@@ -7,7 +7,7 @@ surgeries on the untwisted block.
 
 import pytest
 
-from m4kit.blocks import bt4, t2xg2, t2xs2b4, t4, t4b2
+from m4kit.blocks import bbt4, bt4, t2xg2, t2xs2b4, t4, t4b2
 from m4kit.presentation import ConditionalRelator
 from m4kit.surgery import SurgeryError, blow_up, fiber_sum, rename_manifold, torus_surgery
 from m4kit.words import commutator, cyclically_equal, gen, parse_word
@@ -95,6 +95,17 @@ def test_bt4_equals_surgered_blown_up_t4(q, r, m):
     assert (direct.euler, direct.signature) == (route.euler, route.signature)
     assert direct.parity == route.parity
     assert direct.symplectic == route.symplectic
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_bbt4_equals_surgered_t4b2(q, r):
+    route = torus_surgery(torus_surgery(
+        t4b2(), "alpha1'xalpha3'", q), "alpha2'xalpha3''", r)
+    direct = bbt4(q, r)
+    assert direct.pi1 == route.pi1
+    assert direct.sites == route.sites
+    assert direct.surfaces == route.surfaces      # the complement included
 
 
 def test_t4b2_is_t4_relabelled_for_its_sites():
