@@ -21,19 +21,7 @@ from .blocks import (
     t4,
     t4b2,
 )
-from .certify import (
-    Budget,
-    BudgetError,
-    Certificate,
-    CertificateFormatError,
-    FINITE_CYCLIC,
-    INCONCLUSIVE,
-    INFINITE_CYCLIC,
-    TRIVIAL,
-    certify,
-    commutation_closure,
-    simplify,
-)
+from .certify import Budget, BudgetError, certify, commutation_closure, simplify
 from .checker import CheckFailure, replay
 from .constructions import (
     cyclic_family,
@@ -72,6 +60,14 @@ from .presentation import (
     parse_presentation,
 )
 from .surgery import SurgeryError, blow_up, fiber_sum, rename_manifold, torus_surgery
+from .trace import (
+    Certificate,
+    CertificateFormatError,
+    FINITE_CYCLIC,
+    INCONCLUSIVE,
+    INFINITE_CYCLIC,
+    TRIVIAL,
+)
 from .words import (
     Word,
     WordSyntaxError,

@@ -17,13 +17,12 @@ gate downgrades any verdict whose abelianization disagrees.
 from __future__ import annotations
 
 import os
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Iterable
 
 from .abelian import AbelianGroup, h1
 from .coset import CosetCount, coset_enumeration
@@ -31,42 +30,35 @@ from .presentation import (
     ConditionalRelator,
     FpPresentation,
     MeridionalTier,
-    PresentationError,
     defining_rotation,
-    format_presentation,
-    parse_presentation,
 )
 from .trace import (
     ActivateConditional,
-    CertificateFormatError,
+    Certificate,
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
+    FINITE_CYCLIC,
+    INCONCLUSIVE,
+    INFINITE_CYCLIC,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
+    TRIVIAL,
     TraceStep,
-    json_field,
-    step_from_json,
-    step_to_json,
+    core_presentation,
+    parse_target,
+    target_of,
 )
 from .words import (
     Word,
-    WordSyntaxError,
     commutator,
     cyclic_reduce,
     cyclically_equal,
-    format_word,
     gen,
-    parse_word,
     rotate,
     substitute,
 )
-
-TRIVIAL = "trivial"
-INFINITE_CYCLIC = "infinite_cyclic"
-FINITE_CYCLIC = "finite_cyclic"
-INCONCLUSIVE = "inconclusive"
 
 
 class BudgetError(ValueError):
@@ -491,112 +483,6 @@ def commutation_closure(p: FpPresentation) -> frozenset[frozenset[str]]:
     return frozenset(state.pairs)
 
 
-# -- certificates -----------------------------------------------------------
-
-_NULL = type(None)
-# the JSON types of each certificate field, and of the items of list fields
-_FIELDS: dict[str, tuple[type, ...]] = {
-    "verdict": (str,), "generator": (str, _NULL), "order": (int, _NULL),
-    "reason": (str, _NULL), "presentation": (str,), "final": (str,),
-    "trace": (list,), "activated": (list,), "h1_rank": (int, _NULL),
-    "h1_torsion": (list, _NULL), "coset_index": (int, _NULL),
-    "coset_subgroup": (list, _NULL), "steps_used": (int,),
-    "target": (str, _NULL), "matches_target": (bool, _NULL),
-}
-_ITEMS = {"activated": str, "h1_torsion": int, "coset_subgroup": str}
-
-
-def core_presentation(p: FpPresentation,
-                      activated: Iterable[Word]) -> FpPresentation:
-    """The conditional-free core that coset corroboration runs on: p's
-    generators and relators plus every activated conditional relator."""
-    return FpPresentation(p.generators, p.relators + tuple(activated))
-
-
-@dataclass(frozen=True)
-class Certificate:
-    verdict: str
-    generator: str | None
-    order: int | None
-    reason: str | None
-    presentation: FpPresentation
-    final: FpPresentation
-    trace: tuple[TraceStep, ...]
-    activated: tuple[Word, ...]
-    h1_rank: int | None
-    h1_torsion: tuple[int, ...] | None
-    coset_index: int | None
-    coset_subgroup: tuple[str, ...] | None
-    steps_used: int
-    target: str | None
-    matches_target: bool | None
-
-    @property
-    def is_definite(self) -> bool:
-        return self.verdict != INCONCLUSIVE
-
-    def core(self) -> FpPresentation:
-        """The input relators plus the activated conditionals: a
-        presentation that the true group genuinely satisfies."""
-        return core_presentation(self.presentation, self.activated)
-
-    def describe(self) -> str:
-        if self.verdict == TRIVIAL:
-            return "trivial"
-        if self.verdict == INFINITE_CYCLIC:
-            return f"Z (generated by {self.generator})"
-        if self.verdict == FINITE_CYCLIC:
-            return f"Z/{self.order} (generated by {self.generator})"
-        return f"inconclusive: {self.reason}"
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema": "m4kit.certificate/1",
-            "verdict": self.verdict,
-            "generator": self.generator,
-            "order": self.order,
-            "reason": self.reason,
-            "presentation": format_presentation(self.presentation),
-            "final": format_presentation(self.final),
-            "trace": [step_to_json(s) for s in self.trace],
-            "activated": [format_word(w) for w in self.activated],
-            "h1_rank": self.h1_rank,
-            "h1_torsion": list(self.h1_torsion) if self.h1_torsion is not None else None,
-            "coset_index": self.coset_index,
-            "coset_subgroup": list(self.coset_subgroup)
-                              if self.coset_subgroup is not None else None,
-            "steps_used": self.steps_used,
-            "target": self.target,
-            "matches_target": self.matches_target,
-        }
-
-    @staticmethod
-    def from_json(data: Any) -> "Certificate":
-        """Decode to_json() output.  Raises CertificateFormatError on a
-        wrong schema or verdict, a missing field or a wrongly typed value."""
-        schema = json_field(data, "schema", "certificate", str)
-        if schema != "m4kit.certificate/1":
-            raise CertificateFormatError(f"unknown schema {schema!r}")
-        f = {key: json_field(data, key, "certificate", *kinds)
-             for key, kinds in _FIELDS.items()}
-        for key, kind in _ITEMS.items():
-            if f[key] is not None and any(type(x) is not kind for x in f[key]):
-                raise CertificateFormatError(
-                    f"certificate field {key!r} must list {kind.__name__} values")
-        if f["verdict"] not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC,
-                                INCONCLUSIVE):
-            raise CertificateFormatError(f"unknown verdict {f['verdict']!r}")
-        try:
-            f.update(presentation=parse_presentation(f["presentation"]),
-                     final=parse_presentation(f["final"]),
-                     trace=[step_from_json(s) for s in f["trace"]],
-                     activated=[parse_word(w) for w in f["activated"]])
-        except (PresentationError, WordSyntaxError) as exc:
-            raise CertificateFormatError(f"certificate: {exc}") from None
-        return Certificate(**{key: tuple(v) if type(v) is list else v
-                              for key, v in f.items()})
-
-
 def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str | None]:
     """(verdict, generator, order, reason) read off a terminal state."""
     if state.tiers:
@@ -626,24 +512,6 @@ def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str
     return (INCONCLUSIVE, None, None,
             f"simplification stalled with {len(state.gens)} generators and "
             f"{len(state.rels)} relators")
-
-
-_TARGETS = {TRIVIAL: "trivial", INFINITE_CYCLIC: "Z"}
-
-
-def target_of(verdict: str, order: int | None) -> str | None:
-    """The target a verdict meets: "trivial", "Z" or "Z/n"; None when
-    inconclusive."""
-    return f"Z/{order}" if verdict == FINITE_CYCLIC else _TARGETS.get(verdict)
-
-
-def parse_target(text: str) -> str:
-    """Return text if it is a target: "trivial", "Z" or "Z/n" with n >= 2
-    written without leading zeros.  Raises ValueError otherwise."""
-    if text in _TARGETS.values() or re.fullmatch(r"Z/([2-9]|[1-9]\d+)", text):
-        return text
-    raise ValueError(f"unknown target {text!r} (expected trivial, Z, or Z/n "
-                     "with n >= 2)")
 
 
 def certify(p: FpPresentation, target: str | None = None,

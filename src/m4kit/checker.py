@@ -2,13 +2,15 @@
 
 The checker rebuilds the derivation from a certificate's trace using word
 algebra only — free/cyclic reduction, rotation, substitution — and a pair
-set and an occurrence index it maintains itself.  It never consults the
+set and an occurrence index it maintains itself.  It imports words,
+presentations and the certificate format (trace.py), and no module of the
 engine, the abelianization or the coset enumerator, so a bug there cannot
 hide here: every step is re-verified against its own soundness contract
 (see trace.py) before it is applied, the terminal state must match the
 certificate's, and the verdict must be forced by that terminal state.
-The fields the trace and the verdict determine (step count, reason,
-target match, H1, coset index and subgroup) must agree with them.
+The fields the trace and the verdict determine (activated relators, step
+count, reason, generator, order, target match, H1, coset index and
+subgroup) must agree with them.
 
 Raises CheckFailure with a specific message on the first discrepancy.
 """
@@ -17,16 +19,19 @@ from __future__ import annotations
 
 from math import gcd
 
-from .certify import Certificate, FINITE_CYCLIC, INFINITE_CYCLIC, TRIVIAL
 from .presentation import ConditionalRelator, FpPresentation, MeridionalTier
 from .trace import (
     ActivateConditional,
+    Certificate,
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
+    FINITE_CYCLIC,
+    INFINITE_CYCLIC,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
+    TRIVIAL,
 )
 from .words import (
     Word,
@@ -58,10 +63,12 @@ class _Replay:
         self.next_key = 0
         for r in p.relators:
             self.put(None, cyclic_reduce(r))
-        self.conditional = [(c.relator, c.key) for c in p.conditional if c.relator]
+        # (current relator, current key, original relator)
+        self.conditional = [(c.relator, c.key, c.relator)
+                            for c in p.conditional if c.relator]
         self.tiers = [(t.label, t.key) for t in p.meridional]
         self.pairs: set[frozenset[str]] = set()
-        self.activations = 0
+        self.activated: list[Word] = []      # original forms, in order
 
     def paired(self, a: str, b: str) -> bool:
         return a == b or frozenset((a, b)) in self.pairs
@@ -169,10 +176,10 @@ class _Replay:
             return substitute(w, images) if s.gen in w.names() else w
 
         new_cond = []
-        for rel, key in self.conditional:
+        for rel, key, orig in self.conditional:
             rel2 = sub(rel)
             if rel2:
-                new_cond.append((rel2, sub(key)))
+                new_cond.append((rel2, sub(key), orig))
         self.conditional = new_cond
         self.tiers = [(label, sub(key)) for label, key in self.tiers]
         self.gens.remove(s.gen)
@@ -210,11 +217,11 @@ class _Replay:
         self.put(idx, after)
 
     def activate_conditional(self, s: ActivateConditional) -> None:
-        for k, (rel, key) in enumerate(self.conditional):
+        for k, (rel, key, orig) in enumerate(self.conditional):
             if rel == s.relator and not key:
                 del self.conditional[k]
                 self.put(None, cyclic_reduce(rel))
-                self.activations += 1
+                self.activated.append(orig)
                 return
         _fail(f"activate_conditional: no conditional relator "
               f"{format_word(s.relator)!r} with a trivial key")
@@ -231,7 +238,7 @@ class _Replay:
             generators=tuple(self.gens),
             relators=tuple(self.rels.values()),
             conditional=tuple(ConditionalRelator(rel, key)
-                              for rel, key in self.conditional),
+                              for rel, key, _ in self.conditional),
             meridional=tuple(MeridionalTier(label, key)
                              for label, key in self.tiers),
         )
@@ -267,8 +274,8 @@ def replay(cert: Certificate, presentation: FpPresentation | None = None) -> Non
     if state.snapshot() != cert.final:
         _fail("terminal state does not match the certificate's final "
               "presentation")
-    if state.activations != len(cert.activated):
-        _fail("activation count does not match the certificate")
+    if state.activated != list(cert.activated):
+        _fail("activated conditional relators do not match the certificate")
 
     # The verdict must be forced by the terminal state via word algebra.
     if cert.verdict == TRIVIAL:
@@ -313,8 +320,9 @@ def _target_of(verdict: str, order: int | None) -> str | None:
 def _check_forced_fields(cert: Certificate) -> None:
     """The fields the trace and the verdict determine must agree with them:
     the step count, the reason (null exactly when the verdict is definite),
-    the target match, and for a definite verdict its abelianization, the
-    coset index (1, or null when not corroborated) and the coset subgroup."""
+    the generator and order (null unless the verdict needs them), the
+    target match, and for a definite verdict its abelianization, the coset
+    index (1, or null when not corroborated) and the coset subgroup."""
     if cert.steps_used != len(cert.trace):
         _fail(f"steps_used is {cert.steps_used} but the trace has "
               f"{len(cert.trace)} steps")
@@ -322,6 +330,13 @@ def _check_forced_fields(cert: Certificate) -> None:
     if definite != (cert.reason is None):
         _fail(f"reason {cert.reason!r} for a {cert.verdict} verdict (must be "
               f"null exactly when the verdict is definite)")
+    if cert.generator is not None and \
+            cert.verdict not in (INFINITE_CYCLIC, FINITE_CYCLIC):
+        _fail(f"generator {cert.generator!r} for a {cert.verdict} verdict "
+              "(must be null unless the verdict is cyclic)")
+    if cert.order is not None and cert.verdict != FINITE_CYCLIC:
+        _fail(f"order {cert.order} for a {cert.verdict} verdict (must be "
+              f"null unless the verdict is {FINITE_CYCLIC})")
     if (cert.target is None) != (cert.matches_target is None):
         _fail("target and matches_target must both be set or both be null")
     if cert.target is not None and \

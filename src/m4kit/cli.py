@@ -26,15 +26,7 @@ from typing import Any
 
 from . import checker
 from .blocks import MarkedManifold
-from .certify import (
-    Budget,
-    BudgetError,
-    Certificate,
-    CertificateFormatError,
-    INCONCLUSIVE,
-    certify,
-    parse_target,
-)
+from .certify import Budget, BudgetError, certify
 from .geography import GeographyError, in_odd_region, realize_pair
 from .manifest import (
     Expectation,
@@ -45,6 +37,12 @@ from .manifest import (
     parse_manifest,
     report_json,
     run_manifest,
+)
+from .trace import (
+    Certificate,
+    CertificateFormatError,
+    INCONCLUSIVE,
+    parse_target,
 )
 
 EXIT_OK = 0
@@ -200,9 +198,13 @@ block constructors (use in `block NAME = CTOR(...)`):
 operations: torus_surgery(base, site, k, m=1), blow_up(base, n=1),
             fiber_sum(left, left_surface, right, right_surface, prefix=None)
 
-composites (python API, m4kit.constructions): exotic_cp2_2(m),
-exotic_odd_cp2(n, m), cyclic_family(p, m), exotic_cp2_4(m),
-exotic_cp2_6(m), finite_cyclic_example()"""
+composites (python API, m4kit.constructions):
+  exotic_cp2_2(m=1, *, eps1=1, eps3=-1)
+  exotic_odd_cp2(n, m=1, *, eps1=1, eps3=-1)
+  cyclic_family(p, m=1)
+  exotic_cp2_4(m=1, *, eps1=1, eps3=-1)
+  exotic_cp2_6(m=1, *, eps1=1, eps3=-1)
+  finite_cyclic_example()"""
 
 
 def _cmd_catalog(_args: argparse.Namespace) -> int:

@@ -25,18 +25,13 @@ Two services live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .blocks import MarkedManifold, SurgeryDatum, bbt4, bt4, g2xgn, t2xg2, t2xs2b4, t4b2
-from .certify import (
-    Budget,
-    Certificate,
-    INFINITE_CYCLIC,
-    TRIVIAL,
-    certify,
-)
+from .certify import Budget, certify
 from .coset import CosetCount, coset_enumeration
 from .surgery import fiber_sum, torus_surgery
+from .trace import Certificate, INFINITE_CYCLIC, TRIVIAL
 from .words import gen
 
 
@@ -196,7 +191,11 @@ def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
     site = M.site(site_name)
 
     closed_cert = certify(M.pi1, target="Z", budget=budget)
-    complement = M.pi1.without_relator(site.relator)
+    # the complement drops the first copy of the site's relator, which
+    # MarkedManifold guarantees is among the relators
+    relators = list(M.pi1.relators)
+    relators.remove(site.relator)
+    complement = replace(M.pi1, relators=tuple(relators))
     comp_cert = certify(complement, target="Z", budget=budget)
 
     meridian_dies = (

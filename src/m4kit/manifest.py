@@ -43,17 +43,11 @@ from typing import Any, Callable
 
 from . import checker
 from .blocks import CATALOG, MarkedManifold
-from .certify import (
-    Budget,
-    Certificate,
-    INCONCLUSIVE,
-    certify,
-    parse_target,
-    target_of,
-)
+from .certify import Budget, certify
 from .geography import GeographyError, coords, freedman_model, in_odd_region
 # the operations are looked up in globals() when a definition calls them
 from .surgery import blow_up, fiber_sum, torus_surgery
+from .trace import Certificate, INCONCLUSIVE, parse_target, target_of
 
 
 class ManifestError(ValueError):

@@ -91,15 +91,6 @@ class FpPresentation:
 
     # -- small immutable transforms ---------------------------------------
 
-    def without_relator(self, w: Word) -> "FpPresentation":
-        """Remove one occurrence of `w` (exact value) from the relator list."""
-        rels = list(self.relators)
-        try:
-            rels.remove(w)
-        except ValueError:
-            raise PresentationError(f"relator {format_word(w)!r} not present")
-        return replace(self, relators=tuple(rels))
-
     def replace_relator(self, old: Word, new: Word) -> "FpPresentation":
         rels = list(self.relators)
         try:

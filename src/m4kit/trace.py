@@ -1,7 +1,10 @@
-"""Replayable derivation steps.
+"""The certificate format: replayable derivation steps, the certificate
+that carries them, the verdict and target names, and the JSON codec.  The
+engine writes this format and the checker reads it; it depends on words
+and presentations only, so the checker depends on no engine module.
 
-Every move the certification engine makes is recorded as one of these
-steps.  Steps reference relators by *value* (the freely- and cyclically-
+Every move the certification engine makes is recorded as one of the
+steps below.  Steps reference relators by *value* (the freely- and cyclically-
 reduced word as it stands at that moment), never by index, so a checker
 that maintains its own copy of the state can find, verify and apply each
 step using word algebra alone.
@@ -46,14 +49,33 @@ dropped, and a conditional relator whose current form is empty is dropped
 as vacuous.  Keys are only freely reduced.  A rewrite keeps the relator's
 place, an activated relator comes last, and a step that names a relator
 held more than once acts on its first copy.
+
+A certificate's fields are its dataclass annotations, and one table maps
+each annotation to its JSON type, for steps and certificates alike:
+words and presentations are text, tuples are lists and a step is an
+object that names its kind.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable
 
+from .presentation import (
+    FpPresentation,
+    PresentationError,
+    format_presentation,
+    parse_presentation,
+)
 from .words import Word, WordSyntaxError, format_word, parse_word
+
+TRIVIAL = "trivial"
+INFINITE_CYCLIC = "infinite_cyclic"
+FINITE_CYCLIC = "finite_cyclic"
+INCONCLUSIVE = "inconclusive"
+
+_SCHEMA = "m4kit.certificate/1"
 
 
 class CertificateFormatError(ValueError):
@@ -129,16 +151,101 @@ _KINDS = {
 _NAMES = {cls: name for name, cls in _KINDS.items()}
 
 
-def step_to_json(step: TraceStep) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": _NAMES[type(step)]}
-    for f in step.__dataclass_fields__:
-        v = getattr(step, f)
-        out[f] = format_word(v) if isinstance(v, Word) else v
-    return out
+def core_presentation(p: FpPresentation,
+                      activated: Iterable[Word]) -> FpPresentation:
+    """The conditional-free core that coset corroboration runs on: p's
+    generators and relators plus every activated conditional relator."""
+    return FpPresentation(p.generators, p.relators + tuple(activated))
 
 
-# the JSON type of each step field type
-_JSON_TYPES = {"Word": str, "str": str, "int": int, "bool": bool}
+@dataclass(frozen=True)
+class Certificate:
+    verdict: str
+    generator: str | None
+    order: int | None
+    reason: str | None
+    presentation: FpPresentation
+    final: FpPresentation
+    trace: tuple[TraceStep, ...]
+    activated: tuple[Word, ...]
+    h1_rank: int | None
+    h1_torsion: tuple[int, ...] | None
+    coset_index: int | None
+    coset_subgroup: tuple[str, ...] | None
+    steps_used: int
+    target: str | None
+    matches_target: bool | None
+
+    @property
+    def is_definite(self) -> bool:
+        return self.verdict != INCONCLUSIVE
+
+    def core(self) -> FpPresentation:
+        """The input relators plus the activated conditionals: a
+        presentation that the true group genuinely satisfies."""
+        return core_presentation(self.presentation, self.activated)
+
+    def describe(self) -> str:
+        if self.verdict == TRIVIAL:
+            return "trivial"
+        if self.verdict == INFINITE_CYCLIC:
+            return f"Z (generated by {self.generator})"
+        if self.verdict == FINITE_CYCLIC:
+            return f"Z/{self.order} (generated by {self.generator})"
+        return f"inconclusive: {self.reason}"
+
+    def to_json(self) -> dict[str, Any]:
+        return {"schema": _SCHEMA, **_fields_to_json(self)}
+
+    @staticmethod
+    def from_json(data: Any) -> Certificate:
+        """Decode to_json() output.  Raises CertificateFormatError on a
+        wrong schema or verdict, a missing field or a wrongly typed value."""
+        schema = json_field(data, "schema", "certificate", str)
+        if schema != _SCHEMA:
+            raise CertificateFormatError(f"unknown schema {schema!r}")
+        cert = Certificate(**_fields_from_json(Certificate, data, "certificate"))
+        if cert.verdict not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC,
+                                INCONCLUSIVE):
+            raise CertificateFormatError(f"unknown verdict {cert.verdict!r}")
+        return cert
+
+
+_TARGETS = {TRIVIAL: "trivial", INFINITE_CYCLIC: "Z"}
+
+
+def target_of(verdict: str, order: int | None) -> str | None:
+    """The target a verdict meets: "trivial", "Z" or "Z/n"; None when
+    inconclusive."""
+    return f"Z/{order}" if verdict == FINITE_CYCLIC else _TARGETS.get(verdict)
+
+
+def parse_target(text: str) -> str:
+    """Return text if it is a target: "trivial", "Z" or "Z/n" with n >= 2
+    written without leading zeros.  Raises ValueError otherwise."""
+    if text in _TARGETS.values() or re.fullmatch(r"Z/([2-9]|[1-9]\d+)", text):
+        return text
+    raise ValueError(f"unknown target {text!r} (expected trivial, Z, or Z/n "
+                     "with n >= 2)")
+
+
+# -- the JSON codec ---------------------------------------------------------
+
+def _to_json(v: Any) -> Any:
+    if isinstance(v, Word):
+        return format_word(v)
+    if isinstance(v, FpPresentation):
+        return format_presentation(v)
+    if isinstance(v, tuple):
+        return [_to_json(x) for x in v]
+    if type(v) in _NAMES:
+        return {"kind": _NAMES[type(v)], **_fields_to_json(v)}
+    return v
+
+
+def _fields_to_json(obj: Any) -> dict[str, Any]:
+    """The fields of a step or certificate, in order, as JSON values."""
+    return {f: _to_json(getattr(obj, f)) for f in obj.__dataclass_fields__}
 
 
 def json_field(data: Any, key: str, what: str, *kinds: type) -> Any:
@@ -158,11 +265,36 @@ def step_from_json(data: Any) -> TraceStep:
     if kind not in _KINDS:
         raise CertificateFormatError(f"unknown trace step kind {kind!r}")
     cls = _KINDS[kind]
-    kwargs = {}
-    for f, spec in cls.__dataclass_fields__.items():
-        v = json_field(data, f, kind, _JSON_TYPES[spec.type])
+    return cls(**_fields_from_json(cls, data, kind))
+
+
+# each type a field annotation names -> (its JSON type, the decoder of a
+# value of that type); a JSON scalar decodes to itself.  An annotation is
+# T, T | None, tuple[T, ...] (a JSON list) or tuple[T, ...] | None.
+_JSON_TYPES: dict[str, tuple[type, Callable[[Any], Any]]] = {
+    "str": (str, str), "int": (int, int), "bool": (bool, bool),
+    "Word": (str, parse_word), "FpPresentation": (str, parse_presentation),
+    "TraceStep": (dict, step_from_json),
+}
+
+
+def _fields_from_json(cls: type, data: Any, what: str) -> dict[str, Any]:
+    """The fields of dataclass `cls`, each decoded from data by its
+    annotation."""
+    out = {}
+    for key, spec in cls.__dataclass_fields__.items():
+        base = spec.type.removesuffix(" | None")
+        nulls = (type(None),) if base != spec.type else ()
+        item = base.removeprefix("tuple[").removesuffix(", ...]")
+        kind, decode = _JSON_TYPES[item]
+        v = json_field(data, key, what, kind if item == base else list, *nulls)
+        if item != base and v is not None and \
+                any(type(x) is not kind for x in v):
+            raise CertificateFormatError(
+                f"{what} field {key!r} must list {kind.__name__} values")
         try:
-            kwargs[f] = parse_word(v) if spec.type == "Word" else v
-        except WordSyntaxError as exc:
-            raise CertificateFormatError(f"{kind} field {f!r}: {exc}") from None
-    return cls(**kwargs)
+            out[key] = (v if v is None else decode(v) if item == base
+                        else tuple(map(decode, v)))
+        except (PresentationError, WordSyntaxError) as exc:
+            raise CertificateFormatError(f"{what} field {key!r}: {exc}") from None
+    return out

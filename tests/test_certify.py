@@ -10,11 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from m4kit.certify import (
     Budget,
-    Certificate,
-    FINITE_CYCLIC,
-    INCONCLUSIVE,
-    INFINITE_CYCLIC,
-    TRIVIAL,
     certify,
     commutation_closure,
     simplify,
@@ -38,9 +33,14 @@ from m4kit.presentation import (
     defining_rotation,
 )
 from m4kit.trace import (
+    Certificate,
     CertificateFormatError,
     CommutationCancel,
+    FINITE_CYCLIC,
+    INCONCLUSIVE,
+    INFINITE_CYCLIC,
     PairFromDefinition,
+    TRIVIAL,
 )
 from m4kit.words import (
     Word,

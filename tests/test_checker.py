@@ -8,12 +8,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from m4kit.certify import Budget, Certificate, certify
+from m4kit.certify import Budget, certify
 from m4kit.checker import CheckFailure, _HANDLERS, _Replay, replay
 from m4kit.cli import main
+from m4kit.constructions import exotic_cp2_2
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier
 from m4kit.trace import (
     ActivateConditional,
+    Certificate,
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
@@ -163,6 +165,7 @@ def edited(data, **fields):
     {"h1_rank": 5},
     {"steps_used": 999},                     # the trace has fewer steps
     {"reason": "forged"},                    # a reason on a definite verdict
+    {"order": 5},                            # an order on a Z verdict
 ])
 def test_forced_field_edits_rejected(probe, fields):
     replay(edited(probe))
@@ -233,6 +236,33 @@ def test_cli_replay_exits_fail_on_free_field_edit(probe, tmp_path, capsys,
     path.write_text(json.dumps({**probe, **fields}))
     assert main(["replay", str(path)]) == 1
     assert str(next(iter(fields.values()))) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cp2():
+    c = certify(exotic_cp2_2().pi1, target="trivial")
+    assert c.verdict == "trivial" and len(c.activated) == 1
+    return c.to_json()
+
+
+# one forged field each; the forged activation keeps the count, and the
+# core that the coset enumeration runs on is built from these words
+FORGERIES = {"order": -1, "generator": "zz", "activated": ["a1"]}
+
+
+@pytest.mark.parametrize("field", sorted(FORGERIES))
+def test_generator_order_and_activated_are_checked(cp2, field):
+    replay(edited(cp2))
+    with pytest.raises(CheckFailure, match=field):
+        replay(edited(cp2, **{field: FORGERIES[field]}))
+
+
+@pytest.mark.parametrize("field", sorted(FORGERIES))
+def test_cli_replay_exits_fail_on_forged_field(cp2, tmp_path, capsys, field):
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps({**cp2, field: FORGERIES[field]}))
+    assert main(["replay", str(path)]) == 1
+    assert "REPLAY FAILED" in capsys.readouterr().err
 
 
 # -- the occurrence index ----------------------------------------------------

@@ -1,6 +1,7 @@
 """The manifest DSL and the command-line pipeline: grammar, canonical form,
 evaluation, deterministic reports, and process exit codes."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from m4kit import manifest, surgery
+from m4kit import constructions, manifest, surgery
 from m4kit.blocks import CATALOG
 from m4kit.certify import certify
 from m4kit.cli import main
@@ -28,6 +29,7 @@ from m4kit.manifest import (
     run_manifest,
 )
 from m4kit.presentation import parse_presentation
+from m4kit.trace import Certificate
 
 GOOD = """\
 # a twisted product and a blown-up torus, glued
@@ -339,9 +341,34 @@ def _mangle_distinguished(cert):
     cert["presentation"] += "\ndistinguished: mu = a"
 
 
-@pytest.mark.parametrize("mangle", [_mangle_schema, _mangle_kind,
-                                    _mangle_missing_field, _mangle_rotation,
-                                    _mangle_distinguished])
+def _mangle_item(key, item):
+    def mangle(cert):
+        cert[key] = [item]
+    return mangle
+
+
+def _mangle_to_object(key):
+    def mangle(cert):
+        cert[key] = {}
+    return mangle
+
+
+MANGLES = [
+    pytest.param(m, id=m.__name__) for m in (
+        _mangle_schema, _mangle_kind, _mangle_missing_field, _mangle_rotation,
+        _mangle_distinguished)
+] + [
+    # every certificate field decodes from its own JSON type only
+    pytest.param(_mangle_to_object(f.name), id=f"{f.name}={{}}")
+    for f in dataclasses.fields(Certificate)
+] + [
+    pytest.param(_mangle_item(key, item), id=f"{key}[0]={item!r}")
+    for key, item in (("h1_torsion", "1"), ("coset_subgroup", 1),
+                      ("activated", 1))
+]
+
+
+@pytest.mark.parametrize("mangle", MANGLES)
 def test_exit_usage_on_malformed_certificate(tmp_path, capsys, mangle):
     p = parse_presentation("generators: a, b\nrelator: [a, b]\n"
                            "relator: a b^2 a^-1 b^-1")
@@ -384,9 +411,14 @@ def test_catalog_prints(capsys):
 OPERATIONS = ("torus_surgery", "blow_up", "fiber_sum")
 
 
+COMPOSITES = ("exotic_cp2_2", "exotic_odd_cp2", "cyclic_family",
+              "exotic_cp2_4", "exotic_cp2_6", "finite_cyclic_example")
+
+
 def test_catalog_calls_match_the_signatures(capsys):
     # each block and operation call that `m4kit catalog` prints is the
     # function's own parameter list, so a manifest can use those keywords
+    # (and, as the manifest binds them, any of them positionally)
     assert main(["catalog"]) == 0
     printed = dict(re.findall(r"\b(\w+)\(([^()]*)\)", capsys.readouterr().out))
     functions = {**CATALOG, **{op: vars(surgery)[op] for op in OPERATIONS}}
@@ -396,6 +428,16 @@ def test_catalog_calls_match_the_signatures(capsys):
             p.name if p.default is p.empty else f"{p.name}={p.default!r}"
             for p in params)
         assert printed[name] == expected, name
+    # each composite is a python call: its signature, keyword-only marker
+    # included, without the annotations
+    assert set(COMPOSITES) == {
+        name for name, fn in vars(constructions).items()
+        if inspect.isfunction(fn) and fn.__module__ == constructions.__name__}
+    for name in COMPOSITES:
+        sig = inspect.signature(vars(constructions)[name])
+        bare = sig.replace(return_annotation=sig.empty, parameters=[
+            p.replace(annotation=p.empty) for p in sig.parameters.values()])
+        assert printed[name] == str(bare)[1:-1], name
 
 
 # the argument schemas of the manifest language, transcribed by hand:

@@ -47,13 +47,6 @@ def test_validation_covers_conditional_and_tier_keys():
 def test_with_and_without_relator():
     p = FpPresentation(AB.generators, AB.relators + (parse_word("a^2"),))
     assert parse_word("a^2") in p.relators
-    q = p.without_relator(parse_word("a^2"))
-    assert q.relators == AB.relators
-
-
-def test_without_relator_is_exact_value_match():
-    with pytest.raises(PresentationError):
-        AB.without_relator(parse_word("b a b^-1 a^-1"))  # cyclic sibling only
 
 
 def test_replace_relator_preserves_position():

@@ -21,12 +21,6 @@ def test_no_check_rests_on_assert(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
-# what checker.py may take from the engine: the certificate it replays and the
-# names of the verdicts; everything else it re-derives by word algebra
-CHECKER_MAY_IMPORT = {"Certificate", "TRIVIAL", "INFINITE_CYCLIC",
-                      "FINITE_CYCLIC", "INCONCLUSIVE"}
-
-
 def imports_of(path):
     """Map each package module that `path` imports from to the names it
     takes (an empty set for a whole-module import)."""
@@ -47,11 +41,32 @@ def imports_of(path):
     return found
 
 
+def package_modules_reached(name):
+    """The package modules that module `name` imports, directly or through
+    the modules it imports."""
+    seen, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module not in seen and (PACKAGE / f"{module}.py").exists():
+            seen.add(module)
+            todo.extend(imports_of(PACKAGE / f"{module}.py"))
+    return seen - {name}
+
+
 def test_checker_stays_independent_of_the_engine():
-    imported = imports_of(PACKAGE / "checker.py")
-    assert imported.get("certify", set()) <= CHECKER_MAY_IMPORT, \
-        imported["certify"] - CHECKER_MAY_IMPORT
-    assert "coset" not in imported and "abelian" not in imported
+    # the checker re-derives everything by word algebra from the format it
+    # reads, so no engine, H1 or coset module may sit under it
+    assert package_modules_reached("checker") <= {"words", "presentation",
+                                                  "trace"}
+    # the rule sees a module that is reached only through another
+    assert {"certify", "abelian", "coset"} <= package_modules_reached("cli")
+
+
+def test_the_engine_leaves_json_to_the_certificate_format():
+    json_helpers = {"json_field", "step_to_json", "step_from_json",
+                    "format_presentation", "parse_presentation"}
+    imported = imports_of(PACKAGE / "certify.py")
+    assert not set().union(*imported.values()) & json_helpers
 
 
 BENCH = PACKAGE.parent.parent / "bench"
