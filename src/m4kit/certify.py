@@ -46,7 +46,9 @@ from .trace import (
     ReplaceSubword,
     TRIVIAL,
     TraceStep,
+    coset_subgroup_of,
     core_presentation,
+    h1_of,
     parse_target,
     target_of,
 )
@@ -546,11 +548,7 @@ def certify(p: FpPresentation, target: str | None = None,
         basis = p.strip_meridional()
         ab = h1(basis, include_h1_safe_conditionals=True)
         h1_rank, h1_torsion = ab.rank, ab.torsion
-        expected = {
-            TRIVIAL: AbelianGroup(0),
-            INFINITE_CYCLIC: AbelianGroup(1),
-            FINITE_CYCLIC: AbelianGroup(0, (order,) if order else ()),
-        }[verdict]
+        expected = AbelianGroup(*h1_of(verdict, order))
         if ab != expected:
             verdict, generator, order, reason = (
                 INCONCLUSIVE, None, None,
@@ -558,8 +556,7 @@ def certify(p: FpPresentation, target: str | None = None,
                 f"{expected} answer but H1 of the input is {ab}")
 
     if verdict != INCONCLUSIVE and budget.corroborate:
-        # a definite verdict names a generator exactly when it is cyclic
-        subgroup_names = () if generator is None else (generator,)
+        subgroup_names = coset_subgroup_of(verdict, generator)
         result = coset_enumeration(core_presentation(p, state.activated),
                                    [gen(g) for g in subgroup_names],
                                    max_cosets=budget.max_cosets)

@@ -7,10 +7,10 @@ presentations and the certificate format (trace.py), and no module of the
 engine, the abelianization or the coset enumerator, so a bug there cannot
 hide here: every step is re-verified against its own soundness contract
 (see trace.py) before it is applied, the terminal state must match the
-certificate's, and the verdict must be forced by that terminal state.
-The fields the trace and the verdict determine (activated relators, step
-count, reason, generator, order, target match, H1, coset index and
-subgroup) must agree with them.
+certificate's, and a definite verdict, generator and order must be the
+checker's own reading of that state.  The fields the trace and the
+verdict determine (activated relators, step count, reason, target, H1,
+coset index and subgroup) must agree with them, by the rules in trace.py.
 
 Raises CheckFailure with a specific message on the first discrepancy.
 """
@@ -27,11 +27,16 @@ from .trace import (
     DischargeMeridional,
     Eliminate,
     FINITE_CYCLIC,
+    INCONCLUSIVE,
     INFINITE_CYCLIC,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
     TRIVIAL,
+    coset_subgroup_of,
+    h1_of,
+    parse_target,
+    target_of,
 )
 from .words import (
     Word,
@@ -277,85 +282,65 @@ def replay(cert: Certificate, presentation: FpPresentation | None = None) -> Non
     if state.activated != list(cert.activated):
         _fail("activated conditional relators do not match the certificate")
 
-    # The verdict must be forced by the terminal state via word algebra.
-    if cert.verdict == TRIVIAL:
-        if state.tiers:
-            _fail("trivial verdict with an undischarged meridional tier")
-        if state.gens:
-            _fail("trivial verdict but generators remain")
-    elif cert.verdict in (INFINITE_CYCLIC, FINITE_CYCLIC):
-        if state.tiers:
-            _fail("cyclic verdict with an undischarged meridional tier")
-        if state.conditional:
-            _fail("cyclic verdict with unactivated conditional relators")
-        if len(state.gens) != 1 or state.gens[0] != cert.generator:
-            _fail(f"cyclic verdict: surviving generators {state.gens} do not "
-                  f"match claimed generator {cert.generator!r}")
-        d = 0
-        for r in state.rels.values():
-            if r.names() != {cert.generator}:
-                _fail("cyclic verdict: non-power relator survives")
-            d = gcd(d, abs(r.exponent_sum(cert.generator)))
-        if cert.verdict == INFINITE_CYCLIC and d != 0:
-            _fail(f"claimed Z but relators force order {d}")
-        if cert.verdict == FINITE_CYCLIC and (d < 2 or d != cert.order):
-            _fail(f"claimed Z/{cert.order} but relator exponents have gcd {d}")
-    else:
-        # Inconclusive certificates claim no group; the replay above already
-        # confirmed the trace is honest.
-        pass
+    claim = (cert.verdict, cert.generator, cert.order)
+    reading = _reading(state)
+    if claim not in ((INCONCLUSIVE, None, None), reading):
+        _fail(f"(verdict, generator, order) {claim} is neither inconclusive "
+              f"nor what the terminal state forces: {reading}")
     _check_forced_fields(cert)
 
 
-def _target_of(verdict: str, order: int | None) -> str | None:
-    if verdict == TRIVIAL:
-        return "trivial"
-    if verdict == INFINITE_CYCLIC:
-        return "Z"
-    if verdict == FINITE_CYCLIC:
-        return f"Z/{order}"
-    return None
+def _reading(state: _Replay) -> tuple[str, str | None, int | None] | str:
+    """The (verdict, generator, order) that a terminal state forces by word
+    algebra alone, or why it forces none."""
+    if state.tiers:
+        return "an undischarged meridional tier"
+    if not state.gens:
+        return TRIVIAL, None, None
+    if len(state.gens) > 1:
+        return f"generators {state.gens} survive"
+    if state.conditional:
+        return "unactivated conditional relators"
+    g = state.gens[0]
+    d = gcd(*(r.exponent_sum(g) for r in state.rels.values()))
+    if d == 1:
+        return "relator exponents have gcd 1"
+    return (INFINITE_CYCLIC, g, None) if d == 0 else (FINITE_CYCLIC, g, d)
 
 
 def _check_forced_fields(cert: Certificate) -> None:
     """The fields the trace and the verdict determine must agree with them:
     the step count, the reason (null exactly when the verdict is definite),
-    the generator and order (null unless the verdict needs them), the
-    target match, and for a definite verdict its abelianization, the coset
-    index (1, or null when not corroborated) and the coset subgroup."""
+    the target (a target, with its match recorded), and for a definite
+    verdict its abelianization, the coset index (1, or null when not
+    corroborated) and the coset subgroup."""
     if cert.steps_used != len(cert.trace):
         _fail(f"steps_used is {cert.steps_used} but the trace has "
               f"{len(cert.trace)} steps")
-    definite = cert.verdict in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC)
-    if definite != (cert.reason is None):
+    if cert.is_definite != (cert.reason is None):
         _fail(f"reason {cert.reason!r} for a {cert.verdict} verdict (must be "
               f"null exactly when the verdict is definite)")
-    if cert.generator is not None and \
-            cert.verdict not in (INFINITE_CYCLIC, FINITE_CYCLIC):
-        _fail(f"generator {cert.generator!r} for a {cert.verdict} verdict "
-              "(must be null unless the verdict is cyclic)")
-    if cert.order is not None and cert.verdict != FINITE_CYCLIC:
-        _fail(f"order {cert.order} for a {cert.verdict} verdict (must be "
-              f"null unless the verdict is {FINITE_CYCLIC})")
     if (cert.target is None) != (cert.matches_target is None):
         _fail("target and matches_target must both be set or both be null")
-    if cert.target is not None and \
-            cert.matches_target != (_target_of(cert.verdict, cert.order)
-                                    == cert.target):
-        _fail(f"matches_target is {cert.matches_target} for a "
-              f"{_target_of(cert.verdict, cert.order) or 'inconclusive'} "
-              f"verdict and target {cert.target!r}")
-    if not definite:
+    if cert.target is not None:
+        try:
+            parse_target(cert.target)
+        except ValueError as exc:
+            _fail(str(exc))
+        met = target_of(cert.verdict, cert.order)
+        if cert.matches_target != (met == cert.target):
+            _fail(f"matches_target is {cert.matches_target} for a "
+                  f"{met or 'inconclusive'} verdict and target {cert.target!r}")
+    if not cert.is_definite:
         return
-    h1 = {TRIVIAL: (0, ()), INFINITE_CYCLIC: (1, ())}.get(
-        cert.verdict, (0, (cert.order,)))
+    h1 = h1_of(cert.verdict, cert.order)
     if (cert.h1_rank, cert.h1_torsion) != h1:
         _fail(f"h1 rank {cert.h1_rank} torsion {cert.h1_torsion} is not "
               f"the {cert.verdict} verdict's (rank {h1[0]}, torsion {h1[1]})")
     if cert.coset_index not in (None, 1):
         _fail(f"coset index {cert.coset_index} for a definite verdict "
               "(must be 1 or null)")
-    subgroup = () if cert.verdict == TRIVIAL else (cert.generator,)
+    subgroup = coset_subgroup_of(cert.verdict, cert.generator)
     if cert.coset_subgroup not in (None, subgroup):
         _fail(f"coset subgroup {cert.coset_subgroup} for a {cert.verdict} "
               f"verdict (must be {list(subgroup)} or null)")

@@ -9,8 +9,9 @@
 
 Exit codes: 0 success; 1 an expectation or verification failed; 2 the
 input was malformed (parse error, unknown name, bad arguments, a malformed
-certificate or --target); 3 the
-certification budget was exhausted before a definite verdict.
+certificate or --target) or could not be read (a missing or unreadable
+file, or one that is not UTF-8); 3 the certification budget was exhausted
+before a definite verdict.
 
 The coset budget honours the M4KIT_BUDGET_COSETS environment variable and
 the --max-cosets flag (the flag wins); either must be a positive integer,
@@ -42,6 +43,7 @@ from .trace import (
     Certificate,
     CertificateFormatError,
     INCONCLUSIVE,
+    INFINITE_CYCLIC,
     parse_target,
 )
 
@@ -161,8 +163,8 @@ def _cmd_geography(args: argparse.Namespace) -> int:
     if args.output:
         _write_json(args.output, data)
         print(f"report written to {args.output}")
-    ok = (r.closed_certificate.verdict == "infinite_cyclic"
-          and r.complement_certificate.verdict == "infinite_cyclic"
+    ok = (r.closed_certificate.verdict == INFINITE_CYCLIC
+          and r.complement_certificate.verdict == INFINITE_CYCLIC
           and r.meridian_dies and r.torus_surjects)
     if ok:
         return EXIT_OK
@@ -313,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CertificateFormatError, json.JSONDecodeError) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except checker.CheckFailure as exc:

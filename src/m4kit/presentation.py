@@ -142,9 +142,10 @@ def defining_rotation(r: Word, name: str) -> Word | None:
 
 # -- text form -------------------------------------------------------------
 #
-# Line oriented.  `relator:` lines accept either a bare word or an equation
-# `lhs = rhs` (meaning the relator lhs rhs^-1); the formatter always emits
-# bare words.  This is the fixture/display format, not the manifest DSL.
+# Line oriented: one `kind: ...` line per generator list, relator,
+# conditional relator and tier, exactly as format_presentation writes them,
+# so parsing reads back every presentation, empty relators included.  This
+# is the fixture/display format, not the manifest DSL.
 
 def format_presentation(p: FpPresentation) -> str:
     lines = ["generators: " + ", ".join(p.generators)]
@@ -156,13 +157,6 @@ def format_presentation(p: FpPresentation) -> str:
     return "\n".join(lines)
 
 
-def _parse_relator_text(text: str) -> Word:
-    if "=" in text:
-        lhs, _, rhs = text.partition("=")
-        return parse_word(lhs) * parse_word(rhs).inverse()
-    return parse_word(text)
-
-
 def parse_presentation(text: str) -> FpPresentation:
     generators: tuple[str, ...] = ()
     relators: list[Word] = []
@@ -170,7 +164,7 @@ def parse_presentation(text: str) -> FpPresentation:
     meridional: list[MeridionalTier] = []
     saw_generators = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.strip()
         if not line:
             continue
         kind, sep, rest = line.partition(":")
@@ -183,14 +177,13 @@ def parse_presentation(text: str) -> FpPresentation:
                 saw_generators = True
                 generators = tuple(g.strip() for g in rest.split(",") if g.strip())
             elif kind == "relator":
-                relators.append(_parse_relator_text(rest))
+                relators.append(parse_word(rest))
             elif kind == "conditional":
                 rel_text, sep2, key_text = rest.rpartition(":")
                 if not sep2:
                     raise PresentationError("conditional needs 'relator : key'")
-                conditional.append(ConditionalRelator(
-                    _parse_relator_text(rel_text.strip()),
-                    parse_word(key_text.strip())))
+                conditional.append(ConditionalRelator(parse_word(rel_text),
+                                                      parse_word(key_text)))
             elif kind == "meridional":
                 label, sep2, key_text = rest.partition(":")
                 if not sep2:
@@ -205,7 +198,7 @@ def parse_presentation(text: str) -> FpPresentation:
         raise PresentationError("missing 'generators:' line")
     return FpPresentation(
         generators=generators,
-        relators=tuple(r for r in relators if r),
+        relators=tuple(relators),
         conditional=tuple(conditional),
         meridional=tuple(meridional),
     )

@@ -1,7 +1,8 @@
 """The certificate format: replayable derivation steps, the certificate
-that carries them, the verdict and target names, and the JSON codec.  The
-engine writes this format and the checker reads it; it depends on words
-and presentations only, so the checker depends on no engine module.
+that carries them, the verdict and target names, the rules for what a
+verdict means, and the JSON codec.  The engine writes this format and the
+checker reads it; it depends on words and presentations only, so the
+checker depends on no engine module.
 
 Every move the certification engine makes is recorded as one of the
 steps below.  Steps reference relators by *value* (the freely- and cyclically-
@@ -79,8 +80,8 @@ _SCHEMA = "m4kit.certificate/1"
 
 
 class CertificateFormatError(ValueError):
-    """Certificate JSON that does not decode: wrong schema, unknown step
-    kind, missing field or a field of the wrong type."""
+    """Certificate JSON that does not decode: wrong schema, verdict or
+    target, unknown step kind, missing field or a field of the wrong type."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,13 +187,11 @@ class Certificate:
         return core_presentation(self.presentation, self.activated)
 
     def describe(self) -> str:
-        if self.verdict == TRIVIAL:
-            return "trivial"
-        if self.verdict == INFINITE_CYCLIC:
-            return f"Z (generated by {self.generator})"
-        if self.verdict == FINITE_CYCLIC:
-            return f"Z/{self.order} (generated by {self.generator})"
-        return f"inconclusive: {self.reason}"
+        target = target_of(self.verdict, self.order)
+        if target is None:
+            return f"inconclusive: {self.reason}"
+        return target + (f" (generated by {self.generator})"
+                         if self.generator else "")
 
     def to_json(self) -> dict[str, Any]:
         return {"schema": _SCHEMA, **_fields_to_json(self)}
@@ -200,7 +199,8 @@ class Certificate:
     @staticmethod
     def from_json(data: Any) -> Certificate:
         """Decode to_json() output.  Raises CertificateFormatError on a
-        wrong schema or verdict, a missing field or a wrongly typed value."""
+        wrong schema, verdict or target, a missing field or a wrongly typed
+        value."""
         schema = json_field(data, "schema", "certificate", str)
         if schema != _SCHEMA:
             raise CertificateFormatError(f"unknown schema {schema!r}")
@@ -208,8 +208,15 @@ class Certificate:
         if cert.verdict not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC,
                                 INCONCLUSIVE):
             raise CertificateFormatError(f"unknown verdict {cert.verdict!r}")
+        if cert.target is not None:
+            try:
+                parse_target(cert.target)
+            except ValueError as exc:
+                raise CertificateFormatError(str(exc)) from None
         return cert
 
+
+# -- what a verdict means ---------------------------------------------------
 
 _TARGETS = {TRIVIAL: "trivial", INFINITE_CYCLIC: "Z"}
 
@@ -218,6 +225,19 @@ def target_of(verdict: str, order: int | None) -> str | None:
     """The target a verdict meets: "trivial", "Z" or "Z/n"; None when
     inconclusive."""
     return f"Z/{order}" if verdict == FINITE_CYCLIC else _TARGETS.get(verdict)
+
+
+def h1_of(verdict: str, order: int | None) -> tuple[int, tuple[int, ...]]:
+    """(rank, torsion) of the group a definite verdict names."""
+    if verdict == FINITE_CYCLIC:
+        return 0, (order,)
+    return {TRIVIAL: 0, INFINITE_CYCLIC: 1}[verdict], ()
+
+
+def coset_subgroup_of(verdict: str, generator: str | None) -> tuple[str, ...]:
+    """The subgroup whose coset index a definite verdict makes 1: the
+    trivial one, or the cyclic verdict's generator."""
+    return () if verdict == TRIVIAL else (generator,)
 
 
 def parse_target(text: str) -> str:

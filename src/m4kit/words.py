@@ -274,7 +274,10 @@ def parse_word(text: str) -> Word:
     >>> parse_word("1")                # identity
     """
     parser = _WordParser(text)
-    parser.word()               # with no stop token it reads every token
+    try:
+        parser.word()           # with no stop token it reads every token
+    except RecursionError:
+        raise WordSyntaxError("brackets nest too deeply") from None
     return Word(tuple(parser.out))
 
 

@@ -6,7 +6,7 @@ import importlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from m4kit.certify import (
     Budget,
@@ -209,6 +209,33 @@ def test_certificate_json_round_trip():
     data["presentation"] += "\ndistinguished: mu = a"
     with pytest.raises(CertificateFormatError):
         Certificate.from_json(data)
+
+
+@st.composite
+def presentations_with_empty_words(draw):
+    gens = [f"g{i}" for i in range(draw(st.integers(1, 4)))]
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    word = st.lists(letter, max_size=6).map(lambda ls: Word(tuple(ls)))
+    cond = draw(st.lists(st.tuples(word, word), max_size=2))
+    tiers = draw(st.lists(word, max_size=2))
+    return FpPresentation(
+        tuple(gens), tuple(draw(st.lists(word, max_size=6))),
+        tuple(ConditionalRelator(rel, key) for rel, key in cond),
+        tuple(MeridionalTier(f"t{i}", key) for i, key in enumerate(tiers)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_with_empty_words(),
+       st.sampled_from([None, "trivial", "Z", "Z/2"]))
+@example(pres("a b", "1", "a", "b"), None)
+def test_certificate_json_round_trip_keeps_every_presentation(p, target):
+    # the presentation text reads back what it writes, empty relators,
+    # conditionals and tiers included, so a decoded certificate replays
+    c = certify(p, target=target,
+                budget=Budget(max_cosets=2000, max_derivation_steps=200))
+    decoded = Certificate.from_json(json.loads(json.dumps(c.to_json())))
+    assert decoded == c
+    replay(decoded, p)
 
 
 # SHA-256 of the certificate JSON (sort_keys=True) of the engine-scale

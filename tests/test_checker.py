@@ -16,6 +16,7 @@ from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTie
 from m4kit.trace import (
     ActivateConditional,
     Certificate,
+    CertificateFormatError,
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
@@ -184,6 +185,16 @@ def test_forced_field_edits_rejected(probe, fields):
 def test_forced_field_combinations_rejected(probe, fields):
     with pytest.raises(CheckFailure):
         replay(edited(probe, **fields))
+
+
+@pytest.mark.parametrize("target", ["zz", "", "Z/1", "Z/07", "z"])
+def test_target_must_be_a_target(probe, target):
+    fields = {"target": target, "matches_target": False}
+    with pytest.raises(CertificateFormatError, match="unknown target"):
+        edited(probe, **fields)
+    forged = replace(Certificate.from_json(probe), **fields)
+    with pytest.raises(CheckFailure, match="unknown target"):
+        replay(forged)
 
 
 def test_forced_fields_accept_every_honest_shape(probe, certs):

@@ -247,6 +247,20 @@ def test_exit_usage_on_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["build", "certify", "replay", "fmt"])
+@pytest.mark.parametrize("unreadable", ["directory", "missing", "not_utf8"])
+def test_exit_usage_on_unreadable_input(tmp_path, capsys, command, unreadable):
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    elif unreadable == "not_utf8":
+        path.write_bytes(b"block b\xff = T4()\n")
+    argv = [command, str(path)] + (["b"] if command == "certify" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
 def test_exit_usage_on_bad_geography_pair(capsys):
     assert main(["geography", "1", "6"]) == 2
     capsys.readouterr()
@@ -341,6 +355,14 @@ def _mangle_distinguished(cert):
     cert["presentation"] += "\ndistinguished: mu = a"
 
 
+def _mangle_deep_nesting(cert):
+    cert["presentation"] += "\nrelator: " + "(" * 3000 + "a" + ")" * 3000
+
+
+def _mangle_target(cert):
+    cert["target"], cert["matches_target"] = "zz", False
+
+
 def _mangle_item(key, item):
     def mangle(cert):
         cert[key] = [item]
@@ -356,7 +378,7 @@ def _mangle_to_object(key):
 MANGLES = [
     pytest.param(m, id=m.__name__) for m in (
         _mangle_schema, _mangle_kind, _mangle_missing_field, _mangle_rotation,
-        _mangle_distinguished)
+        _mangle_distinguished, _mangle_deep_nesting, _mangle_target)
 ] + [
     # every certificate field decodes from its own JSON type only
     pytest.param(_mangle_to_object(f.name), id=f"{f.name}={{}}")

@@ -234,6 +234,14 @@ def test_parse_rejects_garbage(bad):
     assert str(exc.value) == _GARBAGE[bad]
 
 
+@pytest.mark.parametrize("depth", [3_000, 100_000])
+def test_parse_rejects_deep_nesting(depth):
+    # the parser recurses once per bracket level; running out of stack is
+    # a syntax error like any other, not a RecursionError
+    with pytest.raises(WordSyntaxError, match="nest too deeply"):
+        parse_word("(" * depth + "a" + ")" * depth)
+
+
 # Syntax trees of the word grammar: ("name", n), ("one",), ("comm", x, y),
 # ("group", x), ("pow", x, k) and ("cat", [x, ...]).  Each is rendered to
 # text and, separately, evaluated with the Word algebra.
