@@ -64,9 +64,22 @@ def _write_json(path: str, data: dict[str, Any]) -> None:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+class _UnreadableInput(Exception):
+    """An input file that is missing, cannot be read or is not UTF-8."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _UnreadableInput(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _UnreadableInput(f"cannot read {path}: {exc}") from None
+
+
 def _load_manifest(path: str) -> Manifest:
-    with open(path, encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    return parse_manifest(_read_text(path))
 
 
 def _build_manifold(path: str, name: str) -> MarkedManifold:
@@ -215,8 +228,12 @@ def _cmd_catalog(_args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.certificate, encoding="utf-8") as fh:
-        cert = Certificate.from_json(json.load(fh))
+    text = _read_text(args.certificate)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise CertificateFormatError("JSON nests too deeply") from None
+    cert = Certificate.from_json(data)
     expected = None
     if args.manifest is not None:
         if args.name is None:
@@ -236,9 +253,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        text = fh.read()
-    canon = format_manifest(canonicalize(parse_manifest(text)))
+    canon = format_manifest(canonicalize(_load_manifest(args.manifest)))
     # parse -> print leaves canonical text fixed; refuse to write otherwise
     if format_manifest(canonicalize(parse_manifest(canon))) != canon:
         print(f"fmt: canonical form of {args.manifest} is not a fixpoint",
@@ -315,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CertificateFormatError, json.JSONDecodeError) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
+    except (_UnreadableInput, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except checker.CheckFailure as exc:

@@ -14,13 +14,12 @@ from a.  The rotations of both r and r^-1 are listed, so this one side
 reaches every relator cycle through the entry (scanning from a·x with
 x^-1 would walk the same cycles again), and a cycle is rechecked only when
 one of its entries changes.  Coincidences are processed with a queue over
-a union-find, and the table is compacted when dead cosets pile up so
-memory tracks the live count.
+a union-find.  Rows are never renumbered or dropped, so the table holds
+exactly the cosets defined, and `max_cosets` rows bound its memory.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,7 +56,6 @@ class _Enumerator:
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]            # union-find over coset numbers
         self.live = 1
-        self.total_defined = 1
         self.deductions: list[tuple[int, int]] = []
         # rotations[x]: the distinct cyclic rotations of every relator and
         # of its inverse that start with column x
@@ -85,13 +83,12 @@ class _Enumerator:
         return root
 
     def define(self, a: int, x: int) -> int:
-        if self.total_defined >= self.max_cosets:
+        if len(self.table) >= self.max_cosets:
             raise _Overflow
         b = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(b)
         self.live += 1
-        self.total_defined += 1
         self.table[a][x] = b
         self.table[b][x ^ 1] = a
         self.deductions.append((a, x))
@@ -165,7 +162,6 @@ class _Enumerator:
         """Scan every relator cycle through each pending entry (a, x),
         without defining: a cycle that closes on two cosets is a
         coincidence, a single gap a deduction."""
-        # only compact() replaces table and parent, and never during a drain
         table, parent, rotations = self.table, self.parent, self.rotations
         coincidence = self.coincidence
         stack = self.deductions
@@ -208,23 +204,6 @@ class _Enumerator:
                         if parent[a] != a:
                             break
 
-    def compact(self) -> list[int]:
-        """Renumber live cosets, preserving order; returns the sorted old
-        numbers of the live ones, so live[new] is the old number of new."""
-        table, parent, find = self.table, self.parent, self.find
-        live = [old for old in range(len(table)) if parent[old] == old]
-        # remap[old]: the new number of old's root, for every old number
-        remap = [0] * len(table)
-        for new, old in enumerate(live):
-            remap[old] = new
-        for old in range(len(table)):
-            if parent[old] != old:
-                remap[old] = remap[find(old)]
-        self.table = [[None if d is None else remap[d] for d in table[old]]
-                      for old in live]
-        self.parent = list(range(len(live)))
-        return live
-
     def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
         """Enumerate the cosets of the subgroup generated by `subgroup`,
         leaving the closed table (or the table at the cap) in place."""
@@ -247,18 +226,10 @@ class _Enumerator:
                         self.process_deductions()
                         if self.parent[alpha] != alpha:
                             break
-                if (len(self.table) > 4096
-                        and self.live * 2 < len(self.table)):
-                    live = self.compact()
-                    # Resume after every already-processed coset: live roots
-                    # with old number <= alpha occupy exactly the new numbers
-                    # below this count (compaction preserves order).
-                    alpha = bisect_right(live, alpha)
-                    continue
                 alpha += 1
         except _Overflow:
             return Exceeded(self.max_cosets)
-        return CosetCount(index=self.live, total_defined=self.total_defined)
+        return CosetCount(index=self.live, total_defined=len(self.table))
 
 
 def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),

@@ -87,6 +87,8 @@ class FpPresentation:
             _check_word(c.relator, "conditional relator", seen)
             _check_word(c.key, "conditional key", seen)
         for t in self.meridional:
+            if not NAME_RE.fullmatch(t.label):
+                raise PresentationError(f"bad tier label {t.label!r}")
             _check_word(t.key, f"meridional key for {t.label!r}", seen)
 
     # -- small immutable transforms ---------------------------------------

@@ -187,7 +187,7 @@ def cyclically_equal(u: Word, v: Word) -> bool:
 # parses back to the same word.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[\[\],^()])|(?P<bad>\S))"
+    rf"\s*(?:(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[\[\],^()])|(?P<bad>\S))"
 )
 
 

@@ -259,6 +259,7 @@ def test_exit_usage_on_unreadable_input(tmp_path, capsys, command, unreadable):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+    assert str(path) in err
 
 
 def test_exit_usage_on_bad_geography_pair(capsys):
@@ -403,6 +404,14 @@ def test_exit_usage_on_malformed_certificate(tmp_path, capsys, mangle):
     path.write_text(json.dumps(cert))
     assert main(["replay", str(path)]) == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+def test_exit_usage_on_deeply_nested_certificate_json(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("[" * 100_000)
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed certificate" in err and "Traceback" not in err
 
 
 def test_fmt_writes_canonical_fixpoint(tmp_path, capsys):

@@ -44,6 +44,14 @@ def test_validation_covers_conditional_and_tier_keys():
         "meridional key for 't' 'z' uses unknown generators ['z']")
 
 
+# a label outside the name rule would write a certificate that does not
+# decode, or one whose decoded label no longer matches its discharge step
+@pytest.mark.parametrize("label", [" t", "a:b", "a\nb"])
+def test_validation_rejects_bad_tier_label(label):
+    with pytest.raises(PresentationError):
+        FpPresentation(("a",), meridional=(MeridionalTier(label, gen("a")),))
+
+
 def test_with_and_without_relator():
     p = FpPresentation(AB.generators, AB.relators + (parse_word("a^2"),))
     assert parse_word("a^2") in p.relators
