@@ -21,6 +21,7 @@ or the command exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -268,6 +269,7 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache                   # parse_args leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="m4kit",

@@ -13,9 +13,11 @@ coset, and every entry set anywhere is pushed as a deduction.  A deduction
 from a.  The rotations of both r and r^-1 are listed, so this one side
 reaches every relator cycle through the entry (scanning from a·x with
 x^-1 would walk the same cycles again), and a cycle is rechecked only when
-one of its entries changes.  Coincidences are processed with a queue over
-a union-find.  Rows are never renumbered or dropped, so the table holds
-exactly the cosets defined, and `max_cosets` rows bound its memory.
+one of its entries changes.  Each of these scans starts past its own
+entry (a, x), which the deduction reads once for all of them.
+Coincidences are processed with a queue over a union-find.  Rows are never
+renumbered or dropped, so the table holds exactly the cosets defined, and
+`max_cosets` rows bound its memory.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ class _Overflow(Exception):
     pass
 
 
+# a relator rotation as the deduction scans read it: its columns, their
+# inverse columns and its last index
+_Rotation = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
 class _Enumerator:
     def __init__(self, gens: Sequence[str], max_cosets: int,
                  relators: Iterable[Word] = ()):
@@ -59,7 +66,7 @@ class _Enumerator:
         self.deductions: list[tuple[int, int]] = []
         # rotations[x]: the distinct cyclic rotations of every relator and
         # of its inverse that start with column x
-        self.rotations: list[list[tuple[int, ...]]] = [
+        self.rotations: list[list[_Rotation]] = [
             [] for _ in range(self.ncols)]
         seen: set[tuple[int, ...]] = set()
         for r in relators:
@@ -69,7 +76,8 @@ class _Enumerator:
                     rot = v[i:] + v[:i]
                     if rot not in seen:
                         seen.add(rot)
-                        self.rotations[rot[0]].append(rot)
+                        self.rotations[rot[0]].append(
+                            (rot, tuple(x ^ 1 for x in rot), len(rot) - 1))
 
     def compile(self, w: Word) -> tuple[int, ...]:
         return tuple(self.col[letter] for letter in w.letters)
@@ -170,9 +178,13 @@ class _Enumerator:
             if parent[a] != a:
                 continue             # merged away; its entries moved on
             # rotations[x] holds the rotations of r and of r^-1, so the
-            # cycles through (a, x) are all scanned from a
-            for w in rotations[x]:
-                f, i, j = a, 0, len(w) - 1
+            # cycles through (a, x) are all scanned from a.  Each starts
+            # with x, so its scan starts past the entry (a, x) it was
+            # pushed for; only a coincidence can change that entry.
+            b0 = table[a][x]
+            f0, i0 = (a, 0) if b0 is None else (b0, 1)
+            for w, inv, j in rotations[x]:
+                f, i = f0, i0
                 while i <= j:
                     nxt = table[f][w[i]]
                     if nxt is None:
@@ -184,25 +196,29 @@ class _Enumerator:
                         coincidence(f, a)
                         if parent[a] != a:
                             break
+                        b0 = table[a][x]
+                        f0, i0 = (a, 0) if b0 is None else (b0, 1)
                     continue
                 b = a
                 while j > i:
-                    nxt = table[b][w[j] ^ 1]
+                    nxt = table[b][inv[j]]
                     if nxt is None:
                         break        # two or more gaps: nothing follows
                     b = nxt
                     j -= 1
                 else:
                     y = w[i]
-                    nxt = table[b][y ^ 1]
+                    nxt = table[b][inv[i]]
                     if nxt is None:
                         table[f][y] = b
-                        table[b][y ^ 1] = f
+                        table[b][inv[i]] = f
                         stack.append((f, y))
                     else:
                         coincidence(f, nxt)
                         if parent[a] != a:
                             break
+                        b0 = table[a][x]
+                        f0, i0 = (a, 0) if b0 is None else (b0, 1)
 
     def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
         """Enumerate the cosets of the subgroup generated by `subgroup`,

@@ -33,13 +33,17 @@ from m4kit.presentation import (
     defining_rotation,
 )
 from m4kit.trace import (
+    ActivateConditional,
     Certificate,
     CertificateFormatError,
     CommutationCancel,
+    DischargeMeridional,
+    Eliminate,
     FINITE_CYCLIC,
     INCONCLUSIVE,
     INFINITE_CYCLIC,
     PairFromDefinition,
+    PairFromRelator,
     TRIVIAL,
 )
 from m4kit.words import (
@@ -296,6 +300,48 @@ def test_definitions_found_once_per_relator(n, monkeypatch):
     c = certify(exotic_odd_cp2(n, 1).pi1, budget=Budget(corroborate=False))
     assert c.verdict == TRIVIAL
     assert len(calls) <= 4 * n + 40
+
+
+def _kill(name, via):
+    return Eliminate(name, parse_word("1"), parse_word(via))
+
+
+# The trace of the paper's family, the same for every n >= 3 and m: this
+# prefix kills every generator outside the j-indexed blocks, and then each
+# c_j and d_j is killed by its own relator, in name order.
+FAMILY_PREFIX = (
+    PairFromRelator("alpha2", "alpha4",
+                    parse_word("alpha2 alpha4 alpha2^-1 alpha4^-1")),
+    PairFromDefinition("b2", "alpha2", parse_word("b2 alpha4^-1")),
+    PairFromDefinition("b1", "b2", parse_word("b1 alpha2^-1")),
+    PairFromRelator("b1", "c1", parse_word("b1 c1 b1^-1 c1^-1")),
+    PairFromDefinition("d1", "b1", parse_word("c1^-1 b2 c1 b2^-1 d1^-1")),
+    CommutationCancel(parse_word("b1^-1 d1^-1 b1 d1 a1^-1"),
+                      parse_word("a1^-1"), 0, 0, 2, "b1"),
+    _kill("a1", "a1^-1"),
+    _kill("alpha1", "alpha1^-1"),
+    _kill("alpha3", "alpha3"),
+    DischargeMeridional("g"),
+    ActivateConditional(parse_word("a2")),
+    _kill("a2", "a2"),
+    _kill("b1", "b1^-1"),
+    _kill("alpha2", "alpha2^-1"),
+    _kill("b2", "b2^-1"),
+    _kill("alpha4", "alpha4^-1"),
+)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_family_trace_is_the_prefix_then_one_kill_per_block_generator(m):
+    for n in range(3, 41):
+        trace = certify(exotic_odd_cp2(n, m).pi1,
+                        budget=Budget(corroborate=False)).trace
+        tail = sorted(f"{x}{j}" for x in "cd" for j in range(1, n + 1))
+        expected = FAMILY_PREFIX + tuple(_kill(g, f"{g}^-1") for g in tail)
+        for k, (got, want) in enumerate(zip(trace, expected)):
+            assert got == want, f"n={n}, m={m}, step {k}: {got} != {want}"
+        assert len(trace) == len(expected), (
+            f"n={n}, m={m}: {len(trace)} steps, expected {len(expected)}")
 
 
 @pytest.mark.parametrize("n", [40, 320])

@@ -3,8 +3,9 @@
 Oracle values are textbook: |S3| = 6, |Q8| = 8, |D4| = 8, |A5| = 60,
 |PSL(2,7)| = 168, cyclic orders and indices by Lagrange.  Further down,
 one test closes a large table that is mostly dead rows, one pins the
-cosets defined on the paper's family, and the closed-table tests check
-the finished table itself.
+cosets defined on the paper's family, one compares the deduction scans
+with a reference copy of the plain scan loop, and the closed-table tests
+check the finished table itself.
 """
 
 from random import Random
@@ -30,9 +31,9 @@ def pres(gens: str, *rels: str) -> FpPresentation:
 
 # -- orders over the trivial subgroup -----------------------------------------
 
-# A collapsing presentation of the trivial group.  Under the earlier HLT
-# strategy it crossed the compaction threshold, and an earlier resume rule
-# reported a spurious index (289) on it.
+# A collapsing presentation of the trivial group whose table is mostly dead
+# rows before it closes; an earlier enumerator reported a spurious index
+# (289) on it.
 _COLLAPSING = """\
 generators: a1, b1, a2, b2, c1, d1, c2, d2, alpha1, alpha2, alpha3, alpha4
 relator: b1^-1 d1^-1 b1 d1 a1^-1
@@ -148,11 +149,10 @@ def test_refuses_undischarged_structure():
 # -- a large collapsing table ------------------------------------------------
 
 # The core of exotic_odd_cp2(20, 1) (input relators plus activated
-# conditionals) grows the table past 4096 rows with most of them dead, and
-# must still close to index 1.  A faulty resume rule once left live cosets
-# unscanned on this input and reported a spurious index; keep it as the
-# witness that a large collapsing table still closes.
-def test_compaction_resume_regression():
+# conditionals) defines over 4096 cosets, nearly all of them merged away
+# by the end, and must still close to index 1.  An earlier enumerator left
+# live cosets unscanned on this input and reported a spurious index.
+def test_large_collapsing_table_closes():
     cert = certify(exotic_odd_cp2(20, 1).pi1,
                    budget=Budget(corroborate=False))
     result = coset_enumeration(cert.core())
@@ -165,18 +165,122 @@ def test_compaction_resume_regression():
 # -- work pinned on the paper's family ----------------------------------------
 
 # Cosets defined on the core of each odd_sweep member (the benchmark's
-# diagonal), and on the n = 20 core, whose table passes 4096 rows.  A
-# change to the definition order or the deduction rule moves these counts,
-# so it cannot pass as a mere speed-up.
+# diagonal), and on the larger n = 20 core.  A change to the definition
+# order or the deduction rule moves these counts, so it cannot pass as a
+# mere speed-up.
+ODD_SWEEP = [(2, 1), (4, 2), (6, 3), (8, 1), (10, 3)]
+
+
+def _odd_core(n, m):
+    return certify(exotic_odd_cp2(n, m).pi1,
+                   budget=Budget(corroborate=False)).core()
+
+
 @pytest.mark.parametrize("n, m, defined", [
     (2, 1, 370), (4, 2, 840), (6, 3, 1448), (8, 1, 2182), (10, 3, 3144),
     (20, 1, 10102),
 ])
 def test_odd_family_cores_define_pinned_cosets(n, m, defined):
-    core = certify(exotic_odd_cp2(n, m).pi1,
-                   budget=Budget(corroborate=False)).core()
-    assert coset_enumeration(core) == CosetCount(index=1,
-                                                 total_defined=defined)
+    assert coset_enumeration(_odd_core(n, m)) == CosetCount(
+        index=1, total_defined=defined)
+
+
+# -- the deduction scans against a reference loop -----------------------------
+
+class _PlainScans(_Enumerator):
+    """The reference deduction loop: every scan starts at (a, 0) and reads
+    each rotation letter by letter.  It also counts popped deductions of a
+    live coset whose entry is unset, where the kernel's scans cannot start
+    past it."""
+
+    unset = 0
+
+    def process_deductions(self) -> None:
+        table, parent, rotations = self.table, self.parent, self.rotations
+        coincidence = self.coincidence
+        stack = self.deductions
+        while stack:
+            a, x = stack.pop()
+            if parent[a] != a:
+                continue
+            if table[a][x] is None:
+                self.unset += 1
+            for w, _, _ in rotations[x]:
+                f, i, j = a, 0, len(w) - 1
+                while i <= j:
+                    nxt = table[f][w[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != a:
+                        coincidence(f, a)
+                        if parent[a] != a:
+                            break
+                    continue
+                b = a
+                while j > i:
+                    nxt = table[b][w[j] ^ 1]
+                    if nxt is None:
+                        break
+                    b = nxt
+                    j -= 1
+                else:
+                    y = w[i]
+                    nxt = table[b][y ^ 1]
+                    if nxt is None:
+                        table[f][y] = b
+                        table[b][y ^ 1] = f
+                        stack.append((f, y))
+                    else:
+                        coincidence(f, nxt)
+                        if parent[a] != a:
+                            break
+
+
+def _assert_same_run(p, subgroup=(), max_cosets=1_000_000):
+    runs = []
+    for cls in (_Enumerator, _PlainScans):
+        enum = cls(p.generators, max_cosets, p.relators)
+        runs.append((enum.run(subgroup), enum.table, enum.parent, enum.live))
+    assert runs[0] == runs[1], (str(p), [str(w) for w in subgroup])
+    assert enum.unset == 0, (str(p), [str(w) for w in subgroup])
+    return runs[0][0]
+
+
+@pytest.mark.parametrize("n, m", ODD_SWEEP + [(20, 1)])
+def test_deduction_scans_match_the_reference_on_family_cores(n, m):
+    assert _assert_same_run(_odd_core(n, m)).index == 1
+
+
+def _random_presentations(count, seed):
+    """Seeded presentations on 2-3 generators: one or two short powers and
+    one to three random words, half of them over a one-generator subgroup,
+    each with a cap drawn so that some runs close and some stop at it."""
+    rng = Random(seed)
+    for _ in range(count):
+        gens = tuple("abc"[:rng.randint(2, 3)])
+        rels = [gen(g) ** rng.randint(2, 5)
+                for g in rng.sample(gens, rng.randint(1, 2))]
+        for _ in range(rng.randint(1, 3)):
+            w = parse_word("1")
+            for _ in range(rng.randint(3, 10)):
+                w = w * gen(rng.choice(gens)) ** rng.choice((1, -1))
+            if w:
+                rels.append(w)
+        subgroup = [gen(rng.choice(gens))] if rng.random() < 0.5 else []
+        yield (FpPresentation(gens, tuple(rels)), subgroup,
+               rng.choice((30, 200, 600)))
+
+
+def test_deduction_scans_match_the_reference_on_random_presentations():
+    results = [_assert_same_run(p, subgroup, cap)
+               for p, subgroup, cap in _random_presentations(400, 0xFE15C)]
+    # the corpus reaches closed tables, capped runs and subgroups alike
+    assert sum(isinstance(r, Exceeded) for r in results) >= 40
+    assert sum(isinstance(r, CosetCount) and r.index > 1
+               for r in results) >= 40
 
 
 # -- the closed table ---------------------------------------------------------
