@@ -1,16 +1,20 @@
 """Exact integer matrix algebra: Smith normal form and first homology.
 
 Everything is plain Python ints (arbitrary precision); no floating point
-anywhere.  Matrices are lists of row lists.
+anywhere.  A dense matrix is a list of row lists; a sparse one is a list
+of rows, each a dict from column to nonzero entry.  H1 builds its relation
+matrix sparsely, from the relators' letters, and eliminates it sparsely.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .presentation import FpPresentation, PresentationError
 
 IntMatrix = list[list[int]]
+SparseRows = list[dict[int, int]]
 # one elementary operation on the lines (rows, or columns) of a matrix:
 # ("swap", i, j), ("negate", i), or ("add", i, j, q) for line j += q line i
 Operation = tuple
@@ -38,45 +42,60 @@ class SmithForm:
                                                 len(self.d[0]) if self.d else 0))]
 
 
-def _replay(lines: IntMatrix, ops: list[Operation], what: str) -> None:
-    """Apply a log of elementary operations to `lines` in place.  Raise
-    SmithCheckError on any other operation: an unknown kind, an index out
-    of range, or a line added to itself (which scales it by 1 + q)."""
+def _replay(lines: SparseRows, ops: list[Operation], what: str) -> int:
+    """Apply a log of elementary operations to the sparse `lines` in place
+    and return the number of entries it touched.  Raise SmithCheckError on
+    any other operation: an unknown kind, an index out of range, or a line
+    added to itself (which scales it by 1 + q)."""
     n = len(lines)
+    touched = 0
     for op in ops:
         match op:
             case ("swap", int(i), int(j)) if 0 <= i < n and 0 <= j < n:
                 lines[i], lines[j] = lines[j], lines[i]
             case ("negate", int(i)) if 0 <= i < n:
-                lines[i] = [-x for x in lines[i]]
+                lines[i] = {k: -x for k, x in lines[i].items()}
+                touched += len(lines[i])
             case ("add", int(i), int(j), int(q)) if (
                     i != j and 0 <= i < n and 0 <= j < n):
-                lines[j] = [x + q * y for x, y in zip(lines[j], lines[i])]
+                line = lines[j]
+                for k, y in lines[i].items():
+                    if x := line.get(k, 0) + q * y:
+                        line[k] = x
+                    else:
+                        line.pop(k, None)       # q may be 0
+                touched += len(lines[i])
             case _:
                 raise SmithCheckError(f"{op!r} is not an elementary {what} "
                                       f"operation on {n} {what}s")
+    return touched
 
 
-def _transpose(a: IntMatrix, width: int) -> IntMatrix:
-    return [[row[j] for row in a] for j in range(width)]
+def _transpose(a: SparseRows, width: int) -> SparseRows:
+    t: SparseRows = [{} for _ in range(width)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            t[j][i] = x
+    return t
 
 
-def _check_smith(m: IntMatrix, form: SmithForm) -> None:
+def _check_smith(m: SparseRows, width: int, d: SparseRows,
+                 row_ops: list[Operation], col_ops: list[Operation]) -> int:
     """Raise SmithCheckError unless replaying the logs on M gives D, every
     logged operation is elementary, D is diagonal and its diagonal is a
-    nonnegative divisibility chain with its zeros last.  Row operations
-    act on the rows of M, then column operations on the rows of the
-    transpose: the two kinds commute, so this is U M V."""
-    rows = [row[:] for row in m]
-    _replay(rows, form.row_ops, "row")
-    cols = _transpose(rows, len(m[0]) if m else 0)
-    _replay(cols, form.col_ops, "column")
-    if _transpose(cols, len(m)) != form.d:
+    nonnegative divisibility chain with its zeros last.  M (`width`
+    columns) and D are sparse.  Row operations act on the rows of M, then
+    column operations on the rows of the transpose: the two kinds commute,
+    so this is U M V.  Returns the number of entries the check touched."""
+    rows = [dict(row) for row in m]
+    touched = _replay(rows, row_ops, "row") + sum(map(len, rows))
+    cols = _transpose(rows, width)
+    touched += _replay(cols, col_ops, "column") + sum(map(len, cols))
+    if _transpose(cols, len(m)) != d:
         raise SmithCheckError("U M V != D")
-    d = form.d
-    if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+    if any(j != i for i, row in enumerate(d) for j in row):
         raise SmithCheckError("D is not diagonal")
-    diag = form.diagonal
+    diag = [d[i].get(i, 0) for i in range(min(len(d), width))]
     if any(x < 0 for x in diag):
         raise SmithCheckError("negative diagonal entry")
     for x, y in zip(diag, diag[1:]):
@@ -85,22 +104,23 @@ def _check_smith(m: IntMatrix, form: SmithForm) -> None:
         if x != 0 and y % x != 0:
             raise SmithCheckError(f"divisibility chain broken: {x} does not "
                                   f"divide {y}")
+    return touched
+
+
+def _sparse(m: IntMatrix) -> SparseRows:
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form over Z with a logged witness.
 
-    Pivoting always picks a smallest-magnitude nonzero entry, the first in
-    row-major order, which keeps intermediate growth tame for the small
-    matrices we see.  No nonzero entry is smaller than a unit, so the
-    search stops at the first entry of magnitude 1, and a unit pivot skips
-    the divisibility scan of the trailing block, since it divides every
-    entry.  Relation matrices are mostly unit entries, so most pivots end
-    their search early (Havas, Holt & Rees, Linear Algebra Appl. 192,
-    1993).  The elimination transforms M alone and logs each elementary
-    operation.  The result is checked by _check_smith, which replays the
-    logs on M with its own code, before being returned; a failed check
-    raises SmithCheckError, also under python -O.
+    Each pivot is a smallest-magnitude nonzero entry of the trailing block,
+    the first in row-major order, which keeps intermediate growth tame for
+    the small blocks it sees: h1 sends it only the unit-free block that its
+    sparse unit pivots leave.  The elimination transforms M alone and logs
+    each elementary operation.  _check_smith replays the logs on M with
+    its own code before the result is returned; a failed check raises
+    SmithCheckError, also under python -O.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -132,23 +152,14 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     t = 0
     while True:
-        # first smallest-magnitude nonzero entry of the trailing block, in
-        # row-major order; no entry beats a unit, so the search ends there
-        pivot, least = None, 0
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                x = abs(row[j])
-                if x and (pivot is None or x < least):
-                    pivot, least = (i, j), x
-                    if x == 1:
-                        break
-            if least == 1:
-                break
+        # (magnitude, row, column) of the first smallest nonzero entry of
+        # the trailing block in row-major order
+        pivot = min(((abs(x), i, j) for i in range(t, rows)
+                     for j, x in enumerate(a[i][t:], t) if x), default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
 
         # clear row and column t; each pass strictly shrinks |a[t][t]|
         # whenever a remainder shows up, so this terminates
@@ -174,12 +185,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 continue
             break
 
-        # divisibility: the pivot must divide the whole trailing block,
-        # which a unit always does
+        # divisibility: the pivot must divide the whole trailing block
         p = a[t][t]
-        bad = None if abs(p) == 1 else next(
-            (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])),
-            None)
+        bad = next((i for i in range(t + 1, rows)
+                    if any(x % p for x in a[i][t + 1:])), None)
         if bad is not None:
             add_row(bad, t, 1)        # drag the offending row up, redo block
             continue
@@ -188,9 +197,86 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             row_ops.append(("negate", t))
         t += 1
 
-    form = SmithForm(d=a, row_ops=row_ops, col_ops=col_ops)
-    _check_smith(m, form)
-    return form
+    _check_smith(_sparse(m), cols, _sparse(a), row_ops, col_ops)
+    return SmithForm(d=a, row_ops=row_ops, col_ops=col_ops)
+
+
+def _smith_diagonal(m: SparseRows, width: int) -> tuple[list[int], int]:
+    """The Smith diagonal of the sparse M with `width` columns, and the
+    number of entries that the elimination and its check touched.
+
+    Unit pivots go first, cheapest first by Markowitz cost (Havas &
+    Majewski, J. Symbolic Comput. 24, 1997); one whose cost grew since it
+    was queued goes back in the queue.  Pivot t is swapped to (t, t); it
+    clears its column by adding its row to the others, then its row by
+    column operations that touch no other row.  smith_normal_form takes
+    the unit-free trailing block, its logs shifted into place, and
+    _check_smith replays the whole witness on M."""
+    a = [dict(row) for row in m]
+    where: list[set[int]] = [set() for _ in range(width)]  # rows per column
+    for i, row in enumerate(a):
+        for j in row:
+            where[j].add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(a[i]) - 1) * (len(where[j]) - 1)
+
+    queue = [(cost(i, j), i, j) for i, row in enumerate(a)
+             for j, x in row.items() if x in (1, -1)]
+    heapq.heapify(queue)
+    # the original line at each position, and the position of each line
+    rat, cat = list(range(len(a))), list(range(width))
+    rpos, cpos = rat[:], cat[:]
+    row_ops: list[Operation] = []
+    col_ops: list[Operation] = []
+    t = touched = 0
+    while queue:
+        c, i, j = heapq.heappop(queue)
+        row = a[i]
+        p = row.get(j)
+        if rpos[i] < t or p not in (1, -1):
+            continue                    # a pivot row, or no longer a unit
+        if cost(i, j) > c:
+            heapq.heappush(queue, (cost(i, j), i, j))
+            continue
+        for at, pos, line, ops in ((rat, rpos, i, row_ops),
+                                   (cat, cpos, j, col_ops)):
+            if (s := pos[line]) != t:
+                ops.append(("swap", t, s))
+                at[s], pos[at[t]] = at[t], s
+                at[t], pos[line] = line, t
+        others, where[j] = where[j] - {i}, {i}
+        for k in others:
+            other = a[k]
+            q = -other[j] * p
+            row_ops.append(("add", t, rpos[k], q))
+            for l, y in row.items():
+                if x := other.get(l, 0) + q * y:
+                    other[l] = x
+                    where[l].add(k)
+                    if x in (1, -1):
+                        heapq.heappush(queue, (cost(k, l), k, l))
+                else:
+                    del other[l]
+                    where[l].discard(k)
+        for l, y in row.items():
+            if l != j:
+                col_ops.append(("add", t, cpos[l], -y * p))
+                where[l].discard(i)
+        if p < 0:
+            row_ops.append(("negate", t))
+        touched += len(row) * (len(others) + 1)
+        t += 1
+    form = smith_normal_form([[a[i].get(j, 0) for j in cat[t:]]
+                              for i in rat[t:]])
+    for ops, log in ((row_ops, form.row_ops), (col_ops, form.col_ops)):
+        ops += [(op[0], *(x + t for x in op[1:3]), *op[3:]) for op in log]
+    diag = [1] * t + form.diagonal
+    # the dense form scans its block for each of its pivots
+    touched += (len(a) - t) * (width - t) * (len(form.diagonal) + 1)
+    d = [{k: x} if x else {} for k, x in enumerate(diag)]
+    d += [{} for _ in range(len(m) - len(d))]
+    return diag, touched + _check_smith(m, width, d, row_ops, col_ops)
 
 
 @dataclass(frozen=True)
@@ -205,26 +291,22 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(m: IntMatrix, n_cols: int) -> AbelianGroup:
-    """Z^n_cols / (row space of m).
+def cokernel(m: SparseRows, n_cols: int) -> AbelianGroup:
+    """Z^n_cols / (row space of the sparse m).
 
-    Zero rows are dropped first: they add nothing to the row space, so the
-    cokernel is the same, and the Smith form (and its witness check) then
-    works on the nonzero rows only.  Relation matrices have many, one for
-    each relator with zero exponent sum in every generator, such as a
-    commutator."""
-    m = [row for row in m if any(row)]
-    if not m:
-        return AbelianGroup(rank=n_cols)
-    diag = smith_normal_form(m).diagonal
+    Empty rows are dropped first: they add nothing to the row space, and
+    relation matrices have many, one for each relator with zero exponent
+    sum in every generator, such as a commutator."""
+    diag, _ = _smith_diagonal([row for row in m if row], n_cols)
     nonzero = [d for d in diag if d != 0]
     return AbelianGroup(rank=n_cols - len(nonzero),
                         torsion=tuple(d for d in nonzero if d > 1))
 
 
-def relation_matrix(p: FpPresentation, include_h1_safe_conditionals: bool = False
-                    ) -> IntMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator.
+def relation_rows(p: FpPresentation, include_h1_safe_conditionals: bool = False
+                  ) -> SparseRows:
+    """The sparse exponent-sum matrix: one row per relator, one column per
+    generator.
 
     A conditional relator may be included only when its key word has zero
     exponent sum in every generator — then the key is already trivial in
@@ -236,25 +318,25 @@ def relation_matrix(p: FpPresentation, include_h1_safe_conditionals: bool = Fals
             "count is symbolic, so the abelianization is not determined — "
             "discharge or strip the tier first")
     index = {g: j for j, g in enumerate(p.generators)}
-    rows: list[list[int]] = []
 
-    def row_of(w) -> list[int]:
-        row = [0] * len(p.generators)
+    def row_of(w) -> dict[int, int]:
+        row: dict[int, int] = {}
         for name, sign in w.letters:
-            row[index[name]] += sign
+            j = index[name]
+            if x := row.get(j, 0) + sign:
+                row[j] = x
+            else:
+                del row[j]
         return row
 
-    for r in p.relators:
-        rows.append(row_of(r))
+    rows = [row_of(r) for r in p.relators]
     if include_h1_safe_conditionals:
-        for c in p.conditional:
-            if all(v == 0 for v in row_of(c.key)):
-                rows.append(row_of(c.relator))
+        rows += [row_of(c.relator) for c in p.conditional if not row_of(c.key)]
     return rows
 
 
 def h1(p: FpPresentation, include_h1_safe_conditionals: bool = False
        ) -> AbelianGroup:
     """First homology (abelianization) of the presented group."""
-    return cokernel(relation_matrix(p, include_h1_safe_conditionals),
+    return cokernel(relation_rows(p, include_h1_safe_conditionals),
                     len(p.generators))

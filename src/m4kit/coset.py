@@ -102,21 +102,21 @@ class _Enumerator:
         self.deductions.append((a, x))
         return b
 
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.find(a), self.find(b)
+    def coincidence(self, a: int, b: int) -> None:
+        """Merge cosets a and b and every pair that their merge forces.
+        Most entries of a merged-away row point at a root, and most merges
+        that they ask for are of a coset with itself, so the parent is read
+        before find is called; merges are inline, and `live` drops once,
+        by the number of rows merged away."""
+        table, parent, find = self.table, self.parent, self.find
+        deductions = self.deductions
+        a, b = find(a), find(b)
         if a == b:
             return
         if a > b:
             a, b = b, a
-        self.parent[b] = a
-        self.live -= 1
-        queue.append(b)
-
-    def coincidence(self, a: int, b: int) -> None:
-        table, find, merge = self.table, self.find, self._merge
-        deductions = self.deductions
-        queue: list[int] = []
-        merge(a, b, queue)
+        parent[b] = a
+        queue = [b]
         qi = 0
         while qi < len(queue):
             dead = queue[qi]
@@ -126,18 +126,32 @@ class _Enumerator:
                 if d is None:
                     continue
                 row[x] = None
+                y = x ^ 1
                 # drop the reverse arrow too; it will be re-routed below
-                if table[d][x ^ 1] == dead:
-                    table[d][x ^ 1] = None
-                mu, nu = find(dead), find(d)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1], queue)
+                if table[d][y] == dead:
+                    table[d][y] = None
+                mu = parent[dead]
+                if parent[mu] != mu:
+                    mu = find(dead)
+                nu = d if parent[d] == d else find(d)
+                if (c := table[mu][x]) is not None:
+                    r = nu
+                elif (c := table[nu][y]) is not None:
+                    r = mu
                 else:
                     table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    table[nu][y] = mu
                     deductions.append((mu, x))
+                    continue
+                # merge r with the root of c
+                if parent[c] != c:
+                    c = find(c)
+                if r != c:
+                    if r > c:
+                        r, c = c, r
+                    parent[c] = r
+                    queue.append(c)
+        self.live -= len(queue)
 
     def scan_and_fill(self, a: int, w: tuple[int, ...]) -> None:
         """Trace w from coset a both ways, defining cosets to close the

@@ -4,29 +4,35 @@ The SNF oracle values below were computed by hand from the two standard
 facts d_1 = gcd(entries) and d_1 ... d_k = gcd(k x k minors); the property
 block rebuilds U and V from the operation logs and checks the defining
 equations U M V = D, unimodularity (by an independent determinant), and
-the divisibility chain on random matrices.  The fault-injection block
-feeds the built-in witness check broken Smith forms, each of which must
-raise.  The full-scan block keeps the pivot rule without its unit
-shortcuts as a reference, and requires the same D and the same logged
-operations from both, with no swap of a line with itself.
+the divisibility chain on random matrices.  The fault-injection blocks
+feed the built-in witness check broken Smith forms, each of which must
+raise, the dense ones directly and the sparse elimination's by corrupting
+its witness on the way to the check.  The full-scan block keeps the dense
+pivot rule as a reference: the dense Smith form must give the same D and
+the same logged operations, with no swap of a line with itself, and the
+sparse unit-pivot elimination that H1 runs must give the same diagonal.
 """
 
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import m4kit.abelian as abelian
 from m4kit.abelian import (
     AbelianGroup,
     SmithCheckError,
     SmithForm,
     _check_smith,
+    _smith_diagonal,
+    _sparse,
     cokernel,
     h1,
-    relation_matrix,
+    relation_rows,
     smith_normal_form,
 )
 from m4kit.constructions import exotic_odd_cp2
@@ -41,6 +47,17 @@ def identity_matrix(n):
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
+
+
+def dense(rows, width):
+    """The dense matrix of sparse rows ({column: entry} per row)."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+def check(m, form):
+    """The witness check on a dense M and a dense Smith form."""
+    return _check_smith(_sparse(m), len(m[0]) if m else 0, _sparse(form.d),
+                        form.row_ops, form.col_ops)
 
 
 def transforms(m, f):
@@ -136,7 +153,7 @@ COL_OPS = [("add", 0, 1, -2)]
 
 
 def test_hand_witness_passes_the_check():
-    _check_smith(M, SmithForm(D, ROW_OPS, COL_OPS))
+    check(M, SmithForm(D, ROW_OPS, COL_OPS))
 
 
 @pytest.mark.parametrize("m, form, message", [
@@ -165,7 +182,7 @@ def test_hand_witness_passes_the_check():
         "not diagonal"])
 def test_witness_check_raises(m, form, message):
     with pytest.raises(SmithCheckError, match=re.escape(message)):
-        _check_smith(m, form)
+        check(m, form)
 
 
 @pytest.mark.parametrize("m", [[], [[], []], [[0, 0]], [[0], [0], [0]]],
@@ -174,16 +191,16 @@ def test_witness_check_raises(m, form, message):
 def test_empty_and_zero_shapes_pass_the_check(m):
     f = smith_normal_form(m)
     assert f.d == m
-    _check_smith(m, f)
+    check(m, f)
     # the shape of D is part of the witness, including its empty rows
     with pytest.raises(SmithCheckError, match="U M V != D"):
-        _check_smith(m, SmithForm(m[:-1] if m else [[]], [], []))
+        check(m, SmithForm(m[:-1] if m else [[]], [], []))
 
 
 def test_witness_check_raises_under_optimize():
     # the check is an exception, not an assert: python -O keeps it
-    code = ("from m4kit.abelian import SmithForm, _check_smith\n"
-            "_check_smith([[1]], SmithForm([[2]], [('add', 0, 0, 1)], []))\n")
+    code = ("from m4kit.abelian import _check_smith\n"
+            "_check_smith([{0: 1}], 1, [{0: 2}], [('add', 0, 0, 1)], [])\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 1
@@ -341,26 +358,151 @@ def test_snf_matches_the_full_scan_oracle_on_random_matrices():
         f = smith_normal_form(m)
         assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(m), m
         assert not identity_swaps(f), m
+        assert _smith_diagonal(_sparse(m), len(m[0]))[0] == f.diagonal, m
+
+
+@st.composite
+def padded_matrices(draw):
+    """Matrices for the sparse elimination: up to 6 x 6 entries from a set
+    that may hold no unit, so that some residual blocks are unit-free,
+    with zero rows and columns inserted anywhere (shapes down to 0 x 0)."""
+    values = draw(st.sampled_from([(1, -1, 2, -3), (2, -2, 3, -4, 6),
+                                   (1, -1), (4, -6, 9)]))
+    entries = st.sampled_from((0, 0) + values)
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=6))
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.lists(st.integers(min_value=0, max_value=6), max_size=2)):
+        m.insert(min(i, len(m)), [0] * cols)
+    for j in draw(st.lists(st.integers(min_value=0, max_value=6), max_size=2)):
+        for row in m:
+            row.insert(min(j, cols), 0)
+        cols += 1
+    return m, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_matrices())
+def test_sparse_elimination_matches_the_full_scan_oracle(case):
+    m, width = case
+    expected = []
+    if m and width:
+        d = full_scan_smith(m)[0]
+        expected = [d[i][i] for i in range(min(len(m), width))]
+    assert _smith_diagonal(_sparse(m), width)[0] == expected
 
 
 @pytest.mark.parametrize("n", [5, 20])
 def test_snf_matches_the_full_scan_oracle_on_the_paper_family(n):
     p = exotic_odd_cp2(n, 1).pi1.strip_meridional()
-    m = relation_matrix(p, include_h1_safe_conditionals=True)
+    rows = relation_rows(p, include_h1_safe_conditionals=True)
+    m = dense(rows, len(p.generators))
     for matrix in (m, [row for row in m if any(row)]):
         f = smith_normal_form(matrix)
         assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(matrix)
         assert not identity_swaps(f)
+        assert _smith_diagonal(_sparse(matrix), len(p.generators))[0] \
+            == f.diagonal
+
+
+# -- the sparse elimination's witness -----------------------------------------
+
+# a matrix whose unit pivots leave the unit-free residual [[4, 6], [6, 4]]:
+# row 2 -= 3 row 0, then columns 1 and 2 are cleared of rows 0 and 3
+RESIDUAL = [{0: 1, 1: 2}, {1: 4, 2: 6}, {0: 3, 1: 12, 2: 4}, {2: 5, 3: -1}]
+
+
+def sparse_cases():
+    p = exotic_odd_cp2(5, 1).pi1.strip_meridional()
+    rows = [row for row in relation_rows(p, True) if row]
+    return [(rows, len(p.generators)), (RESIDUAL, 4)]
+
+
+def test_sparse_cases_reach_the_dense_residual():
+    assert _smith_diagonal(RESIDUAL, 4)[0] == [1, 1, 2, 10] \
+        == smith_normal_form(dense(RESIDUAL, 4)).diagonal
+
+
+def _drop_an_add(m, width, d, row_ops, col_ops):
+    k = next(k for k, op in enumerate(row_ops) if op[0] == "add" and op[3])
+    return m, width, d, row_ops[:k] + row_ops[k + 1:], col_ops
+
+
+def _self_add(m, width, d, row_ops, col_ops):
+    return m, width, d, [("add", 0, 0, 1)] + row_ops, col_ops
+
+
+def _index_out_of_range(m, width, d, row_ops, col_ops):
+    return m, width, d, row_ops, col_ops + [("swap", 0, width)]
+
+
+def _wrong_diagonal(m, width, d, row_ops, col_ops):
+    return m, width, [{0: 2}] + d[1:], row_ops, col_ops
+
+
+SPARSE_FAULTS = {"dropped operation": (_drop_an_add, "U M V != D"),
+                 "self-add": (_self_add, "not an elementary row operation"),
+                 "index out of range": (_index_out_of_range,
+                                        "not an elementary column operation"),
+                 "wrong diagonal": (_wrong_diagonal, "U M V != D")}
+
+
+@pytest.mark.parametrize("fault", SPARSE_FAULTS)
+def test_sparse_witness_check_catches_a_corrupted_witness(fault, monkeypatch):
+    # the corruption hits only the check of the whole witness, not the one
+    # that smith_normal_form runs on the residual block
+    corrupt, message = SPARSE_FAULTS[fault]
+    real = abelian._check_smith
+    for m, width in sparse_cases():
+        monkeypatch.setattr(abelian, "_check_smith", lambda *w: real(
+            *(corrupt(*w) if w[0] is m else w)))
+        with pytest.raises(SmithCheckError, match=re.escape(message)):
+            _smith_diagonal(m, width)
+
+
+def test_sparse_witness_check_raises_under_optimize():
+    code = ("import sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "import m4kit.abelian as abelian\n"
+            "from test_abelian import SPARSE_FAULTS, sparse_cases\n"
+            "real = abelian._check_smith\n"
+            "for corrupt, _ in SPARSE_FAULTS.values():\n"
+            "    for m, width in sparse_cases():\n"
+            "        abelian._check_smith = lambda *w: real(\n"
+            "            *(corrupt(*w) if w[0] is m else w))\n"
+            "        try:\n"
+            "            abelian._smith_diagonal(m, width)\n"
+            "        except abelian.SmithCheckError:\n"
+            "            print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parent.parent)
+    assert proc.stdout.split() == ["raised"] * 2 * len(SPARSE_FAULTS), \
+        proc.stderr
+
+
+def test_sparse_elimination_work_is_linear_in_relator_letters():
+    # entries touched by the elimination and its check at n = 320 stay
+    # within twice the relator letters; the dense path copies and scans
+    # every cell of the relation matrix, which is over that bound
+    p = exotic_odd_cp2(320, 1).pi1.strip_meridional()
+    rows = [row for row in relation_rows(p, True) if row]
+    letters = sum(map(len, p.relators)) + sum(
+        len(c.relator) for c in p.conditional)
+    diag, touched = _smith_diagonal(rows, len(p.generators))
+    assert diag == [1] * len(p.generators)
+    assert touched <= 2 * letters
+    assert len(rows) * len(p.generators) > 2 * letters
 
 
 # -- cokernels / H1 -----------------------------------------------------------
 
 def test_cokernel_oracles():
     assert cokernel([], 3) == AbelianGroup(3)
-    assert cokernel([[5]], 1) == AbelianGroup(0, (5,))
-    assert cokernel([[1]], 1) == AbelianGroup(0)
-    assert cokernel([[2, 0], [0, 4]], 2) == AbelianGroup(0, (2, 4))
-    assert cokernel([[0, 0]], 2) == AbelianGroup(2)
+    assert cokernel([{0: 5}], 1) == AbelianGroup(0, (5,))
+    assert cokernel([{0: 1}], 1) == AbelianGroup(0)
+    assert cokernel([{0: 2}, {1: 4}], 2) == AbelianGroup(0, (2, 4))
+    assert cokernel([{}], 2) == AbelianGroup(2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -371,8 +513,8 @@ def test_cokernel_ignores_zero_rows(m, at):
     for i in at:
         padded.insert(min(i, len(padded)), [0] * n_cols)
     nonzero = [row for row in m if any(row)]
-    assert cokernel(padded, n_cols) == cokernel(m, n_cols) \
-        == cokernel(nonzero, n_cols)
+    assert cokernel(_sparse(padded), n_cols) == cokernel(_sparse(m), n_cols) \
+        == cokernel(_sparse(nonzero), n_cols)
 
 
 def test_abelian_group_order_and_str():
@@ -413,5 +555,8 @@ def test_h1_safe_conditional_rule():
 
 
 def test_relation_matrix_shape():
-    p = FpPresentation(("a", "b", "c"), (parse_word("a b^-1"), parse_word("c^2")))
-    assert relation_matrix(p) == [[1, -1, 0], [0, 0, 2]]
+    p = FpPresentation(("a", "b", "c"),
+                       (parse_word("a b^-1"), parse_word("c^2"), commutator(
+                           gen("a"), gen("c"))))
+    assert relation_rows(p) == [{0: 1, 1: -1}, {2: 2}, {}]
+    assert dense(relation_rows(p), 3) == [[1, -1, 0], [0, 0, 2], [0, 0, 0]]

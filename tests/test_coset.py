@@ -4,8 +4,8 @@ Oracle values are textbook: |S3| = 6, |Q8| = 8, |D4| = 8, |A5| = 60,
 |PSL(2,7)| = 168, cyclic orders and indices by Lagrange.  Further down,
 one test closes a large table that is mostly dead rows, one pins the
 cosets defined on the paper's family, one compares the deduction scans
-with a reference copy of the plain scan loop, and the closed-table tests
-check the finished table itself.
+and the coincidence processing with reference copies of the plain loops,
+and the closed-table tests check the finished table itself.
 """
 
 from random import Random
@@ -185,15 +185,52 @@ def test_odd_family_cores_define_pinned_cosets(n, m, defined):
         index=1, total_defined=defined)
 
 
-# -- the deduction scans against a reference loop -----------------------------
+# -- the deduction scans and coincidences against reference loops -------------
 
 class _PlainScans(_Enumerator):
-    """The reference deduction loop: every scan starts at (a, 0) and reads
-    each rotation letter by letter.  It also counts popped deductions of a
-    live coset whose entry is unset, where the kernel's scans cannot start
-    past it."""
+    """The reference loops.  Every deduction scan starts at (a, 0) and
+    reads each rotation letter by letter; every coincidence calls find on
+    both ends of each entry it moves and merges through one helper.  It
+    also counts popped deductions of a live coset whose entry is unset,
+    where the kernel's scans cannot start past it."""
 
     unset = 0
+
+    def _merge(self, a, b, queue):
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.parent[b] = a
+        self.live -= 1
+        queue.append(b)
+
+    def coincidence(self, a, b):
+        table, find, merge = self.table, self.find, self._merge
+        deductions = self.deductions
+        queue = []
+        merge(a, b, queue)
+        qi = 0
+        while qi < len(queue):
+            dead = queue[qi]
+            qi += 1
+            row = table[dead]
+            for x, d in enumerate(row):
+                if d is None:
+                    continue
+                row[x] = None
+                if table[d][x ^ 1] == dead:
+                    table[d][x ^ 1] = None
+                mu, nu = find(dead), find(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+                    deductions.append((mu, x))
 
     def process_deductions(self) -> None:
         table, parent, rotations = self.table, self.parent, self.rotations

@@ -92,17 +92,21 @@ def test_names_the_benchmark_looks_up_exist():
     assert missing == []
 
 
+ELIMINATIONS = ("smith_normal_form", "_smith_diagonal")
+
+
 def replay_reached_outside_the_check(source):
-    """Whether `smith_normal_form` reaches `_replay` other than through
-    `_check_smith`: following the names that each module-level function
-    mentions, its nested operations included, with `_check_smith` cut."""
+    """Whether an elimination (the dense `smith_normal_form` or the sparse
+    `_smith_diagonal`) reaches `_replay` other than through `_check_smith`:
+    following the names that each module-level function mentions, its
+    nested operations included, with `_check_smith` cut."""
     tree = ast.parse(source)
     mentions = {node.name: {n.id for n in ast.walk(node)
                             if isinstance(n, ast.Name)}
                 for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_replay" in mentions["_check_smith"]
-    assert "_check_smith" in mentions["smith_normal_form"]
-    seen, todo = set(), ["smith_normal_form"]
+    assert all("_check_smith" in mentions[name] for name in ELIMINATIONS)
+    seen, todo = set(), list(ELIMINATIONS)
     while todo:
         name = todo.pop()
         if name in seen or name == "_check_smith":
@@ -113,13 +117,13 @@ def replay_reached_outside_the_check(source):
 
 
 def test_the_smith_witness_stays_independent_of_the_elimination():
-    # the elimination updates its matrix in place and only logs operations;
+    # each elimination updates its matrix in place and only logs operations;
     # the witness check replays the log with its own code, so a fault in
     # the elimination's arithmetic shows up as U M V != D
     source = (PACKAGE / "abelian.py").read_text(encoding="utf-8")
     assert not replay_reached_outside_the_check(source)
     # the rule catches an operation that calls the replay, directly or
-    # through a helper
+    # through a helper, in the dense elimination and in the sparse one
     tree = ast.parse(source)
     snf = next(node for node in tree.body
                if getattr(node, "name", None) == "smith_normal_form")
@@ -131,3 +135,11 @@ def test_the_smith_witness_stays_independent_of_the_elimination():
     tree.body.append(ast.parse('def helper():\n    _replay([], [], "row")'
                                ).body[0])
     assert replay_reached_outside_the_check(ast.unparse(tree))
+    for call in ('_replay(a, row_ops, "row")', "helper()"):
+        tree = ast.parse(source)
+        sparse = next(node for node in tree.body
+                      if getattr(node, "name", None) == "_smith_diagonal")
+        sparse.body.insert(-1, ast.parse(call).body[0])
+        tree.body.append(ast.parse('def helper():\n    _replay([], [], "row")'
+                                   ).body[0])
+        assert replay_reached_outside_the_check(ast.unparse(tree))
