@@ -3,12 +3,12 @@
 Everything is plain Python ints (arbitrary precision); no floating point
 anywhere.  A dense matrix is a list of row lists; a sparse one is a list
 of rows, each a dict from column to nonzero entry.  H1 builds its relation
-matrix sparsely, from the relators' letters, and eliminates it sparsely.
+matrix sparsely, from the relators' letters; H1 and the dense Smith form
+run one sparse elimination.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .presentation import FpPresentation, PresentationError
@@ -111,172 +111,144 @@ def _sparse(m: IntMatrix) -> SparseRows:
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form over Z with a logged witness.
+def _smith(m: SparseRows, width: int
+           ) -> tuple[list[int], list[Operation], list[Operation], int]:
+    """The Smith diagonal of the sparse M with `width` columns, its row and
+    column logs, and the number of entries that the elimination and its
+    check read or wrote.
 
     Each pivot is a smallest-magnitude nonzero entry of the trailing block,
-    the first in row-major order, which keeps intermediate growth tame for
-    the small blocks it sees: h1 sends it only the unit-free block that its
-    sparse unit pivots leave.  The elimination transforms M alone and logs
-    each elementary operation.  _check_smith replays the logs on M with
-    its own code before the result is returned; a failed check raises
-    SmithCheckError, also under python -O.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
-    a = [row[:] for row in m]
+    the first in row-major order.  No entry beats a unit, so the search
+    stops at the first row that holds one, and a unit pivot skips the
+    divisibility scan, since it divides every entry.  Relation matrices
+    are mostly unit entries (Havas, Holt & Rees, Linear Algebra Appl. 192,
+    1993).  Rows are dicts keyed by column; line swaps only move positions,
+    and a column index finds the rows that a pivot clears, so the work
+    follows the entries, not rows times columns.  The elimination
+    transforms M alone and logs each elementary operation by position;
+    _check_smith replays the logs on M with its own code before the result
+    is returned, and a failed check raises SmithCheckError, also under
+    python -O."""
+    a = [dict(row) for row in m]
+    n = len(a)
+    where: list[set[int]] = [set() for _ in range(width)]  # rows per column
+    for r, row in enumerate(a):
+        for k in row:
+            where[k].add(r)
+    # the row (column) at each position, and the position of each
+    rat, cat = list(range(n)), list(range(width))
+    rpos, cpos = rat[:], cat[:]
     row_ops: list[Operation] = []
     col_ops: list[Operation] = []
+    touched = 0
 
-    def swap_rows(i, j):             # a pivot already in place logs nothing
+    def swap(at, pos, ops, i, j):   # a pivot already in place logs nothing
         if i != j:
-            a[i], a[j] = a[j], a[i]
-            row_ops.append(("swap", i, j))
+            at[i], at[j] = at[j], at[i]
+            pos[at[i]], pos[at[j]] = i, j
+            ops.append(("swap", i, j))
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            col_ops.append(("swap", i, j))
-
-    def add_row(src, dst, q):        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+    def add_row(src, dst, q):       # row dst += q * row src
+        nonlocal touched
+        d, row = rat[dst], a[rat[dst]]
+        for k, y in a[rat[src]].items():
+            if x := row.get(k, 0) + q * y:
+                row[k] = x
+                where[k].add(d)
+            else:
+                row.pop(k, None)    # q may be 0
+                where[k].discard(d)
+        touched += len(a[rat[src]])
         row_ops.append(("add", src, dst, q))
 
-    def add_col(src, dst, q):        # col dst += q * col src
-        for row in a:
-            row[dst] += q * row[src]
+    def add_col(src, dst, q):       # col dst += q * col src
+        nonlocal touched
+        s, d = cat[src], cat[dst]
+        for r in where[s]:
+            row = a[r]
+            if x := row.get(d, 0) + q * row[s]:
+                row[d] = x
+                where[d].add(r)
+            else:
+                row.pop(d, None)
+                where[d].discard(r)
+        touched += len(where[s])
         col_ops.append(("add", src, dst, q))
 
     t = 0
     while True:
         # (magnitude, row, column) of the first smallest nonzero entry of
-        # the trailing block in row-major order
-        pivot = min(((abs(x), i, j) for i in range(t, rows)
-                     for j, x in enumerate(a[i][t:], t) if x), default=None)
+        # the trailing block in row-major order; the trailing rows hold no
+        # entry left of column t
+        pivot = None
+        for i in range(t, n):
+            row = a[rat[i]]
+            touched += len(row)
+            if row:
+                least = min((abs(x), i, cpos[k]) for k, x in row.items())
+                pivot = least if pivot is None else min(pivot, least)
+                if pivot[0] == 1:
+                    break
         if pivot is None:
             break
-        swap_rows(t, pivot[1])
-        swap_cols(t, pivot[2])
+        swap(rat, rpos, row_ops, t, pivot[1])
+        swap(cat, cpos, col_ops, t, pivot[2])
 
-        # clear row and column t; each pass strictly shrinks |a[t][t]|
+        # clear column and row t; each pass strictly shrinks |a[t][t]|
         # whenever a remainder shows up, so this terminates
         while True:
-            for i in range(t + 1, rows):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t] != 0:          # nonzero remainder: better pivot
-                    swap_rows(t, i)
-            if any(a[i][t] for i in range(t + 1, rows)):
+            col = cat[t]
+            for i in sorted(rpos[r] for r in where[col] if rpos[r] > t):
+                add_row(t, i, -(a[rat[i]][col] // a[rat[t]][col]))
+                if col in a[rat[i]]:    # nonzero remainder: better pivot
+                    swap(rat, rpos, row_ops, t, i)
+            if len(where[col]) > 1:
                 continue
-            for j in range(t + 1, cols):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j] != 0:
-                    swap_cols(t, j)
-            if any(a[i][t] for i in range(t + 1, rows)) or \
-               any(a[t][j] for j in range(t + 1, cols)):
+            row = a[rat[t]]
+            for j in sorted(cpos[k] for k in row if cpos[k] > t):
+                add_col(t, j, -(row[cat[j]] // row[cat[t]]))
+                if cat[j] in row:
+                    swap(cat, cpos, col_ops, t, j)
+            if len(where[cat[t]]) > 1 or len(row) > 1:
                 continue
             break
 
-        # divisibility: the pivot must divide the whole trailing block
-        p = a[t][t]
-        bad = next((i for i in range(t + 1, rows)
-                    if any(x % p for x in a[i][t + 1:])), None)
+        # divisibility: the pivot must divide the whole trailing block,
+        # which a unit always does
+        p, bad = row[cat[t]], None
+        if abs(p) != 1:
+            for i in range(t + 1, n):
+                touched += len(a[rat[i]])
+                if any(x % p for x in a[rat[i]].values()):
+                    bad = i
+                    break
         if bad is not None:
-            add_row(bad, t, 1)        # drag the offending row up, redo block
+            add_row(bad, t, 1)          # drag the offending row up, redo
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            row_ops.append(("negate", t))
-        t += 1
-
-    _check_smith(_sparse(m), cols, _sparse(a), row_ops, col_ops)
-    return SmithForm(d=a, row_ops=row_ops, col_ops=col_ops)
-
-
-def _smith_diagonal(m: SparseRows, width: int) -> tuple[list[int], int]:
-    """The Smith diagonal of the sparse M with `width` columns, and the
-    number of entries that the elimination and its check touched.
-
-    Unit pivots go first, cheapest first by Markowitz cost (Havas &
-    Majewski, J. Symbolic Comput. 24, 1997); one whose cost grew since it
-    was queued goes back in the queue.  Pivot t is swapped to (t, t); it
-    clears its column by adding its row to the others, then its row by
-    column operations that touch no other row.  smith_normal_form takes
-    the unit-free trailing block, its logs shifted into place, and
-    _check_smith replays the whole witness on M."""
-    a = [dict(row) for row in m]
-    where: list[set[int]] = [set() for _ in range(width)]  # rows per column
-    for i, row in enumerate(a):
-        for j in row:
-            where[j].add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(a[i]) - 1) * (len(where[j]) - 1)
-
-    queue = [(cost(i, j), i, j) for i, row in enumerate(a)
-             for j, x in row.items() if x in (1, -1)]
-    heapq.heapify(queue)
-    # the original line at each position, and the position of each line
-    rat, cat = list(range(len(a))), list(range(width))
-    rpos, cpos = rat[:], cat[:]
-    row_ops: list[Operation] = []
-    col_ops: list[Operation] = []
-    t = touched = 0
-    while queue:
-        c, i, j = heapq.heappop(queue)
-        row = a[i]
-        p = row.get(j)
-        if rpos[i] < t or p not in (1, -1):
-            continue                    # a pivot row, or no longer a unit
-        if cost(i, j) > c:
-            heapq.heappush(queue, (cost(i, j), i, j))
-            continue
-        for at, pos, line, ops in ((rat, rpos, i, row_ops),
-                                   (cat, cpos, j, col_ops)):
-            if (s := pos[line]) != t:
-                ops.append(("swap", t, s))
-                at[s], pos[at[t]] = at[t], s
-                at[t], pos[line] = line, t
-        others, where[j] = where[j] - {i}, {i}
-        for k in others:
-            other = a[k]
-            q = -other[j] * p
-            row_ops.append(("add", t, rpos[k], q))
-            for l, y in row.items():
-                if x := other.get(l, 0) + q * y:
-                    other[l] = x
-                    where[l].add(k)
-                    if x in (1, -1):
-                        heapq.heappush(queue, (cost(k, l), k, l))
-                else:
-                    del other[l]
-                    where[l].discard(k)
-        for l, y in row.items():
-            if l != j:
-                col_ops.append(("add", t, cpos[l], -y * p))
-                where[l].discard(i)
         if p < 0:
+            row[cat[t]] = -p
             row_ops.append(("negate", t))
-        touched += len(row) * (len(others) + 1)
         t += 1
-    form = smith_normal_form([[a[i].get(j, 0) for j in cat[t:]]
-                              for i in rat[t:]])
-    for ops, log in ((row_ops, form.row_ops), (col_ops, form.col_ops)):
-        ops += [(op[0], *(x + t for x in op[1:3]), *op[3:]) for op in log]
-    diag = [1] * t + form.diagonal
-    # the dense form scans its block for each of its pivots
-    touched += (len(a) - t) * (width - t) * (len(form.diagonal) + 1)
-    d = [{k: x} if x else {} for k, x in enumerate(diag)]
-    d += [{} for _ in range(len(m) - len(d))]
-    return diag, touched + _check_smith(m, width, d, row_ops, col_ops)
+
+    diag = [a[rat[i]].get(cat[i], 0) for i in range(min(n, width))]
+    d = [{i: x} if x else {} for i, x in enumerate(diag)]
+    d += [{} for _ in range(n - len(d))]
+    touched += _check_smith(m, width, d, row_ops, col_ops)
+    return diag, row_ops, col_ops, touched
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Smith normal form over Z of the dense M, with a logged witness: the
+    elimination of _smith on M's sparse rows."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
+        raise ValueError("ragged matrix")
+    diag, row_ops, col_ops, _ = _smith(_sparse(m), cols)
+    d = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return SmithForm(d=d, row_ops=row_ops, col_ops=col_ops)
 
 
 @dataclass(frozen=True)
@@ -297,7 +269,7 @@ def cokernel(m: SparseRows, n_cols: int) -> AbelianGroup:
     Empty rows are dropped first: they add nothing to the row space, and
     relation matrices have many, one for each relator with zero exponent
     sum in every generator, such as a commutator."""
-    diag, _ = _smith_diagonal([row for row in m if row], n_cols)
+    diag = _smith([row for row in m if row], n_cols)[0]
     nonzero = [d for d in diag if d != 0]
     return AbelianGroup(rank=n_cols - len(nonzero),
                         torsion=tuple(d for d in nonzero if d > 1))

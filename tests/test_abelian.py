@@ -6,11 +6,11 @@ block rebuilds U and V from the operation logs and checks the defining
 equations U M V = D, unimodularity (by an independent determinant), and
 the divisibility chain on random matrices.  The fault-injection blocks
 feed the built-in witness check broken Smith forms, each of which must
-raise, the dense ones directly and the sparse elimination's by corrupting
-its witness on the way to the check.  The full-scan block keeps the dense
-pivot rule as a reference: the dense Smith form must give the same D and
-the same logged operations, with no swap of a line with itself, and the
-sparse unit-pivot elimination that H1 runs must give the same diagonal.
+raise, directly and by corrupting the elimination's witness on its way to
+the check.  The full-scan block keeps the dense pivot rule as a reference:
+the sparse elimination, which both the Smith form and H1 run, must give
+the same D and the same logged operations, with no swap of a line with
+itself.
 """
 
 import random
@@ -28,7 +28,7 @@ from m4kit.abelian import (
     SmithCheckError,
     SmithForm,
     _check_smith,
-    _smith_diagonal,
+    _smith,
     _sparse,
     cokernel,
     h1,
@@ -116,6 +116,9 @@ def determinant(m):
     ([[4, 6], [6, 4]], [2, 10]),         # det -20, gcd 2
     ([[2, 0], [0, 2], [0, 0]], [2, 2]),  # non-square
     ([[0, 0], [0, 0]], [0, 0]),
+    # two unit pivots leave the unit-free block [[4, 6], [6, 4]] above
+    ([[1, 2, 0, 0], [0, 4, 6, 0], [3, 12, 4, 0], [0, 0, 5, -1]],
+     [1, 1, 2, 10]),
 ])
 def test_snf_oracles(matrix, diag):
     assert smith_normal_form(matrix).diagonal == diag
@@ -358,13 +361,12 @@ def test_snf_matches_the_full_scan_oracle_on_random_matrices():
         f = smith_normal_form(m)
         assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(m), m
         assert not identity_swaps(f), m
-        assert _smith_diagonal(_sparse(m), len(m[0]))[0] == f.diagonal, m
 
 
 @st.composite
 def padded_matrices(draw):
     """Matrices for the sparse elimination: up to 6 x 6 entries from a set
-    that may hold no unit, so that some residual blocks are unit-free,
+    that may hold no unit, so that some trailing blocks are unit-free,
     with zero rows and columns inserted anywhere (shapes down to 0 x 0)."""
     values = draw(st.sampled_from([(1, -1, 2, -3), (2, -2, 3, -4, 6),
                                    (1, -1), (4, -6, 9)]))
@@ -385,11 +387,12 @@ def padded_matrices(draw):
 @given(padded_matrices())
 def test_sparse_elimination_matches_the_full_scan_oracle(case):
     m, width = case
-    expected = []
+    expected = [], [], []
     if m and width:
-        d = full_scan_smith(m)[0]
-        expected = [d[i][i] for i in range(min(len(m), width))]
-    assert _smith_diagonal(_sparse(m), width)[0] == expected
+        d, row_ops, col_ops = full_scan_smith(m)
+        diag = [d[i][i] for i in range(min(len(m), width))]
+        expected = diag, row_ops, col_ops
+    assert _smith(_sparse(m), width)[:3] == expected
 
 
 @pytest.mark.parametrize("n", [5, 20])
@@ -401,26 +404,20 @@ def test_snf_matches_the_full_scan_oracle_on_the_paper_family(n):
         f = smith_normal_form(matrix)
         assert (f.d, f.row_ops, f.col_ops) == full_scan_smith(matrix)
         assert not identity_swaps(f)
-        assert _smith_diagonal(_sparse(matrix), len(p.generators))[0] \
-            == f.diagonal
 
 
 # -- the sparse elimination's witness -----------------------------------------
 
-# a matrix whose unit pivots leave the unit-free residual [[4, 6], [6, 4]]:
-# row 2 -= 3 row 0, then columns 1 and 2 are cleared of rows 0 and 3
-RESIDUAL = [{0: 1, 1: 2}, {1: 4, 2: 6}, {0: 3, 1: 12, 2: 4}, {2: 5, 3: -1}]
+# the last case of test_snf_oracles as sparse rows: row 2 -= 3 row 0, then
+# columns 1 and 2 are cleared of rows 0 and 3, and the two unit pivots
+# leave the unit-free block [[4, 6], [6, 4]]
+MIXED_PIVOTS = [{0: 1, 1: 2}, {1: 4, 2: 6}, {0: 3, 1: 12, 2: 4}, {2: 5, 3: -1}]
 
 
 def sparse_cases():
     p = exotic_odd_cp2(5, 1).pi1.strip_meridional()
     rows = [row for row in relation_rows(p, True) if row]
-    return [(rows, len(p.generators)), (RESIDUAL, 4)]
-
-
-def test_sparse_cases_reach_the_dense_residual():
-    assert _smith_diagonal(RESIDUAL, 4)[0] == [1, 1, 2, 10] \
-        == smith_normal_form(dense(RESIDUAL, 4)).diagonal
+    return [(rows, len(p.generators)), (MIXED_PIVOTS, 4)]
 
 
 def _drop_an_add(m, width, d, row_ops, col_ops):
@@ -449,15 +446,13 @@ SPARSE_FAULTS = {"dropped operation": (_drop_an_add, "U M V != D"),
 
 @pytest.mark.parametrize("fault", SPARSE_FAULTS)
 def test_sparse_witness_check_catches_a_corrupted_witness(fault, monkeypatch):
-    # the corruption hits only the check of the whole witness, not the one
-    # that smith_normal_form runs on the residual block
     corrupt, message = SPARSE_FAULTS[fault]
     real = abelian._check_smith
+    monkeypatch.setattr(abelian, "_check_smith",
+                        lambda *w: real(*corrupt(*w)))
     for m, width in sparse_cases():
-        monkeypatch.setattr(abelian, "_check_smith", lambda *w: real(
-            *(corrupt(*w) if w[0] is m else w)))
         with pytest.raises(SmithCheckError, match=re.escape(message)):
-            _smith_diagonal(m, width)
+            _smith(m, width)
 
 
 def test_sparse_witness_check_raises_under_optimize():
@@ -467,11 +462,10 @@ def test_sparse_witness_check_raises_under_optimize():
             "from test_abelian import SPARSE_FAULTS, sparse_cases\n"
             "real = abelian._check_smith\n"
             "for corrupt, _ in SPARSE_FAULTS.values():\n"
+            "    abelian._check_smith = lambda *w: real(*corrupt(*w))\n"
             "    for m, width in sparse_cases():\n"
-            "        abelian._check_smith = lambda *w: real(\n"
-            "            *(corrupt(*w) if w[0] is m else w))\n"
             "        try:\n"
-            "            abelian._smith_diagonal(m, width)\n"
+            "            abelian._smith(m, width)\n"
             "        except abelian.SmithCheckError:\n"
             "            print('raised')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -482,14 +476,14 @@ def test_sparse_witness_check_raises_under_optimize():
 
 
 def test_sparse_elimination_work_is_linear_in_relator_letters():
-    # entries touched by the elimination and its check at n = 320 stay
-    # within twice the relator letters; the dense path copies and scans
-    # every cell of the relation matrix, which is over that bound
+    # entries read or written by the elimination and its check at n = 320
+    # stay within twice the relator letters; a dense elimination copies
+    # and scans every cell of the relation matrix, which is over that bound
     p = exotic_odd_cp2(320, 1).pi1.strip_meridional()
     rows = [row for row in relation_rows(p, True) if row]
     letters = sum(map(len, p.relators)) + sum(
         len(c.relator) for c in p.conditional)
-    diag, touched = _smith_diagonal(rows, len(p.generators))
+    diag, _, _, touched = _smith(rows, len(p.generators))
     assert diag == [1] * len(p.generators)
     assert touched <= 2 * letters
     assert len(rows) * len(p.generators) > 2 * letters

@@ -92,21 +92,17 @@ def test_names_the_benchmark_looks_up_exist():
     assert missing == []
 
 
-ELIMINATIONS = ("smith_normal_form", "_smith_diagonal")
-
-
 def replay_reached_outside_the_check(source):
-    """Whether an elimination (the dense `smith_normal_form` or the sparse
-    `_smith_diagonal`) reaches `_replay` other than through `_check_smith`:
-    following the names that each module-level function mentions, its
-    nested operations included, with `_check_smith` cut."""
+    """Whether the elimination `_smith` reaches `_replay` other than through
+    `_check_smith`: following the names that each module-level function
+    mentions, its nested operations included, with `_check_smith` cut."""
     tree = ast.parse(source)
     mentions = {node.name: {n.id for n in ast.walk(node)
                             if isinstance(n, ast.Name)}
                 for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_replay" in mentions["_check_smith"]
-    assert all("_check_smith" in mentions[name] for name in ELIMINATIONS)
-    seen, todo = set(), list(ELIMINATIONS)
+    assert "_check_smith" in mentions["_smith"]
+    seen, todo = set(), ["_smith"]
     while todo:
         name = todo.pop()
         if name in seen or name == "_check_smith":
@@ -117,17 +113,17 @@ def replay_reached_outside_the_check(source):
 
 
 def test_the_smith_witness_stays_independent_of_the_elimination():
-    # each elimination updates its matrix in place and only logs operations;
+    # the elimination updates its matrix in place and only logs operations;
     # the witness check replays the log with its own code, so a fault in
     # the elimination's arithmetic shows up as U M V != D
     source = (PACKAGE / "abelian.py").read_text(encoding="utf-8")
     assert not replay_reached_outside_the_check(source)
     # the rule catches an operation that calls the replay, directly or
-    # through a helper, in the dense elimination and in the sparse one
+    # through a helper
     tree = ast.parse(source)
-    snf = next(node for node in tree.body
-               if getattr(node, "name", None) == "smith_normal_form")
-    add_row = next(node for node in snf.body
+    smith = next(node for node in tree.body
+                 if getattr(node, "name", None) == "_smith")
+    add_row = next(node for node in smith.body
                    if getattr(node, "name", None) == "add_row")
     add_row.body.append(ast.parse('_replay(a, row_ops[-1:], "row")').body[0])
     assert replay_reached_outside_the_check(ast.unparse(tree))
@@ -135,11 +131,3 @@ def test_the_smith_witness_stays_independent_of_the_elimination():
     tree.body.append(ast.parse('def helper():\n    _replay([], [], "row")'
                                ).body[0])
     assert replay_reached_outside_the_check(ast.unparse(tree))
-    for call in ('_replay(a, row_ops, "row")', "helper()"):
-        tree = ast.parse(source)
-        sparse = next(node for node in tree.body
-                      if getattr(node, "name", None) == "_smith_diagonal")
-        sparse.body.insert(-1, ast.parse(call).body[0])
-        tree.body.append(ast.parse('def helper():\n    _replay([], [], "row")'
-                                   ).body[0])
-        assert replay_reached_outside_the_check(ast.unparse(tree))
