@@ -111,6 +111,7 @@ class _State:
     def __init__(self, p: FpPresentation):
         self.gens: list[str] = list(p.generators)
         self.rels: dict[int, Word] = {}
+        self.counts: dict[int, Counter[str]] = {}  # key -> its letter counts
         self.occ: dict[str, set[int]] = {}
         self.total: Counter[str] = Counter()
         self.definitions: dict[str, dict[int, Word]] = {}
@@ -150,25 +151,28 @@ class _State:
         an empty w drops the relator.  Only the generators whose letter
         count changes are re-counted, and only the definitions of the old
         and new word are redone."""
+        old: dict[str, int] = {}
         if key is None:
             key, self.next_key = self.next_key, self.next_key + 1
-            old: Counter[str] = Counter()
         else:
-            old = Counter(map(_name, self.rels[key].letters))
-            for g in [g for g, n in old.items() if n == 1]:
-                del self.definitions[g][key]
+            old = self.counts.pop(key)
+            for g, n in old.items():
+                if n == 1:
+                    del self.definitions[g][key]
         new = Counter(map(_name, w.letters))
         for g in {g for g, _ in old.items() ^ new.items()}:
-            self.total[g] += new[g] - old[g]
+            before, after = old.get(g, 0), new.get(g, 0)
+            self.total[g] += after - before
             self.dirty.add(g)
-            if not old[g]:
+            if not before:
                 self.occ.setdefault(g, set()).add(key)
-            elif not new[g]:
+            elif not after:
                 self.occ[g].discard(key)
         if not w:
             self.rels.pop(key, None)
             return
         self.rels[key] = w
+        self.counts[key] = new
         for g in [g for g, n in new.items() if n == 1]:
             self.definitions.setdefault(g, {})[key] = defining_rotation(w, g)
             self.dirty.add(g)
@@ -184,12 +188,11 @@ class _State:
             self.put(key, cyclic_reduce(substitute(self.rels[key], images)))
 
         def sub(w: Word) -> Word:
-            if name not in w.names():
-                return w
-            self.count(w, -1)
-            w = substitute(w, images)
-            self.count(w, 1)
-            return w
+            new = substitute(w, images)
+            if new is not w:
+                self.count(w, -1)
+                self.count(new, 1)
+            return new
 
         new_cond = []
         for rel, key, orig in self.conditional:

@@ -64,6 +64,7 @@ class _Replay:
         # relators under keys that only grow, so dict order is relator
         # order, and generator -> keys of the relators that mention it
         self.rels: dict[int, Word] = {}
+        self.names: dict[int, frozenset[str]] = {}  # key -> its names
         self.occ: dict[str, set[int]] = {}
         self.next_key = 0
         for r in p.relators:
@@ -81,11 +82,11 @@ class _Replay:
     def put(self, key: int | None, w: Word) -> None:
         """Make w relator `key`, or a new last relator when key is None;
         an empty w drops the relator."""
-        old = frozenset()
+        old: frozenset[str] = frozenset()
         if key is None:
             key, self.next_key = self.next_key, self.next_key + 1
         else:
-            old = self.rels[key].names()
+            old = self.names.pop(key)
         new = w.names()
         for n in old - new:
             self.occ[n].discard(key)
@@ -93,6 +94,7 @@ class _Replay:
             self.occ.setdefault(n, set()).add(key)
         if w:
             self.rels[key] = w
+            self.names[key] = new
         else:
             self.rels.pop(key, None)
 
@@ -177,16 +179,14 @@ class _Replay:
         for k in list(self.occ.get(s.gen, ())):
             self.put(k, cyclic_reduce(substitute(self.rels[k], images)))
 
-        def sub(w: Word) -> Word:
-            return substitute(w, images) if s.gen in w.names() else w
-
         new_cond = []
         for rel, key, orig in self.conditional:
-            rel2 = sub(rel)
+            rel2 = substitute(rel, images)
             if rel2:
-                new_cond.append((rel2, sub(key), orig))
+                new_cond.append((rel2, substitute(key, images), orig))
         self.conditional = new_cond
-        self.tiers = [(label, sub(key)) for label, key in self.tiers]
+        self.tiers = [(label, substitute(key, images))
+                      for label, key in self.tiers]
         self.gens.remove(s.gen)
         self.pairs = {pr for pr in self.pairs if s.gen not in pr}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -63,10 +64,16 @@ class Word:
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # two reduced words cancel only where they meet
+        left, right = self.letters, other.letters
+        k, n = 0, min(len(left), len(right))
+        while k < n and left[-1 - k][0] == right[k][0] \
+                and left[-1 - k][1] == -right[k][1]:
+            k += 1
+        return _reduced_word(left[:len(left) - k] + right[k:])
 
     def inverse(self) -> "Word":
-        return Word(_invert(self.letters))
+        return _reduced_word(_invert(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
@@ -101,6 +108,15 @@ class Word:
 IDENTITY = Word()
 
 
+def _reduced_word(letters: tuple[Letter, ...]) -> Word:
+    """The Word of `letters`, which must already be freely reduced, built
+    without reducing them again.  This is the one way round the reducing
+    constructor; it stays private to this module."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def gen(name: str, sign: int = 1) -> Word:
     """The one-letter word ``name^sign``; raises WordSyntaxError on a bad
     generator name or a sign other than +1 or -1."""
@@ -123,16 +139,58 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Apply the homomorphism sending each name in `images` to its image
     (other generators map to themselves).  When no letter of w is in
     `images`, w itself is returned, not a copy."""
-    if images.keys().isdisjoint(map(_name, w.letters)):
+    letters = w.letters
+    if len(images) == 1:
+        # one name: find its two letters by C-level search
+        (name,) = images
+        found: list[int] = []
+        for letter in ((name, 1), (name, -1)):
+            if letter in letters:
+                i = -1
+                try:
+                    while True:
+                        i = letters.index(letter, i + 1)
+                        found.append(i)
+                except ValueError:
+                    pass
+        found.sort()
+    else:
+        found = list(compress(count(), map(images.__contains__,
+                                           map(_name, letters))))
+    if not found:
         return w
+    return _reduced_word(_splice(letters, found, images))
+
+
+def _splice(letters: tuple[Letter, ...], found: list[int],
+            images: Mapping[str, Word]) -> tuple[Letter, ...]:
+    """The reduced letters of a reduced word with the letter at each index
+    in `found` (ascending) replaced by its image.  The unchanged runs are
+    copied as slices and each image, or its inverse, is appended whole.
+    Runs and images are reduced, so letters can cancel only where two of
+    them meet, and only those seams are walked letter by letter."""
     out: list[Letter] = []
-    for name, sign in w.letters:
-        if name in images:
-            img = images[name] if sign > 0 else images[name].inverse()
-            out.extend(img.letters)
+    inverses: dict[str, tuple[Letter, ...]] = {}
+    start, end = 0, len(letters)
+    for i in found + [end]:
+        if i == end:
+            image: tuple[Letter, ...] = ()
+        elif letters[i][1] > 0:
+            image = images[letters[i][0]].letters
         else:
-            out.append((name, sign))
-    return Word(tuple(out))
+            name = letters[i][0]
+            if name not in inverses:
+                inverses[name] = _invert(images[name].letters)
+            image = inverses[name]
+        for seg in (letters[start:i], image):
+            k = 0
+            while out and k < len(seg) and out[-1][0] == seg[k][0] \
+                    and out[-1][1] == -seg[k][1]:
+                out.pop()
+                k += 1
+            out += seg[k:] if k else seg
+        start = i + 1
+    return tuple(out)
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -145,16 +203,21 @@ def cyclic_reduce(w: Word) -> Word:
             and letters[i][1] == -letters[j - 1][1]:
         i += 1
         j -= 1
-    return Word(letters[i:j]) if i else w
+    return _reduced_word(letters[i:j]) if i else w
 
 
 def rotate(w: Word, k: int) -> Word:
     """Cyclic rotation: move the first k letters to the end.  Only sensible
-    for cyclically reduced words (a rotation of such stays reduced)."""
-    if not w.letters:
+    for cyclically reduced words, whose rotations stay reduced and are not
+    reduced again; the rotation of any other word is reduced."""
+    letters = w.letters
+    if not letters:
         return w
-    k %= len(w.letters)
-    return Word(w.letters[k:] + w.letters[:k])
+    k %= len(letters)
+    rotated = letters[k:] + letters[:k]
+    if letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
+        return Word(rotated)        # the two ends meet and may cancel
+    return _reduced_word(rotated)
 
 
 def cyclic_rotations(w: Word) -> list[Word]:

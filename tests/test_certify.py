@@ -369,6 +369,30 @@ def test_eliminations_touch_only_the_relators_that_mention_the_generator(
     assert 0 < calls["m4kit.checker"] <= 6 * n + 40
 
 
+def test_substitution_work_is_linear_in_relator_letters(monkeypatch):
+    # substitute walks one at a time only the occurrences it replaces and
+    # the letters that cancel at a seam; walking every letter of each
+    # rewritten word takes 425,130 steps here, against 7,114 letters
+    words = importlib.import_module("m4kit.words")
+    splice, work = words._splice, []
+
+    def counting(letters, found, images):
+        out = splice(letters, found, images)
+        spliced = len(letters) - len(found) + sum(
+            len(images[letters[i][0]]) for i in found)
+        work.append(len(found) + (spliced - len(out)) // 2)
+        return out
+
+    monkeypatch.setattr(words, "_splice", counting)
+    p = exotic_odd_cp2(320, 1).pi1
+    c = certify(p, target="trivial", budget=Budget(corroborate=False))
+    replay(c, p)
+    letters = sum(map(len, p.relators)) + sum(
+        len(r.relator) for r in p.conditional)
+    assert c.verdict == TRIVIAL
+    assert work and sum(work) <= 2 * letters
+
+
 @pytest.mark.parametrize("build", [
     lambda: exotic_cp2_2(2), lambda: exotic_cp2_4(2), lambda: exotic_cp2_6(2),
     lambda: exotic_odd_cp2(6, 3), lambda: cyclic_family(4),

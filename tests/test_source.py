@@ -131,3 +131,26 @@ def test_the_smith_witness_stays_independent_of_the_elimination():
     tree.body.append(ast.parse('def helper():\n    _replay([], [], "row")'
                                ).body[0])
     assert replay_reached_outside_the_check(ast.unparse(tree))
+
+
+def unreduced_word_builders(source):
+    """The functions of `source` that make a Word with `object.__new__`,
+    which skips the reducing constructor."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "object.__new__"
+                    for call in ast.walk(node))]
+
+
+def test_the_unreduced_word_constructor_stays_private():
+    # a Word built without reduction is correct only when its letters are
+    # already reduced, which words.py alone can know
+    builders = unreduced_word_builders(
+        (PACKAGE / "words.py").read_text(encoding="utf-8"))
+    assert len(builders) == 1 and builders[0].startswith("_")
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "words.py"
+             and (builders[0] in path.read_text(encoding="utf-8")
+                  or unreduced_word_builders(path.read_text(encoding="utf-8")))]
+    assert users == []

@@ -8,6 +8,7 @@ from m4kit.words import (
     IDENTITY,
     Word,
     WordSyntaxError,
+    _reduce,
     commutator,
     conjugate,
     cyclic_reduce,
@@ -142,8 +143,8 @@ def test_cyclic_reduce_returns_a_reduced_word_itself():
     assert cyclic_reduce(IDENTITY) is IDENTITY
 
 
-@given(words, images)
-def test_substitute_equals_the_plain_construction(w, imgs):
+def naive_substitute(w, imgs):
+    """The oracle: expand every mapped letter, then reduce the whole."""
     expanded = []
     for name, sign in w.letters:
         if name in imgs:
@@ -151,7 +152,82 @@ def test_substitute_equals_the_plain_construction(w, imgs):
             expanded += img.letters
         else:
             expanded.append((name, sign))
-    assert substitute(w, imgs) == Word(tuple(expanded))
+    return _reduce(expanded)
+
+
+@given(words, images)
+def test_substitute_equals_the_plain_construction(w, imgs):
+    assert substitute(w, imgs).letters == naive_substitute(w, imgs)
+
+
+long_words = st.builds(lambda ls: Word(tuple(ls)),
+                       st.lists(letters, max_size=60))
+
+
+@st.composite
+def seam_cases(draw):
+    """A word of up to 60 letters and a map of one or more names.  Each
+    image is empty, random, or the inverse of the runs beside one
+    occurrence of its name, so that cancellation crosses that seam and
+    cascades into the next ones."""
+    w = draw(long_words)
+    mapped = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    imgs = {}
+    for name in mapped:
+        kind = draw(st.sampled_from(["empty", "random", "neighbours"]))
+        at = [i for i, (n, _) in enumerate(w.letters) if n == name]
+        if kind == "empty":
+            imgs[name] = IDENTITY
+        elif kind == "random" or not at:
+            imgs[name] = draw(long_words)
+        else:
+            i = draw(st.sampled_from(at))
+            lo = draw(st.integers(0, i))
+            hi = draw(st.integers(i + 1, len(w)))
+            # w[lo:i] (w[lo:i])^-1 (w[i+1:hi])^-1 w[i+1:hi] cancels away
+            image = Word(w.letters[i + 1:hi] + w.letters[lo:i]).inverse()
+            imgs[name] = image if w.letters[i][1] > 0 else image.inverse()
+    return w, imgs
+
+
+@given(seam_cases())
+def test_substitute_matches_the_naive_oracle(case):
+    w, imgs = case
+    assert substitute(w, imgs).letters == naive_substitute(w, imgs)
+    for name, image in imgs.items():        # the one-name search
+        one = {name: image}
+        assert substitute(w, one).letters == naive_substitute(w, one)
+
+
+@given(seam_cases())
+def test_cyclic_reduce_of_a_substitution_matches_the_naive_oracle(case):
+    w, imgs = case
+    letters = list(naive_substitute(w, imgs))
+    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    assert cyclic_reduce(substitute(w, imgs)).letters == _reduce(letters)
+
+
+@given(long_words, long_words, st.integers(min_value=0, max_value=200))
+def test_products_inverses_and_rotations_match_the_naive_oracle(u, v, k):
+    # u u^-1 v and u v v^-1 cancel a whole factor across the seam
+    for left, right in ((u, v), (u, u.inverse() * v), (u * v, v.inverse())):
+        assert (left * right).letters == _reduce(left.letters + right.letters)
+    assert u.inverse().letters == _reduce(
+        (name, -sign) for name, sign in reversed(u.letters))
+    # a conjugate is not cyclically reduced, so its rotations may cancel
+    for w in (u, conjugate(u, v)):
+        if w:
+            j = k % len(w)
+            assert rotate(w, k).letters == _reduce(w.letters[j:] + w.letters[:j])
+
+
+def test_substitute_cancels_across_several_seams():
+    w = parse_word("a b x y c x^-1 d")
+    out = substitute(w, {"x": parse_word("b^-1 a^-1"), "y": parse_word("c^-1")})
+    assert out == parse_word("a b d")
+    assert substitute(w, {"x": IDENTITY}) == parse_word("a b y c d")
+    assert substitute(parse_word("a x a^-1"), {"x": IDENTITY}) == IDENTITY
 
 
 @given(words)
