@@ -140,23 +140,9 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     (other generators map to themselves).  When no letter of w is in
     `images`, w itself is returned, not a copy."""
     letters = w.letters
-    if len(images) == 1:
-        # one name: find its two letters by C-level search
-        (name,) = images
-        found: list[int] = []
-        for letter in ((name, 1), (name, -1)):
-            if letter in letters:
-                i = -1
-                try:
-                    while True:
-                        i = letters.index(letter, i + 1)
-                        found.append(i)
-                except ValueError:
-                    pass
-        found.sort()
-    else:
-        found = list(compress(count(), map(images.__contains__,
-                                           map(_name, letters))))
+    # one C-level pass finds the letters to replace
+    found = list(compress(count(), map(images.__contains__,
+                                       map(_name, letters))))
     if not found:
         return w
     return _reduced_word(_splice(letters, found, images))

@@ -194,7 +194,7 @@ def seam_cases(draw):
 def test_substitute_matches_the_naive_oracle(case):
     w, imgs = case
     assert substitute(w, imgs).letters == naive_substitute(w, imgs)
-    for name, image in imgs.items():        # the one-name search
+    for name, image in imgs.items():        # one name, as eliminations map
         one = {name: image}
         assert substitute(w, one).letters == naive_substitute(w, one)
 
