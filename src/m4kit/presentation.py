@@ -21,6 +21,7 @@ All types are immutable; operations return new presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .words import (
     NAME_RE,
@@ -56,12 +57,20 @@ class ConditionalRelator:
     key: Word
 
 
+_name, _sign = itemgetter(0), itemgetter(1)
+_SIGNS = frozenset((1, -1))
+
+
 def _check_word(w: Word, what: str, generators: set[str]) -> None:
-    stray = w.names() - generators
-    if stray:
+    if not generators.issuperset(map(_name, w.letters)):
         raise PresentationError(
-            f"{what} {format_word(w)!r} uses unknown generators {sorted(stray)}")
-    if any(sign not in (1, -1) for _, sign in w.letters):
+            f"{what} {format_word(w)!r} uses unknown generators "
+            f"{sorted(w.names() - generators)}")
+    try:
+        signed = _SIGNS.issuperset(map(_sign, w.letters))
+    except TypeError:           # an unhashable sign is not +1 or -1 either
+        signed = False
+    if not signed:
         raise PresentationError(
             f"{what} {format_word(w)!r} has a sign other than +1 or -1")
 

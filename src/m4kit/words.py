@@ -16,9 +16,10 @@ and conjugation is ``conjugate(w, g) = g w g^-1``.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[str, int]
@@ -235,99 +236,93 @@ def cyclically_equal(u: Word, v: Word) -> bool:
 # ignored.  format_word emits the plain syllable form `a^2 b^-1 c`, which
 # parses back to the same word.
 
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[\[\],^()])|(?P<bad>\S))"
-)
+_TOKEN_RE = re.compile(rf"{NAME_RE.pattern}|-?\d+|[\[\],^()]|\S")
+# A token is a name if it starts with an ASCII letter, otherwise an integer
+# if it ends in a decimal digit (what \d matches), otherwise punctuation or
+# a single character outside the syntax.
+_LETTERS = frozenset(string.ascii_letters)
+_PUNCT = frozenset("[],^()")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup      # exactly one group matches
-        if kind == "bad":
-            raise WordSyntaxError(f"unexpected character {m.group('bad')!r} at column {m.start('bad') + 1}")
-        toks.append((kind, m.group(kind), m.start(kind)))
-    return toks
-
-
-class _WordParser:
-    """Recursive descent over the tokens of one word.  Every rule appends
-    the letters it denotes to one list, `out`; commutators, inverses and
-    powers act on those letters unreduced, and parse_word reduces once at
-    the end.  Free reduction is confluent, so the word is the same as
-    reducing after every step.  The base of a power is reduced before it
-    is repeated, so that a power of a cancelling base stays short."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.out: list[Letter] = []
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise WordSyntaxError(f"unexpected end of word in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def word(self, stop: tuple[str, ...] = ()) -> None:
-        """Parse atoms until a stop token, left unread, or the end of the
-        input.  The next take() therefore reads that stop token or raises
-        at the end."""
-        while True:
-            tok = self.peek()
-            if tok is None or (tok[0] == "punct" and tok[1] in stop):
-                return
-            self.atom()
-
-    def atom(self) -> None:
-        out = self.out
-        start = len(out)
-        kind, val, col = self.take()
-        if kind == "name":
-            out.append((val, 1))
-        elif kind == "int" and val == "1":
-            pass
-        elif kind == "punct" and val == "[":
-            self.word(stop=(",",))
-            self.take()
-            mid = len(out)
-            self.word(stop=("]",))
-            self.take()
-            out += _invert(out[start:mid]) + _invert(out[mid:])
-        elif kind == "punct" and val == "(":
-            self.word(stop=(")",))
-            self.take()
-        else:
-            raise WordSyntaxError(f"unexpected token {val!r} at column {col + 1}")
-        tok = self.peek()
-        if tok is not None and tok[0] == "punct" and tok[1] == "^":
-            self.take()
-            kind, val, col = self.take()
-            if kind != "int":
-                raise WordSyntaxError(f"expected integer exponent at column {col + 1}")
-            k = int(val)
-            base = _reduce(out[start:])
-            out[start:] = (base if k >= 0 else _invert(base)) * abs(k)
+# The deepest bracket nesting parse_word accepts, whatever the caller's
+# stack depth: above the 497 levels of "(...)" that a recursive parser of
+# this syntax reaches from a shallow stack, so every word it reads parses.
+MAX_NESTING = 500
 
 
 def parse_word(text: str) -> Word:
-    """Parse the word syntax above.  Examples:
+    """Parse the word syntax above in one pass over its tokens.  Examples:
 
     >>> parse_word("a b^-1")           # doctest: +SKIP
     >>> parse_word("[b1^-1, d^-1]")    # commutator sugar
     >>> parse_word("1")                # identity
     """
-    parser = _WordParser(text)
-    try:
-        parser.word()           # with no stop token it reads every token
-    except RecursionError:
-        raise WordSyntaxError("brackets nest too deeply") from None
-    return Word(tuple(parser.out))
+    tokens = _TOKEN_RE.findall(text)
+    rest = iter(tokens)
+    # The letters the word denotes, appended unreduced and reduced once at
+    # the end; free reduction is confluent, so the word is the same as
+    # reducing after every step.  Each open bracket is (the token that
+    # may come next at its level, its start in out, its comma in out).
+    # `atom` is the start of the atom a "^" would raise, or -1 for none.
+    out: list[Letter] = []
+    stack: list[tuple[str, int, int]] = []
+    atom = -1
+    for tok in rest:
+        if tok[0] in _LETTERS:
+            atom = len(out)
+            out.append((tok, 1))
+        elif tok == "^" and atom >= 0:
+            tok = next(rest, None)
+            if tok is None:
+                raise _syntax_error(text, f"unexpected end of word in {text!r}")
+            if tok[0] in _LETTERS or not tok[-1].isdecimal():
+                raise _syntax_error(text, "expected integer exponent",
+                                    len(tokens) - length_hint(rest) - 1)
+            k = int(tok)
+            # the base is reduced first, so a power of a cancelling base
+            # stays short
+            base = _reduce(out[atom:])
+            out[atom:] = (base if k >= 0 else _invert(base)) * abs(k)
+            atom = -1
+        elif tok == "[" or tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise _syntax_error(text, "brackets nest too deeply")
+            stack.append((")" if tok == "(" else ",", len(out), 0))
+            atom = -1
+        elif stack and tok == stack[-1][0]:
+            _, start, comma = stack.pop()
+            if tok == ",":
+                stack.append(("]", start, len(out)))
+                atom = -1
+            else:
+                if tok == "]":
+                    out += _invert(out[start:comma]) + _invert(out[comma:])
+                atom = start
+        elif tok == "1":
+            atom = len(out)
+        else:
+            raise _syntax_error(text, f"unexpected token {tok!r}",
+                                len(tokens) - length_hint(rest) - 1)
+    if stack:
+        raise _syntax_error(text, f"unexpected end of word in {text!r}")
+    return Word(tuple(out))
+
+
+def _syntax_error(text: str, message: str,
+                  token: int | None = None) -> WordSyntaxError:
+    """The error for a word that does not parse: its first character
+    outside the syntax if it has one, whatever else is wrong; otherwise
+    `message`, with the column of token number `token` when given.  The
+    text is scanned again for these, so the parse itself keeps no
+    columns."""
+    matches = list(_TOKEN_RE.finditer(text))
+    for m in matches:
+        tok = m.group()
+        if not (tok[0] in _LETTERS or tok[-1].isdecimal() or tok in _PUNCT):
+            return WordSyntaxError(
+                f"unexpected character {tok!r} at column {m.start() + 1}")
+    if token is not None:
+        message += f" at column {matches[token].start() + 1}"
+    return WordSyntaxError(message)
 
 
 def format_word(w: Word) -> str:

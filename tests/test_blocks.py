@@ -272,6 +272,29 @@ def test_manifold_rejects_foreign_site_relator():
         "site 's': its relator 'a^2' is not among the pi1 relators")
 
 
+def _site(name, curve, relator):
+    return SurgeryDatum(name=name, curve=curve, pushoff=gen("b"),
+                        torus_generators=("a", "b"), relator=relator,
+                        unsurgered=relator)
+
+
+# Sites with two faults and the one named: sites in order, and within a
+# site the curve before the relator.
+@pytest.mark.parametrize("sites, message", [
+    ([("s", "q", "a^2")], "site 's': curve 'q' is not a generator"),
+    ([("s", "a", "a^2"), ("t", "q", "[a, b]")],
+     "site 's': its relator 'a^2' is not among the pi1 relators"),
+    ([("s", "q", "[a, b]"), ("t", "a", "a^2")],
+     "site 's': curve 'q' is not a generator"),
+])
+def test_manifold_names_the_first_of_two_faults(sites, message):
+    p = FpPresentation(("a", "b"), (commutator(gen("a"), gen("b")),))
+    sites = tuple(_site(n, c, parse_word(r)) for n, c, r in sites)
+    with pytest.raises(PresentationError) as exc:
+        MarkedManifold("X", 0, 0, "unknown", True, None, p, (), sites)
+    assert str(exc.value) == message
+
+
 def test_manifold_rejects_mismatched_complement():
     p = FpPresentation(("a", "b"), (commutator(gen("a"), gen("b")),))
     bad_surface = EmbeddedSurface(

@@ -12,7 +12,7 @@ from m4kit.presentation import (
     format_presentation,
     parse_presentation,
 )
-from m4kit.words import commutator, gen, parse_word
+from m4kit.words import Word, commutator, gen, parse_word
 
 AB = FpPresentation(("a", "b"), (commutator(gen("a"), gen("b")),))
 
@@ -50,6 +50,36 @@ def test_validation_covers_conditional_and_tier_keys():
 def test_validation_rejects_bad_tier_label(label):
     with pytest.raises(PresentationError):
         FpPresentation(("a",), meridional=(MeridionalTier(label, gen("a")),))
+
+
+# Inputs with two faults and the one named: the first fault in the order
+# relators, conditionals (relator, then key), tiers (label, then key), and
+# within a word names before signs.
+_TWO_FAULTS = [
+    (dict(relators=(gen("q"),), meridional=(MeridionalTier(" t", gen("a")),)),
+     "relator 'q' uses unknown generators ['q']"),
+    (dict(meridional=(MeridionalTier(" t", gen("z")),)),
+     "bad tier label ' t'"),
+    (dict(meridional=(MeridionalTier("t", gen("z")),
+                      MeridionalTier(" u", gen("a")))),
+     "meridional key for 't' 'z' uses unknown generators ['z']"),
+    (dict(conditional=(ConditionalRelator(gen("a"), gen("q")),),
+          meridional=(MeridionalTier("t", gen("z")),)),
+     "conditional key 'q' uses unknown generators ['q']"),
+    (dict(relators=(Word((("a", 2),)), gen("q"))),
+     "relator 'a^2' has a sign other than +1 or -1"),
+    (dict(relators=(gen("q"), Word((("a", 2),)))),
+     "relator 'q' uses unknown generators ['q']"),
+    (dict(relators=(Word((("a", [1]),)), gen("q"))),
+     "relator 'a^[1]' has a sign other than +1 or -1"),
+]
+
+
+@pytest.mark.parametrize("faults, message", _TWO_FAULTS)
+def test_validation_names_the_first_of_two_faults(faults, message):
+    with pytest.raises(PresentationError) as exc:
+        FpPresentation(("a",), **faults)
+    assert str(exc.value) == message
 
 
 def test_with_and_without_relator():

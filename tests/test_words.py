@@ -1,13 +1,18 @@
 """Word algebra: free reduction, the usual operators, and the text format."""
 
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from m4kit.presentation import FpPresentation, PresentationError
 from m4kit.words import (
     IDENTITY,
+    MAX_NESTING,
+    NAME_RE,
     Word,
     WordSyntaxError,
+    _invert,
     _reduce,
     commutator,
     conjugate,
@@ -312,10 +317,29 @@ def test_parse_rejects_garbage(bad):
 
 @pytest.mark.parametrize("depth", [3_000, 100_000])
 def test_parse_rejects_deep_nesting(depth):
-    # the parser recurses once per bracket level; running out of stack is
-    # a syntax error like any other, not a RecursionError
+    # nesting deeper than MAX_NESTING is a WordSyntaxError like any other,
+    # not a RecursionError or a crash
     with pytest.raises(WordSyntaxError, match="nest too deeply"):
         parse_word("(" * depth + "a" + ")" * depth)
+
+
+def _under_frames(frames, call):
+    """call() made from `frames` more Python frames down the stack."""
+    return call() if frames == 0 else _under_frames(frames - 1, call)
+
+
+@pytest.mark.parametrize("nest, value", [
+    (lambda d: "(" * d + "a" + ")" * d, a),
+    (lambda d: "(" * (d - 1) + "[a, b]" + ")" * (d - 1), commutator(a, b)),
+])
+def test_nesting_cap_does_not_depend_on_the_stack(nest, value):
+    # the cap admits every word the recursive parser admitted from a
+    # shallow stack (497 levels), and it holds 800 frames down as well
+    assert MAX_NESTING >= 497
+    word = _under_frames(800, lambda: parse_word(nest(MAX_NESTING)))
+    assert word == value
+    with pytest.raises(WordSyntaxError, match="^brackets nest too deeply$"):
+        _under_frames(800, lambda: parse_word(nest(MAX_NESTING + 1)))
 
 
 # Syntax trees of the word grammar: ("name", n), ("one",), ("comm", x, y),
@@ -372,6 +396,118 @@ def _evaluate(tree):
 @given(_syntax_trees)
 def test_parse_matches_the_word_algebra(tree):
     assert parse_word(_render(tree)) == _evaluate(tree)
+
+
+# -- a recursive-descent parser of the same syntax, kept as an oracle ---------
+
+_REF_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[\[\],^()])|(?P<bad>\S))"
+)
+
+
+def _ref_tokenize(text):
+    toks = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup      # exactly one group matches
+        if kind == "bad":
+            raise WordSyntaxError(f"unexpected character {m.group('bad')!r} at column {m.start('bad') + 1}")
+        toks.append((kind, m.group(kind), m.start(kind)))
+    return toks
+
+
+class _RefParser:
+    """Recursive descent over the tokens of one word; every rule appends
+    the letters it denotes to `out`, reduced once at the end."""
+
+    def __init__(self, text):
+        self.text = text
+        self.toks = _ref_tokenize(text)
+        self.pos = 0
+        self.out = []
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise WordSyntaxError(f"unexpected end of word in {self.text!r}")
+        self.pos += 1
+        return tok
+
+    def word(self, stop=()):
+        while True:
+            tok = self.peek()
+            if tok is None or (tok[0] == "punct" and tok[1] in stop):
+                return
+            self.atom()
+
+    def atom(self):
+        out = self.out
+        start = len(out)
+        kind, val, col = self.take()
+        if kind == "name":
+            out.append((val, 1))
+        elif kind == "int" and val == "1":
+            pass
+        elif kind == "punct" and val == "[":
+            self.word(stop=(",",))
+            self.take()
+            mid = len(out)
+            self.word(stop=("]",))
+            self.take()
+            out += _invert(out[start:mid]) + _invert(out[mid:])
+        elif kind == "punct" and val == "(":
+            self.word(stop=(")",))
+            self.take()
+        else:
+            raise WordSyntaxError(f"unexpected token {val!r} at column {col + 1}")
+        tok = self.peek()
+        if tok is not None and tok[0] == "punct" and tok[1] == "^":
+            self.take()
+            kind, val, col = self.take()
+            if kind != "int":
+                raise WordSyntaxError(f"expected integer exponent at column {col + 1}")
+            k = int(val)
+            base = _reduce(out[start:])
+            out[start:] = (base if k >= 0 else _invert(base)) * abs(k)
+
+
+def _ref_parse(text):
+    parser = _RefParser(text)
+    parser.word()
+    return Word(tuple(parser.out))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return str(exc)
+
+
+# Pieces that concatenate into names ("a" "1 " is a1), bad characters ("-"
+# alone, "_" and "$") and every punctuation mark.  Each digit piece ends in
+# a space, so no exponent has more than one digit and no text blows up.
+_PIECES = ["a", "b", "c1", "x_y", "1 ", "0 ", "2 ", "3 ", "-1 ", "-2 ", "^",
+           "-", "[", "]", "(", ")", ",", " ", "\t", "$", "_"]
+_soups = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
+
+
+@st.composite
+def _damaged_words(draw):
+    """A well-formed word with up to two characters replaced by a piece,
+    so that faults also sit deep inside valid brackets and powers."""
+    text = _render(draw(_syntax_trees))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 2)))
+    return text[:i] + draw(st.sampled_from(_PIECES + [""])) + text[j:]
+
+
+@settings(max_examples=1500)
+@given(st.one_of(_soups, _damaged_words()))
+def test_parse_matches_the_recursive_parser(text):
+    assert _outcome(parse_word, text) == _outcome(_ref_parse, text)
 
 
 @given(words)
