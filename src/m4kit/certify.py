@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .abelian import AbelianGroup, h1
-from .coset import CosetCount, coset_enumeration
+from .coset import CosetCount, DEFAULT_MAX_COSETS, coset_enumeration
 from .presentation import (
     ConditionalRelator,
     FpPresentation,
@@ -68,7 +68,7 @@ class BudgetError(ValueError):
 
 
 def _default_cosets() -> int:
-    raw = os.environ.get("M4KIT_BUDGET_COSETS", "1000000")
+    raw = os.environ.get("M4KIT_BUDGET_COSETS", str(DEFAULT_MAX_COSETS))
     try:
         return int(raw)
     except ValueError:
@@ -109,7 +109,7 @@ class _State:
     the relators that mention the generator."""
 
     def __init__(self, p: FpPresentation):
-        self.gens: list[str] = list(p.generators)
+        self.gens: dict[str, None] = dict.fromkeys(p.generators)
         self.rels: dict[int, Word] = {}
         self.counts: dict[int, Counter[str]] = {}  # key -> its letter counts
         self.occ: dict[str, set[int]] = {}
@@ -177,11 +177,6 @@ class _State:
             self.definitions.setdefault(g, {})[key] = defining_rotation(w, g)
             self.dirty.add(g)
 
-    def first_key(self, w: Word) -> int:
-        """The key of the first relator equal to w; w must be a relator."""
-        keys = min((self.occ[n] for n in w.names()), key=len)
-        return min(k for k in keys if self.rels[k] == w)
-
     def substitute_everywhere(self, name: str, definition: Word) -> None:
         images = {name: definition}
         for key in list(self.occ.get(name, ())):
@@ -203,7 +198,7 @@ class _State:
                 self.count(key, -1)
         self.conditional = new_cond
         self.tiers = [MeridionalTier(t.label, sub(t.key)) for t in self.tiers]
-        self.gens.remove(name)
+        del self.gens[name]
         self.pairs = {pr for pr in self.pairs if name not in pr}
 
     def snapshot(self) -> FpPresentation:
@@ -290,16 +285,16 @@ def _pair_rules(state: _State, pair: frozenset[str]) -> list[_Rule]:
     return rules
 
 
-def _find_cancel(state: _State,
-                 steps: list[TraceStep]) -> CommutationCancel | None:
+def _find_cancel(state: _State, steps: list[TraceStep]
+                 ) -> tuple[CommutationCancel, int] | None:
     """First commutation cancellation x^e ... x^-e (interior commuting with
-    x), checking both the inner arc and, via rotation, the cyclic outer
-    arc of each candidate pair.  The commuting pairs it needs are proved
-    on demand, their steps appended to `steps`."""
+    x), with the key of its relator, checking both the inner arc and, via
+    rotation, the cyclic outer arc of each candidate pair.  The commuting
+    pairs it needs are proved on demand, their steps appended to `steps`."""
     def commutes(letters: Iterable[tuple[str, int]], x: str) -> bool:
         return all(_prove_pair(state, n, x, steps) for n, _ in letters)
 
-    for r in state.rels.values():
+    for key, r in state.rels.items():
         L = len(r)
         letters = r.letters
         for i in range(L - 1):
@@ -308,14 +303,14 @@ def _find_cancel(state: _State,
                 if letters[j] != (xi, -ei):
                     continue
                 if commutes(letters[i + 1:j], xi):
-                    return _make_cancel(state, r, 0, i, j, xi)
+                    return _make_cancel(r, 0, i, j, xi), key
                 exterior = letters[j + 1:] + letters[:i]
                 if commutes(exterior, xi):
-                    return _make_cancel(state, r, j, 0, L - j + i, xi)
+                    return _make_cancel(r, j, 0, L - j + i, xi), key
     return None
 
 
-def _make_cancel(state: _State, r: Word, rotation: int, i: int, j: int,
+def _make_cancel(r: Word, rotation: int, i: int, j: int,
                  x: str) -> CommutationCancel:
     w = rotate(r, rotation)
     after = cyclic_reduce(Word(w.letters[:i] + w.letters[i + 1:j]
@@ -324,12 +319,12 @@ def _make_cancel(state: _State, r: Word, rotation: int, i: int, j: int,
                              i=i, j=j, x=x)
 
 
-def _find_elimination(state: _State) -> Eliminate | None:
-    """Cheapest Tietze elimination.  A generator occurring exactly once in
-    some relator can be eliminated; kills (relator g^±1) and renames
-    (definition of length one) are free, otherwise the cost estimates the
-    growth caused by substituting the definition elsewhere.  The least
-    (cost, len(definition), g, key) wins.
+def _find_elimination(state: _State) -> tuple[Eliminate, int] | None:
+    """Cheapest Tietze elimination, with the key of its relator.  A
+    generator occurring exactly once in some relator can be eliminated;
+    kills (relator g^±1) and renames (definition of length one) are free,
+    otherwise the cost estimates the growth caused by substituting the
+    definition elsewhere.  The least (cost, len(definition), g, key) wins.
 
     For a fixed g the cost grows with the definition's length, so g's best
     candidate is its definition of least (length, key) whatever its letter
@@ -358,18 +353,18 @@ def _find_elimination(state: _State) -> Eliminate | None:
         return None
     _, _, g, key = heap[0]
     return Eliminate(gen=g, definition=state.definitions[g][key],
-                     via=state.rels[key])
+                     via=state.rels[key]), key
 
 
-def _find_replacement(state: _State) -> ReplaceSubword | None:
-    """Length-reducing application of one relator inside another: if a
-    rotation/inversion of `via` splits as s t with |s| > |t|, then s = t^-1
-    in the group and any occurrence of s may be replaced by t^-1."""
-    relators = list(state.rels.values())
-    for ti, target in enumerate(relators):
+def _find_replacement(state: _State) -> tuple[ReplaceSubword, int] | None:
+    """Length-reducing application of one relator inside another, with the
+    key of the relator it rewrites: if a rotation/inversion of `via` splits
+    as s t with |s| > |t|, then s = t^-1 in the group and any occurrence of
+    s may be replaced by t^-1."""
+    for key, target in state.rels.items():
         tletters = target.letters
-        for vi, via in enumerate(relators):
-            if vi == ti or via == target or len(via) < 2:
+        for via in state.rels.values():
+            if via == target or len(via) < 2:
                 continue
             for inverted in (False, True):
                 base = via.inverse() if inverted else via
@@ -389,20 +384,28 @@ def _find_replacement(state: _State) -> ReplaceSubword | None:
                             return ReplaceSubword(
                                 before=target, after=after, via=via,
                                 via_rotation=rot_k, via_inverted=inverted,
-                                split=split, at=at)
+                                split=split, at=at), key
     return None
 
 
 # -- move application -------------------------------------------------------
 
-def _apply_rewrite(state: _State,
-                   step: CommutationCancel | ReplaceSubword) -> None:
-    state.put(state.first_key(step.before), step.after)
+def _apply(state: _State,
+           step: Eliminate | CommutationCancel | ReplaceSubword,
+           key: int) -> None:
+    """Apply a move at relator `key`, where its finder found it.
 
-
-def _apply_elimination(state: _State, step: Eliminate) -> None:
-    state.put(state.first_key(step.via), Word())
-    state.substitute_everywhere(step.gen, step.definition)
+    The checker applies a step to the first relator equal to the one it
+    names, and `key` is that copy: each finder scans the relators in key
+    order, and equal relators yield equal moves.  `_find_elimination`
+    ranks its candidates by (cost, length, generator, key), and within a
+    round `state.settled` gives every copy of a relator the same answer
+    for each pair."""
+    if isinstance(step, Eliminate):
+        state.put(key, Word())
+        state.substitute_everywhere(step.gen, step.definition)
+    else:
+        state.put(key, step.after)
 
 
 def _discharge_pass(state: _State) -> list[TraceStep]:
@@ -446,26 +449,15 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
         discharged = _discharge_pass(state) if allow_discharge else []
         trace.extend(discharged)
         state.settled = {}          # forget last round's settled pairs
-        step = _find_elimination(state)
-        if step is not None and not step.definition:
-            trace.append(step)
-            _apply_elimination(state, step)
-            continue
-        cancel = _find_cancel(state, trace)
-        if cancel is not None:
-            trace.append(cancel)
-            _apply_rewrite(state, cancel)
-            continue
-        if step is not None:
-            trace.append(step)
-            _apply_elimination(state, step)
-            continue
-        repl = _find_replacement(state)
-        if repl is not None:
-            trace.append(repl)
-            _apply_rewrite(state, repl)
-            continue
-        if not discharged:
+        # a kill first, then a cancellation, any elimination, a replacement
+        move = _find_elimination(state)
+        if move is None or move[0].definition:
+            move = (_find_cancel(state, trace) or move
+                    or _find_replacement(state))
+        if move is not None:
+            trace.append(move[0])
+            _apply(state, *move)
+        elif not discharged:
             return state, trace, False
 
 
@@ -482,8 +474,8 @@ def commutation_closure(p: FpPresentation) -> frozenset[frozenset[str]]:
     closure rules (commutator relators; definitional relators whose
     definition commutes letterwise)."""
     state = _State(p)
-    for i, x in enumerate(state.gens):
-        for y in state.gens[i + 1:]:
+    for i, x in enumerate(p.generators):
+        for y in p.generators[i + 1:]:
             _prove_pair(state, x, y, [])
     return frozenset(state.pairs)
 
@@ -498,7 +490,7 @@ def _verdict_from_state(state: _State) -> tuple[str, str | None, int | None, str
     if not state.gens:
         return (TRIVIAL, None, None, None)
     if len(state.gens) == 1:
-        g = state.gens[0]
+        (g,) = state.gens
         if state.conditional:
             return (INCONCLUSIVE, None, None,
                     "conditional relator(s) never activated: key word was "

@@ -60,7 +60,7 @@ def _fail(msg: str) -> None:
 
 class _Replay:
     def __init__(self, p: FpPresentation):
-        self.gens = list(p.generators)
+        self.gens = dict.fromkeys(p.generators)
         # relators under keys that only grow, so dict order is relator
         # order, and generator -> keys of the relators that mention it
         self.rels: dict[int, Word] = {}
@@ -187,7 +187,7 @@ class _Replay:
         self.conditional = new_cond
         self.tiers = [(label, substitute(key, images))
                       for label, key in self.tiers]
-        self.gens.remove(s.gen)
+        del self.gens[s.gen]
         self.pairs = {pr for pr in self.pairs if s.gen not in pr}
 
     def replace_subword(self, s: ReplaceSubword) -> None:
@@ -298,10 +298,10 @@ def _reading(state: _Replay) -> tuple[str, str | None, int | None] | str:
     if not state.gens:
         return TRIVIAL, None, None
     if len(state.gens) > 1:
-        return f"generators {state.gens} survive"
+        return f"generators {list(state.gens)} survive"
     if state.conditional:
         return "unactivated conditional relators"
-    g = state.gens[0]
+    (g,) = state.gens
     d = gcd(*(r.exponent_sum(g) for r in state.rels.values()))
     if d == 1:
         return "relator exponents have gcd 1"

@@ -55,7 +55,7 @@ EXIT_BUDGET = 3
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    if getattr(args, "max_cosets", None) is not None:
+    if args.max_cosets is not None:
         return Budget(max_cosets=args.max_cosets)
     return Budget()
 

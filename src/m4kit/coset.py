@@ -28,6 +28,8 @@ from typing import Iterable, Sequence
 from .presentation import FpPresentation
 from .words import Word
 
+DEFAULT_MAX_COSETS = 1_000_000      # the coset budget unless one is given
+
 
 @dataclass(frozen=True)
 class Exceeded:
@@ -263,7 +265,8 @@ class _Enumerator:
 
 
 def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
-                      max_cosets: int = 1_000_000) -> CosetCount | Exceeded:
+                      max_cosets: int = DEFAULT_MAX_COSETS
+                      ) -> CosetCount | Exceeded:
     """Index of the subgroup generated by `subgroup` in the group presented
     by p (relators only; conditional relators and meridional tiers are the
     caller's business, and ValueError is raised if any are present)."""

@@ -14,10 +14,11 @@ from m4kit.certify import (
     commutation_closure,
     simplify,
     _State,
+    _prove_pair,
     _run_engine,
 )
 from m4kit.abelian import AbelianGroup, h1
-from m4kit.checker import replay
+from m4kit.checker import _HANDLERS, _Replay, replay
 from m4kit.constructions import (
     cyclic_family,
     exotic_cp2_2,
@@ -410,7 +411,8 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     # every round searches for an elimination after the round's moves, so
     # this compares the incremental index with one built from scratch after
     # every step of the engine: occurrences, letter counts and definitions,
-    # with relator keys read as positions, and the step the heap picks
+    # with relator keys read as positions, and the step the heap picks with
+    # the position of its relator
     engine = importlib.import_module("m4kit.certify")
     find, rounds = engine._find_elimination, []
 
@@ -434,14 +436,16 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     def compare_then_find(state):
         fresh = _State(state.snapshot())
         assert index(state) == index(fresh)
-        step, best = find(state), cheapest(fresh)
+        found, best = find(state), cheapest(fresh)
         if best is None:
-            assert step is None
+            assert found is None
         else:
-            assert (step.gen, step.definition, step.via) == \
-                (best[2], best[4], list(fresh.rels.values())[best[3]])
+            step, key = found
+            assert (step.gen, step.definition, step.via,
+                    list(state.rels).index(key)) == \
+                (best[2], best[4], list(fresh.rels.values())[best[3]], best[3])
         rounds.append(len(state.rels))
-        return step
+        return found
 
     monkeypatch.setattr(engine, "_find_elimination", compare_then_find)
     _run_engine(build().pi1, Budget(), allow_discharge=True)
@@ -529,10 +533,25 @@ def presentations(draw):
     return FpPresentation(tuple(gens), tuple(r for r in rels if r))
 
 
+def prove_every_pair(p: FpPresentation) -> frozenset[frozenset[str]]:
+    """The pairs `_prove_pair` proves over every generator pair of a fresh
+    state.  The checker must accept each step it appends and end with the
+    same pairs."""
+    state, steps = _State(p), []
+    for i, x in enumerate(p.generators):
+        for y in p.generators[i + 1:]:
+            _prove_pair(state, x, y, steps)
+    checker = _Replay(p)
+    for step in steps:
+        _HANDLERS[type(step)](checker, step)
+    assert checker.pairs == state.pairs
+    return frozenset(state.pairs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(presentations())
 def test_commutation_closure_matches_eager_oracle(p):
-    assert commutation_closure(p) == eager_closure(p)
+    assert prove_every_pair(p) == eager_closure(p)
 
 
 def test_commutation_closure_through_definitional_cycle():
@@ -541,11 +560,11 @@ def test_commutation_closure_through_definitional_cycle():
     # alone proves neither
     cycle = ("[a, b]", "g^-1 h a")
     p = pres("a b g h", *cycle)
-    assert commutation_closure(p) == eager_closure(p) == \
+    assert prove_every_pair(p) == eager_closure(p) == \
         frozenset({frozenset({"a", "b"})})
     # h = b^2 breaks the cycle: h commutes with b, hence so does g = h a
     p = pres("a b g h", *cycle, "h^-1 b^2")
-    pairs = commutation_closure(p)
+    pairs = prove_every_pair(p)
     assert pairs == eager_closure(p)
     assert {frozenset({"h", "b"}), frozenset({"g", "b"})} <= pairs
 

@@ -346,19 +346,26 @@ R = "a b a^-1 b^2"                  # b^3 once a and b commute
 DUPLICATES_P = pres("a b c", R, "c^7", R, "[a, b]")
 
 
-def test_duplicate_relator_rewrites_the_first_copy():
-    # the budget stops the engine after one cancellation, so only one copy
-    # of R is rewritten, and it must be the first in both engine and checker
-    c = certify(DUPLICATES_P, budget=Budget(max_derivation_steps=2,
-                                            corroborate=False))
-    assert [type(s) for s in c.trace] == [PairFromRelator, CommutationCancel]
-    first = tuple(parse_word(w) for w in ("b^3", "c^7", R, "[a, b]"))
-    assert c.final.relators == first
-    replay(c, DUPLICATES_P)
+@pytest.mark.parametrize("p, steps, kinds, first, second", [
+    (DUPLICATES_P, 2, [PairFromRelator, CommutationCancel],
+     ("b^3", "c^7", R, "[a, b]"), (R, "c^7", "b^3", "[a, b]")),
+    (pres("g0 g1", "g1^2", "g1^-3", "g1^2"), 1, [ReplaceSubword],
+     ("g1^-1", "g1^-3", "g1^2"), ("g1^2", "g1^-3", "g1^-1")),
+], ids=["cancellation", "replacement"])
+def test_duplicate_relator_rewrites_the_first_copy(p, steps, kinds, first,
+                                                   second):
+    # the budget stops the engine after one rewrite, so only one copy of the
+    # duplicated relator is rewritten, and it must be the first in both
+    # engine and checker
+    c = certify(p, budget=Budget(max_derivation_steps=steps,
+                                 corroborate=False))
+    assert [type(s) for s in c.trace] == kinds
+    assert c.final.relators == tuple(map(parse_word, first))
+    replay(c, p)
     assert reference_replay(c) == c.final
-    second = tuple(parse_word(w) for w in (R, "c^7", "b^3", "[a, b]"))
+    forged = replace(c.final, relators=tuple(map(parse_word, second)))
     with pytest.raises(CheckFailure, match="terminal state"):
-        replay(replace(c, final=replace(c.final, relators=second)))
+        replay(replace(c, final=forged))
 
 
 EMPTY = Word()
