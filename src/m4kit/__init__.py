@@ -45,7 +45,6 @@ from .geography import (
 from .manifest import (
     Manifest,
     ManifestError,
-    canonicalize,
     format_manifest,
     parse_manifest,
     report_json,
@@ -97,8 +96,8 @@ __all__ = [
     "CosetCount", "Exceeded", "coset_enumeration",
     "FreedmanModel", "GeoPoint", "GeographyError", "Realization",
     "coords", "freedman_model", "in_odd_region", "realize_pair",
-    "Manifest", "ManifestError", "canonicalize", "format_manifest",
-    "parse_manifest", "report_json", "run_manifest",
+    "Manifest", "ManifestError", "format_manifest", "parse_manifest",
+    "report_json", "run_manifest",
     "ConditionalRelator", "FpPresentation", "MeridionalTier",
     "PresentationError", "format_presentation", "parse_presentation",
     "SurgeryError", "blow_up", "fiber_sum", "rename_manifold",

@@ -64,7 +64,8 @@ from .words import (
 
 
 class BudgetError(ValueError):
-    """The coset budget is not a positive integer."""
+    """A budget count is not a positive integer, or `corroborate` is not a
+    bool."""
 
 
 def _default_cosets() -> int:
@@ -83,9 +84,17 @@ class Budget:
     corroborate: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_cosets, int) or self.max_cosets < 1:
-            raise BudgetError(f"the coset budget must be a positive "
-                              f"integer, got {self.max_cosets!r}")
+        # bool is a subclass of int, but True is no count
+        for what, count in (("the coset budget", self.max_cosets),
+                            ("the derivation budget",
+                             self.max_derivation_steps)):
+            if (not isinstance(count, int) or isinstance(count, bool)
+                    or count < 1):
+                raise BudgetError(f"{what} must be a positive integer, "
+                                  f"got {count!r}")
+        if not isinstance(self.corroborate, bool):
+            raise BudgetError(f"corroborate must be a bool, "
+                              f"got {self.corroborate!r}")
 
 
 _name = itemgetter(0)          # the generator of a letter

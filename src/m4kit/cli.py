@@ -34,7 +34,6 @@ from .manifest import (
     Expectation,
     Manifest,
     ManifestError,
-    canonicalize,
     format_manifest,
     parse_manifest,
     report_json,
@@ -254,9 +253,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    canon = format_manifest(canonicalize(_load_manifest(args.manifest)))
+    canon = format_manifest(_load_manifest(args.manifest))
     # parse -> print leaves canonical text fixed; refuse to write otherwise
-    if format_manifest(canonicalize(parse_manifest(canon))) != canon:
+    if format_manifest(parse_manifest(canon)) != canon:
         print(f"fmt: canonical form of {args.manifest} is not a fixpoint",
               file=sys.stderr)
         return EXIT_FAIL

@@ -14,6 +14,10 @@ are integers, double-quoted strings, `true`/`false`, or bare names (which
 refer to previously defined manifolds).  CTOR is one of the catalog
 constructors (see blocks.CATALOG).
 
+A parsed manifest is canonical: each definition holds its arguments by
+keyword, in parameter order, with defaults filled in (an omitted `prefix`
+stays out).  format_manifest prints that form, which parses back the same.
+
 Expectation keys:
 
     e=INT           Euler characteristic
@@ -39,6 +43,7 @@ import functools
 import inspect
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable
 
 from . import checker
@@ -56,7 +61,7 @@ class ManifestError(ValueError):
         super().__init__(msg if line is None else f"line {line}: {msg}")
 
 
-# --- values and argument binding -------------------------------------------
+# --- values and tokens ------------------------------------------------------
 
 # A value is a tagged pair: ("int", 5) | ("str", "x") | ("bool", True)
 # | ("ref", "name").
@@ -68,34 +73,33 @@ _TOKEN_RE = re.compile(r"""
     | (?P<str>"(?:[^"\\]|\\.)*")
     | (?P<name>[A-Za-z_][A-Za-z0-9_/']*)
     | (?P<punct>[=(),:])
+    | (?P<comment>\#.*)
+    | (?P<other>\S)
     )
 """, re.VERBOSE)
 
 
 def _tokenize(text: str, line: int) -> list[tuple[str, Any]]:
+    """The tokens of one line, up to a # comment; a # inside a string is
+    part of the string, since the string is read first."""
     out: list[tuple[str, Any]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = m.group(kind)
+        if kind == "comment":
+            break
+        if kind == "other":
+            rest = text[m.start(kind):].strip()
             raise ManifestError(f"cannot tokenize {rest[:20]!r}", line)
-        pos = m.end()
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
-        elif m.lastgroup == "str":
-            body = m.group("str")[1:-1]
+        if kind == "int":
+            out.append(("int", int(tok)))
+        elif kind == "str":
+            body = tok[1:-1]
             out.append(("str", body.replace('\\"', '"').replace("\\\\", "\\")))
-        elif m.lastgroup == "name":
-            word = m.group("name")
-            if word in ("true", "false"):
-                out.append(("bool", word == "true"))
-            else:
-                out.append(("name", word))
+        elif tok in ("true", "false"):
+            out.append(("bool", tok == "true"))
         else:
-            out.append(("punct", m.group("punct")))
+            out.append((kind, tok))           # a name or punctuation
     return out
 
 
@@ -104,7 +108,7 @@ class Definition:
     kind: str                 # block | surgery | blowup | sum
     name: str
     ctor: str                 # catalog name or operation name
-    args: tuple[tuple[str | None, Value], ...]
+    args: tuple[tuple[str, Value], ...]       # by keyword, in parameter order
     line: int = field(default=0, compare=False)   # line numbers don't count
 
 
@@ -120,14 +124,88 @@ class Manifest:
     items: tuple[Definition | Expectation, ...]
 
 
-# --- parsing ----------------------------------------------------------------
+# --- argument schemas and expectation keys --------------------------------
 
 _KINDS = ("block", "surgery", "blowup", "sum")
 _OPERATION = {"surgery": "torus_surgery", "blowup": "blow_up",
               "sum": "fiber_sum"}
-_EXPECT_KEYS = ("e", "sigma", "parity", "symplectic", "pi1", "gen", "model",
-                "region")
 
+# (parameter name, value tag, required, default)
+_Schema = tuple[tuple[str, str, bool, Any], ...]
+
+# parameter annotation -> value tag
+_TAGS = {int: "int", str: "str", str | None: "str", MarkedManifold: "ref"}
+
+
+def _callee(kind: str, ctor: str) -> Callable[..., MarkedManifold]:
+    """The function a definition calls, looked up at call time: a block
+    through CATALOG, an operation through this module's globals."""
+    if kind == "block":
+        return CATALOG[ctor]
+    return globals()[_OPERATION[kind]]
+
+
+@functools.cache
+def _schema(fn: Callable[..., MarkedManifold]) -> _Schema:
+    """The arguments fn takes in a manifest, read from its signature."""
+    return tuple(
+        (p.name, _TAGS[p.annotation], p.default is p.empty,
+         None if p.default is p.empty else p.default)
+        for p in inspect.signature(fn, eval_str=True).parameters.values())
+
+
+def _bind(schema: _Schema, args: tuple[tuple[str | None, Value], ...],
+          what: str, line: int) -> tuple[tuple[str, Value], ...]:
+    """The arguments of a call as written, in canonical form (see the
+    module docstring); a default of None (prefix) is left out."""
+    names = [s[0] for s in schema]
+    bound: dict[str, Value] = {}
+    pos = 0
+    seen_kw = False
+    for key, (tag, val) in args:
+        if key is None:
+            if seen_kw:
+                raise ManifestError(
+                    f"{what}: positional argument after keyword", line)
+            if pos >= len(schema):
+                raise ManifestError(f"{what}: too many arguments", line)
+            key = names[pos]
+            pos += 1
+        else:
+            seen_kw = True
+            if key not in names:
+                raise ManifestError(
+                    f"{what}: unknown argument {key!r} (takes {names})", line)
+        if key in bound:
+            raise ManifestError(f"{what}: duplicate argument {key!r}", line)
+        want = schema[names.index(key)][1]
+        if tag != want:
+            raise ManifestError(
+                f"{what}: argument {key!r} must be a {want}, got {tag}", line)
+        bound[key] = (tag, val)
+    for name, tag, required, default in schema:
+        if name not in bound:
+            if required:
+                raise ManifestError(f"{what}: missing argument {name!r}", line)
+            if default is not None:
+                bound[name] = (tag, default)
+    return tuple((name, bound[name]) for name in names if name in bound)
+
+
+# expectation key -> the measure of a manifold it is compared with
+_MEASURES: dict[str, Callable[[MarkedManifold], Any]] = {
+    "e": attrgetter("euler"),
+    "sigma": attrgetter("signature"),
+    "parity": attrgetter("parity"),
+    "symplectic": attrgetter("symplectic"),
+    "region": lambda M: in_odd_region(coords(M.euler, M.signature)),
+}
+# the keys read off the manifold's pi1 certificate
+_FROM_CERTIFICATE = ("pi1", "gen", "model")
+_EXPECT_KEYS = (*_MEASURES, *_FROM_CERTIFICATE)
+
+
+# --- parsing ----------------------------------------------------------------
 
 class _Cursor:
     def __init__(self, tokens: list[tuple[str, Any]], line: int):
@@ -194,36 +272,22 @@ def _parse_args(cur: _Cursor) -> tuple[tuple[str | None, Value], ...]:
             raise ManifestError(f"expected ',' or ')', got {tok[1]!r}", cur.line)
 
 
-def _strip_comment(raw: str) -> str:
-    """Drop a trailing # comment, but not a # inside a quoted string."""
-    in_str = False
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if in_str and ch == "\\":
-            i += 1
-        elif ch == '"':
-            in_str = not in_str
-        elif ch == "#" and not in_str:
-            return raw[:i]
-        i += 1
-    return raw
-
-
 def parse_manifest(text: str) -> Manifest:
+    """Parse a manifest into its canonical form (see the module docstring).
+    References are resolved and pi1 targets checked when it runs."""
     items: list[Definition | Expectation] = []
     defined: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
-        if not stripped:
+        tokens = _tokenize(raw, lineno)
+        if not tokens:
             continue
-        cur = _Cursor(_tokenize(stripped, lineno), lineno)
+        cur = _Cursor(tokens, lineno)
         head = cur.expect_name("a directive")
         if head in _KINDS:
             name = cur.expect_name("a manifold name")
             cur.expect_punct("=")
             ctor = cur.expect_name("a constructor")
-            args = _parse_args(cur)
+            written = _parse_args(cur)
             cur.done()
             if head != "block" and ctor != _OPERATION[head]:
                 raise ManifestError(
@@ -236,6 +300,7 @@ def parse_manifest(text: str) -> Manifest:
             if name in defined:
                 raise ManifestError(f"duplicate definition of {name!r}", lineno)
             defined.add(name)
+            args = _bind(_schema(_callee(head, ctor)), written, ctor, lineno)
             items.append(Definition(head, name, ctor, args, lineno))
         elif head == "expect":
             name = cur.expect_name("a manifold name")
@@ -281,114 +346,15 @@ def _format_value(v: Value) -> str:
 def format_manifest(m: Manifest) -> str:
     lines = []
     for item in m.items:
-        if isinstance(item, Definition):
-            parts = [(f"{k}={_format_value(v)}" if k else _format_value(v))
-                     for k, v in item.args]
-            lines.append(f"{item.kind} {item.name} = "
-                         f"{item.ctor}({', '.join(parts)})")
-        else:
-            parts = [f"{k}={_format_value(v)}" for k, v in item.checks]
-            lines.append(f"expect {item.name}: {', '.join(parts)}")
+        pairs = item.args if isinstance(item, Definition) else item.checks
+        parts = ", ".join(f"{k}={_format_value(v)}" for k, v in pairs)
+        lines.append(f"{item.kind} {item.name} = {item.ctor}({parts})"
+                     if isinstance(item, Definition)
+                     else f"expect {item.name}: {parts}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# --- argument schemas and evaluation ----------------------------------------
-
-# (parameter name, value tag, required, default)
-_Schema = tuple[tuple[str, str, bool, Any], ...]
-
-# parameter annotation -> value tag
-_TAGS = {int: "int", str: "str", str | None: "str", MarkedManifold: "ref"}
-
-
-def _callee(d: Definition) -> Callable[..., MarkedManifold]:
-    """The function a definition calls, looked up at call time: a block
-    through CATALOG, an operation through this module's globals."""
-    if d.kind == "block":
-        return CATALOG[d.ctor]
-    return globals()[_OPERATION[d.kind]]
-
-
-@functools.cache
-def _schema(fn: Callable[..., MarkedManifold]) -> _Schema:
-    """The arguments fn takes in a manifest, read from its signature."""
-    return tuple(
-        (p.name, _TAGS[p.annotation], p.default is p.empty,
-         None if p.default is p.empty else p.default)
-        for p in inspect.signature(fn, eval_str=True).parameters.values())
-
-
-def _bind(schema: _Schema, args: tuple[tuple[str | None, Value], ...],
-          what: str, line: int) -> dict[str, Any]:
-    names = [s[0] for s in schema]
-    bound: dict[str, Any] = {}
-    pos = 0
-    seen_kw = False
-    for key, (tag, val) in args:
-        if key is None:
-            if seen_kw:
-                raise ManifestError(
-                    f"{what}: positional argument after keyword", line)
-            if pos >= len(schema):
-                raise ManifestError(f"{what}: too many arguments", line)
-            key = names[pos]
-            pos += 1
-        else:
-            seen_kw = True
-            if key not in names:
-                raise ManifestError(
-                    f"{what}: unknown argument {key!r} (takes {names})", line)
-        if key in bound:
-            raise ManifestError(f"{what}: duplicate argument {key!r}", line)
-        want = schema[names.index(key)][1]
-        if tag != want:
-            raise ManifestError(
-                f"{what}: argument {key!r} must be a {want}, got {tag}", line)
-        bound[key] = val
-    for name, _, required, default in schema:
-        if name not in bound:
-            if required:
-                raise ManifestError(f"{what}: missing argument {name!r}", line)
-            bound[name] = default
-    return bound
-
-
-def canonicalize(m: Manifest) -> Manifest:
-    """Normalize every definition to fully-keyworded, default-filled form.
-    format_manifest(canonicalize(m)) is a fixed point of parse/format."""
-    items: list[Definition | Expectation] = []
-    for item in m.items:
-        if not isinstance(item, Definition):
-            items.append(item)
-            continue
-        schema = _schema(_callee(item))
-        bound = _bind(schema, item.args, item.ctor, item.line)
-        args = []
-        for name, tag, _, _ in schema:
-            if bound[name] is None and tag == "str":
-                continue                       # omitted optional (prefix)
-            args.append((name, (tag, bound[name])))
-        items.append(Definition(item.kind, item.name, item.ctor,
-                                tuple(args), item.line))
-    return Manifest(tuple(items))
-
-
-def _build_definition(d: Definition, env: dict[str, MarkedManifold],
-                      ) -> MarkedManifold:
-    def ref(name: str) -> MarkedManifold:
-        if name not in env:
-            raise ManifestError(f"reference to undefined manifold {name!r}",
-                                d.line)
-        return env[name]
-
-    fn = _callee(d)
-    schema = _schema(fn)
-    bound = _bind(schema, d.args, d.ctor, d.line)
-    for name, tag, _, _ in schema:
-        if tag == "ref":
-            bound[name] = ref(bound[name])
-    return fn(**bound)
-
+# --- evaluation ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CheckOutcome:
@@ -434,10 +400,17 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
 
     for item in m.items:
         if isinstance(item, Definition):
+            kwargs = {}
+            for key, (tag, val) in item.args:
+                if tag == "ref":
+                    if val not in env:
+                        raise ManifestError(
+                            f"reference to undefined manifold {val!r}",
+                            item.line)
+                    val = env[val]
+                kwargs[key] = val
             try:
-                env[item.name] = _build_definition(item, env)
-            except ManifestError:
-                raise
+                env[item.name] = _callee(item.kind, item.ctor)(**kwargs)
             except (ValueError, KeyError) as exc:
                 raise ManifestError(f"building {item.name!r}: {exc}",
                                     item.line) from exc
@@ -447,7 +420,7 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
         keys = dict(item.checks)
         # (actual, budget_limited) of the pi1, gen and model checks
         from_cert: dict[str, tuple[Any, bool]] = {}
-        if {"pi1", "gen", "model"} & set(keys):
+        if keys.keys() & _FROM_CERTIFICATE:
             target = None
             if "pi1" in keys:
                 tag, target = keys["pi1"]
@@ -473,20 +446,10 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
                     from_cert["model"] = (f"unavailable ({exc})", inconclusive)
 
         for key, (tag, val) in item.checks:
-            actual: Any
-            limited = False
-            if key in from_cert:
+            if key in _MEASURES:
+                actual, limited = _MEASURES[key](M), False
+            else:
                 actual, limited = from_cert[key]
-            elif key == "e":
-                actual = M.euler
-            elif key == "sigma":
-                actual = M.signature
-            elif key == "parity":
-                actual = M.parity
-            elif key == "symplectic":
-                actual = M.symplectic
-            else:                              # region
-                actual = in_odd_region(coords(M.euler, M.signature))
             outcomes.append(CheckOutcome(
                 manifold=item.name, key=key, expected=val, actual=actual,
                 passed=(actual == val), budget_limited=limited))

@@ -185,6 +185,8 @@ def parse_presentation(text: str) -> FpPresentation:
         rest = rest.strip()
         try:
             if kind == "generators":
+                if saw_generators:
+                    raise PresentationError("repeated 'generators:' line")
                 saw_generators = True
                 generators = tuple(g.strip() for g in rest.split(",") if g.strip())
             elif kind == "relator":

@@ -248,6 +248,13 @@ _PUNCT = frozenset("[],^()")
 # this syntax reaches from a shallow stack, so every word it reads parses.
 MAX_NESTING = 500
 
+# The most letters parse_word lets a power or a commutator expand a word
+# to, checked before each copy is made, so that a short text cannot ask
+# for more memory than the machine has ("a^100000000" is 11 characters).
+# It admits every shipped manifest and the 16,000-letter surface relator
+# of the odd family at n = 4000 with room to spare.
+MAX_LETTERS = 1_000_000
+
 
 def parse_word(text: str) -> Word:
     """Parse the word syntax above in one pass over its tokens.  Examples:
@@ -281,6 +288,8 @@ def parse_word(text: str) -> Word:
             # the base is reduced first, so a power of a cancelling base
             # stays short
             base = _reduce(out[atom:])
+            if atom + len(base) * abs(k) > MAX_LETTERS:
+                raise _too_long(text)
             out[atom:] = (base if k >= 0 else _invert(base)) * abs(k)
             atom = -1
         elif tok == "[" or tok == "(":
@@ -295,6 +304,8 @@ def parse_word(text: str) -> Word:
                 atom = -1
             else:
                 if tok == "]":
+                    if 2 * len(out) - start > MAX_LETTERS:
+                        raise _too_long(text)
                     out += _invert(out[start:comma]) + _invert(out[comma:])
                 atom = start
         elif tok == "1":
@@ -323,6 +334,11 @@ def _syntax_error(text: str, message: str,
     if token is not None:
         message += f" at column {matches[token].start() + 1}"
     return WordSyntaxError(message)
+
+
+def _too_long(text: str) -> WordSyntaxError:
+    return _syntax_error(
+        text, f"word expands to more than {MAX_LETTERS:,} letters")
 
 
 def format_word(w: Word) -> str:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from m4kit.certify import (
     Budget,
+    BudgetError,
     certify,
     commutation_closure,
     simplify,
@@ -115,6 +116,18 @@ def test_budget_exhaustion_reports_inconclusive():
                 budget=Budget(max_derivation_steps=1))
     assert c.verdict == INCONCLUSIVE
     assert "budget" in c.reason
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_cosets", True), ("max_cosets", 0), ("max_cosets", 2.0),
+    ("max_derivation_steps", "x"), ("max_derivation_steps", -5),
+    ("max_derivation_steps", 0), ("max_derivation_steps", False),
+    ("corroborate", 1), ("corroborate", "yes"), ("corroborate", None),
+])
+def test_budget_rejects_malformed_fields(field, value):
+    # both counts are positive ints (True is no count), corroborate a bool
+    with pytest.raises(BudgetError, match=repr(value)):
+        Budget(**{field: value})
 
 
 def test_target_mismatch_is_flagged_not_silenced():

@@ -22,7 +22,6 @@ from m4kit.manifest import (
     Expectation,
     Manifest,
     ManifestError,
-    canonicalize,
     format_manifest,
     parse_manifest,
     report_json,
@@ -52,27 +51,41 @@ def test_parse_identifies_every_item():
     defs = {i.name: i for i in m.items if isinstance(i, Definition)}
     assert defs["left"].ctor == "T2xG2"
     assert defs["x"].kind == "sum"
-    assert defs["z"].args == ((None, ("ref", "y")), ("n", ("int", 2)))
+    assert defs["z"].args == (("base", ("ref", "y")), ("n", ("int", 2)))
 
 
-def test_format_parse_fixpoint():
-    m = parse_manifest(GOOD)
-    text = format_manifest(m)
-    assert parse_manifest(text) == m
-    assert format_manifest(parse_manifest(text)) == text
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+@pytest.mark.parametrize("text", [pytest.param(GOOD, id="GOOD")] + [
+    pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+    for path in sorted(MANIFESTS.glob("*.m4"))])
+def test_format_parse_fixpoint(text):
+    m = parse_manifest(text)
+    out = format_manifest(m)
+    assert parse_manifest(out) == m
+    assert format_manifest(parse_manifest(out)) == out
 
 
 def test_canonicalize_fills_defaults_and_keywords():
-    m = canonicalize(parse_manifest("block b = BT4(1, 1)\n"))
-    (d,) = m.items
+    # the parser binds positional arguments to their keywords, fills in
+    # defaults and leaves out an omitted prefix
+    d, s = parse_manifest(
+        "block b = BT4(1, 1)\n"
+        'sum s = fiber_sum(b, "SigmaBar2", b, "SigmaBar2")\n').items
     assert d.args == (("q", ("int", 1)), ("r", ("int", 1)),
                       ("m", ("int", 1)), ("eps1", ("int", 1)),
                       ("eps3", ("int", -1)))
+    assert [k for k, _ in s.args] == ["left", "left_surface", "right",
+                                      "right_surface"]
 
 
 def test_canonicalize_is_idempotent():
-    m = canonicalize(parse_manifest(GOOD))
-    assert canonicalize(m) == m
+    # a parsed manifest is canonical: printing and parsing it again
+    # changes nothing, however its arguments were written
+    m = parse_manifest(GOOD)
+    assert all(k is not None for d in m.items if isinstance(d, Definition)
+               for k, _ in d.args)
     assert parse_manifest(format_manifest(m)) == m
 
 
@@ -101,7 +114,7 @@ expect b: parity="ev\"en#x"
 ])
 def test_parse_errors_carry_context(bad, fragment):
     with pytest.raises(ManifestError) as err:
-        run_manifest(canonicalize(parse_manifest(bad)))
+        run_manifest(parse_manifest(bad))
     assert fragment.lower() in str(err.value).lower()
 
 
@@ -153,7 +166,7 @@ def test_run_manifest_certifies_and_replays():
 # -- reports ----------------------------------------------------------------------
 
 def test_report_schema_and_shape():
-    m = canonicalize(parse_manifest(GOOD))
+    m = parse_manifest(GOOD)
     rep = report_json(m, run_manifest(m))
     assert rep["schema"] == "m4kit.report/1"
     assert {d["name"] for d in rep["definitions"]} == \
@@ -162,7 +175,7 @@ def test_report_schema_and_shape():
 
 
 def test_report_is_deterministic_in_process():
-    m = canonicalize(parse_manifest(GOOD))
+    m = parse_manifest(GOOD)
     a = json.dumps(report_json(m, run_manifest(m)), sort_keys=True)
     b = json.dumps(report_json(m, run_manifest(m)), sort_keys=True)
     assert a == b
@@ -245,6 +258,20 @@ def test_exit_usage_on_parse_error(tmp_path, capsys):
     assert main(["build", path]) == 2
     assert main(["build", str(tmp_path / "missing.m4")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["build", "certify", "fmt"])
+@pytest.mark.parametrize("call", [
+    "T2xG2(1)", 'T2xG2(1, "x")', "T2xG2(p=1, q=1, z=2)", "T2xG2(p=1, 1)",
+], ids=["missing", "wrong_type", "unknown_keyword",
+        "positional_after_keyword"])
+def test_exit_usage_on_bad_arguments(tmp_path, capsys, command, call):
+    path = write(tmp_path, f"block b = {call}\n")
+    argv = [command, path] + (["b"] if command == "certify" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "manifest error: line 1: T2xG2: " in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["build", "certify", "replay", "fmt"])
@@ -360,6 +387,14 @@ def _mangle_deep_nesting(cert):
     cert["presentation"] += "\nrelator: " + "(" * 3000 + "a" + ")" * 3000
 
 
+def _mangle_huge_power(cert):
+    cert["presentation"] += "\nrelator: a^100000000000"
+
+
+def _mangle_repeated_generators(cert):
+    cert["presentation"] += "\ngenerators: c"
+
+
 def _mangle_target(cert):
     cert["target"], cert["matches_target"] = "zz", False
 
@@ -379,7 +414,8 @@ def _mangle_to_object(key):
 MANGLES = [
     pytest.param(m, id=m.__name__) for m in (
         _mangle_schema, _mangle_kind, _mangle_missing_field, _mangle_rotation,
-        _mangle_distinguished, _mangle_deep_nesting, _mangle_target)
+        _mangle_distinguished, _mangle_deep_nesting, _mangle_huge_power,
+        _mangle_repeated_generators, _mangle_target)
 ] + [
     # every certificate field decodes from its own JSON type only
     pytest.param(_mangle_to_object(f.name), id=f"{f.name}={{}}")

@@ -138,3 +138,9 @@ def test_parse_presentation_rejects_unknown_line():
         parse_presentation("generators: a\nnonsense: a")
     with pytest.raises(PresentationError):
         parse_presentation("generators: a\ndistinguished: mu = a")
+
+
+def test_parse_presentation_rejects_a_repeated_generators_line():
+    with pytest.raises(PresentationError,
+                       match="^line 2: repeated 'generators:' line$"):
+        parse_presentation("generators: a, b\ngenerators: c\nrelator: c^2")

@@ -1,6 +1,7 @@
 """Word algebra: free reduction, the usual operators, and the text format."""
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from m4kit.presentation import FpPresentation, PresentationError
 from m4kit.words import (
     IDENTITY,
+    MAX_LETTERS,
     MAX_NESTING,
     NAME_RE,
     Word,
@@ -340,6 +342,35 @@ def test_nesting_cap_does_not_depend_on_the_stack(nest, value):
     assert word == value
     with pytest.raises(WordSyntaxError, match="^brackets nest too deeply$"):
         _under_frames(800, lambda: parse_word(nest(MAX_NESTING + 1)))
+
+
+@pytest.mark.parametrize("text", ["[" * 500 + "a" + ", b]" * 500,
+                                  "a^100000000"],
+                         ids=["nested_commutators", "huge_power"])
+def test_parse_caps_the_expanded_length(text):
+    # short texts that expand to ~2^501 and 10^8 letters: the cap is checked
+    # before each copy, so they end in a WordSyntaxError, not in exhausted
+    # memory
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError,
+                       match="^word expands to more than 1,000,000 letters$"):
+        parse_word(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_letter_cap_admits_exactly_max_letters():
+    assert MAX_LETTERS == 1_000_000
+    assert parse_word("a^1000000") == Word((("a", 1),) * 1_000_000)
+    with pytest.raises(WordSyntaxError, match="more than 1,000,000 letters"):
+        parse_word("a^1000001")
+
+
+def test_surface_sized_relator_round_trips():
+    # 16,000 letters, the surface relator of the odd family at n = 4000
+    w = Word(tuple(letter for i in range(4000) for letter in (
+        (f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1))))
+    assert len(w) == 16_000
+    assert parse_word(format_word(w)) == w
 
 
 # Syntax trees of the word grammar: ("name", n), ("one",), ("comm", x, y),
