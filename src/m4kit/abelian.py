@@ -9,9 +9,8 @@ run one sparse elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .presentation import FpPresentation, PresentationError
+from .words import Record, set_field
 
 IntMatrix = list[list[int]]
 SparseRows = list[dict[int, int]]
@@ -25,16 +24,19 @@ class SmithCheckError(ArithmeticError):
     elimination, never a property of the input."""
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """D = U M V with D diagonal, each diagonal entry nonnegative and
     dividing the next.  U and V are kept as logs of elementary operations:
     U is the product of the row operations and V of the column operations,
     so both are unimodular by construction."""
 
-    d: IntMatrix
-    row_ops: list[Operation]
-    col_ops: list[Operation]
+    __slots__ = ("d", "row_ops", "col_ops")
+
+    def __init__(self, d: IntMatrix, row_ops: list[Operation],
+                 col_ops: list[Operation]) -> None:
+        set_field(self, "d", d)
+        set_field(self, "row_ops", row_ops)
+        set_field(self, "col_ops", col_ops)
 
     @property
     def diagonal(self) -> list[int]:
@@ -251,12 +253,14 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(d=d, row_ops=row_ops, col_ops=col_ops)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Z^rank  (+)  Z/t1 (+) ... (+) Z/tk  with 2 <= t1 | t2 | ... | tk."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "torsion", torsion)
 
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]

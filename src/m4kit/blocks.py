@@ -27,15 +27,23 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd
 
 from .presentation import FpPresentation, PresentationError
-from .words import Word, commutator, format_word, gen, parse_word
+from .words import (
+    MAX_LETTERS,
+    Record,
+    Word,
+    commutator,
+    format_word,
+    gen,
+    parse_word,
+    replace,
+    set_field,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class SurgeryDatum:
+class SurgeryDatum(Record):
     """A torus along which (re-)surgery is understood.
 
     `relator` is the relator currently standing at the site (it is always
@@ -45,73 +53,100 @@ class SurgeryDatum:
     `pushoff` doubles as the meridian of the torus in the ambient manifold.
     """
 
-    name: str
-    curve: str
-    pushoff: Word
-    torus_generators: tuple[str, str]
-    relator: Word
-    unsurgered: Word
+    __slots__ = ("name", "curve", "pushoff", "torus_generators", "relator",
+                 "unsurgered")
+
+    def __init__(self, name: str, curve: str, pushoff: Word,
+                 torus_generators: tuple[str, str], relator: Word,
+                 unsurgered: Word) -> None:
+        set_field(self, "name", name)
+        set_field(self, "curve", curve)
+        set_field(self, "pushoff", pushoff)
+        set_field(self, "torus_generators", torus_generators)
+        set_field(self, "relator", relator)
+        set_field(self, "unsurgered", unsurgered)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.curve, self.pushoff,
+                    self.torus_generators, self.relator, self.unsurgered) == (
+                other.name, other.curve, other.pushoff,
+                other.torus_generators, other.relator, other.unsurgered)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.curve, self.pushoff,
+                     self.torus_generators, self.relator, self.unsurgered))
 
     def surgered(self, k: int, m: int) -> Word:
         """The relator a k/m surgery installs here: curve^k (pushoff^m)^-1,
         or `unsurgered` when k = 0."""
         if k == 0:
             return self.unsurgered
+        _check_twist(k, self.pushoff, m)
         return gen(self.curve) ** k * (self.pushoff ** m).inverse()
 
 
-@dataclass(frozen=True, slots=True)
-class EmbeddedSurface:
-    name: str
-    genus: int
-    self_intersection: int
-    generator_images: tuple[tuple[str, Word], ...]
-    modulo_meridian: frozenset[str]
-    meridian: Word
-    complement_pi1: FpPresentation
+def _check_twist(k: int, pushoff: Word, m: int) -> None:
+    """Raise ValueError when a k/m twist of this pushoff would build a
+    relator longer than MAX_LETTERS: checked before the powers are built,
+    so that a huge coefficient costs nothing."""
+    if abs(k) + len(pushoff) * abs(m) > MAX_LETTERS:
+        raise ValueError(f"surgery coefficient {k}/{m} builds a relator of "
+                         f"more than {MAX_LETTERS:,} letters")
 
-    def __post_init__(self) -> None:
-        if len(self.generator_images) != 2 * self.genus:
+
+class EmbeddedSurface(Record):
+    __slots__ = ("name", "genus", "self_intersection", "generator_images",
+                 "modulo_meridian", "meridian", "complement_pi1")
+
+    def __init__(self, name: str, genus: int, self_intersection: int,
+                 generator_images: tuple[tuple[str, Word], ...],
+                 modulo_meridian: frozenset[str], meridian: Word,
+                 complement_pi1: FpPresentation) -> None:
+        if len(generator_images) != 2 * genus:
             raise PresentationError(
-                f"surface {self.name!r}: expected {2 * self.genus} curve "
-                f"images, got {len(self.generator_images)}")
-        known = set(self.complement_pi1.generators)
-        for label, w in self.generator_images:
+                f"surface {name!r}: expected {2 * genus} curve "
+                f"images, got {len(generator_images)}")
+        known = set(complement_pi1.generators)
+        for label, w in generator_images:
             if w.names() - known:
                 raise PresentationError(
-                    f"surface {self.name!r}: image of {label} uses unknown "
+                    f"surface {name!r}: image of {label} uses unknown "
                     "generators")
-        if self.meridian.names() - known:
+        if meridian.names() - known:
             raise PresentationError(
-                f"surface {self.name!r}: meridian uses unknown generators")
-        bad = self.modulo_meridian - {label for label, _ in self.generator_images}
+                f"surface {name!r}: meridian uses unknown generators")
+        bad = modulo_meridian - {label for label, _ in generator_images}
         if bad:
             raise PresentationError(
-                f"surface {self.name!r}: modulo_meridian mentions unknown "
+                f"surface {name!r}: modulo_meridian mentions unknown "
                 f"curves {sorted(bad)}")
+        set_field(self, "name", name)
+        set_field(self, "genus", genus)
+        set_field(self, "self_intersection", self_intersection)
+        set_field(self, "generator_images", generator_images)
+        set_field(self, "modulo_meridian", modulo_meridian)
+        set_field(self, "meridian", meridian)
+        set_field(self, "complement_pi1", complement_pi1)
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedManifold:
-    name: str
-    euler: int
-    signature: int
-    parity: str                      # "odd" | "even" | "unknown"
-    symplectic: bool
-    minimal: bool | None
-    pi1: FpPresentation
-    surfaces: tuple[EmbeddedSurface, ...] = ()
-    sites: tuple[SurgeryDatum, ...] = ()
+class MarkedManifold(Record):
+    __slots__ = ("name", "euler", "signature", "parity", "symplectic",
+                 "minimal", "pi1", "surfaces", "sites")
 
-    def __post_init__(self) -> None:
-        if self.parity not in ("odd", "even", "unknown"):
-            raise PresentationError(f"bad parity {self.parity!r}")
-        names = [s.name for s in self.surfaces] + [t.name for t in self.sites]
+    def __init__(self, name: str, euler: int, signature: int, parity: str,
+                 symplectic: bool, minimal: bool | None, pi1: FpPresentation,
+                 surfaces: tuple[EmbeddedSurface, ...] = (),
+                 sites: tuple[SurgeryDatum, ...] = ()) -> None:
+        if parity not in ("odd", "even", "unknown"):
+            raise PresentationError(f"bad parity {parity!r}")
+        names = [s.name for s in surfaces] + [t.name for t in sites]
         if len(names) != len(set(names)):
-            raise PresentationError(f"{self.name}: duplicate surface/site names")
-        gens = set(self.pi1.generators)
-        relators = set(self.pi1.relators)
-        for t in self.sites:
+            raise PresentationError(f"{name}: duplicate surface/site names")
+        gens = set(pi1.generators)
+        relators = set(pi1.relators)
+        for t in sites:
             if t.curve not in gens:
                 raise PresentationError(
                     f"site {t.name!r}: curve {t.curve!r} is not a generator")
@@ -127,11 +162,20 @@ class MarkedManifold:
             if set(t.torus_generators) - gens:
                 raise PresentationError(
                     f"site {t.name!r}: torus generators not in pi1")
-        for s in self.surfaces:
-            if s.complement_pi1.generators != self.pi1.generators:
+        for s in surfaces:
+            if s.complement_pi1.generators != pi1.generators:
                 raise PresentationError(
                     f"surface {s.name!r}: complement generators differ from "
                     "the ambient ones")
+        set_field(self, "name", name)
+        set_field(self, "euler", euler)
+        set_field(self, "signature", signature)
+        set_field(self, "parity", parity)
+        set_field(self, "symplectic", symplectic)
+        set_field(self, "minimal", minimal)
+        set_field(self, "pi1", pi1)
+        set_field(self, "surfaces", surfaces)
+        set_field(self, "sites", sites)
 
     def surface(self, name: str) -> EmbeddedSurface:
         for s in self.surfaces:
@@ -163,6 +207,7 @@ def _product_site(name: str, curve: str, pushoff: str,
     surgered(0, m) would be the pushoff's inverse and change t2xg2(0, q).
     """
     word = parse_word(pushoff)
+    _check_twist(k, word, m)
     return SurgeryDatum(name, curve, word, torus,
                         word ** m * gen(curve) ** -k, word)
 
@@ -234,6 +279,9 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
     """
     if n < 2 or m < 1:
         raise ValueError(f"G2xGn needs n >= 2 and m >= 1, got n={n}, m={m}")
+    if 4 * n > MAX_LETTERS:     # the fiber's relator [c1, d1] ... [cn, dn]
+        raise ValueError(f"G2xGn(n={n}) builds a relator of more than "
+                         f"{MAX_LETTERS:,} letters")
     cs = [f"c{j}" for j in range(1, n + 1)]
     ds = [f"d{j}" for j in range(1, n + 1)]
     gens = ("a1", "b1", "a2", "b2") + tuple(x for pair in zip(cs, ds) for x in pair)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
+from typing import Any, Iterable
 
 from .abelian import AbelianGroup, h1
 from .coset import CosetCount, DEFAULT_MAX_COSETS, coset_enumeration
@@ -53,12 +52,14 @@ from .trace import (
     target_of,
 )
 from .words import (
+    Record,
     Word,
     commutator,
     cyclic_reduce,
     cyclically_equal,
     gen,
     rotate,
+    set_field,
     substitute,
 )
 
@@ -68,33 +69,36 @@ class BudgetError(ValueError):
     bool."""
 
 
-def _default_cosets() -> int:
-    raw = os.environ.get("M4KIT_BUDGET_COSETS", str(DEFAULT_MAX_COSETS))
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetError(
-            f"M4KIT_BUDGET_COSETS={raw!r} is not an integer") from None
+_FROM_ENV: Any = object()      # max_cosets not given: read the environment
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_cosets: int = field(default_factory=_default_cosets)
-    max_derivation_steps: int = 10_000
-    corroborate: bool = True
+class Budget(Record):
+    __slots__ = ("max_cosets", "max_derivation_steps", "corroborate")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_cosets: int = _FROM_ENV,
+                 max_derivation_steps: int = 10_000,
+                 corroborate: bool = True) -> None:
+        if max_cosets is _FROM_ENV:
+            raw = os.environ.get("M4KIT_BUDGET_COSETS",
+                                 str(DEFAULT_MAX_COSETS))
+            try:
+                max_cosets = int(raw)
+            except ValueError:
+                raise BudgetError(f"M4KIT_BUDGET_COSETS={raw!r} is not an "
+                                  "integer") from None
         # bool is a subclass of int, but True is no count
-        for what, count in (("the coset budget", self.max_cosets),
-                            ("the derivation budget",
-                             self.max_derivation_steps)):
+        for what, count in (("the coset budget", max_cosets),
+                            ("the derivation budget", max_derivation_steps)):
             if (not isinstance(count, int) or isinstance(count, bool)
                     or count < 1):
                 raise BudgetError(f"{what} must be a positive integer, "
                                   f"got {count!r}")
-        if not isinstance(self.corroborate, bool):
+        if not isinstance(corroborate, bool):
             raise BudgetError(f"corroborate must be a bool, "
-                              f"got {self.corroborate!r}")
+                              f"got {corroborate!r}")
+        set_field(self, "max_cosets", max_cosets)
+        set_field(self, "max_derivation_steps", max_derivation_steps)
+        set_field(self, "corroborate", corroborate)
 
 
 _name = itemgetter(0)          # the generator of a letter

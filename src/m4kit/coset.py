@@ -22,26 +22,29 @@ renumbered or dropped, so the table holds exactly the cosets defined, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .presentation import FpPresentation
-from .words import Word
+from .words import Record, Word, set_field
 
 DEFAULT_MAX_COSETS = 1_000_000      # the coset budget unless one is given
 
 
-@dataclass(frozen=True)
-class Exceeded:
+class Exceeded(Record):
     """The enumeration defined `max_cosets` cosets without closing."""
 
-    max_cosets: int
+    __slots__ = ("max_cosets",)
+
+    def __init__(self, max_cosets: int) -> None:
+        set_field(self, "max_cosets", max_cosets)
 
 
-@dataclass(frozen=True)
-class CosetCount:
-    index: int
-    total_defined: int
+class CosetCount(Record):
+    __slots__ = ("index", "total_defined")
+
+    def __init__(self, index: int, total_defined: int) -> None:
+        set_field(self, "index", index)
+        set_field(self, "total_defined", total_defined)
 
 
 class _Overflow(Exception):

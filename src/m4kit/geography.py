@@ -25,24 +25,24 @@ Two services live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .blocks import MarkedManifold, SurgeryDatum, bbt4, bt4, g2xgn, t2xg2, t2xs2b4, t4b2
 from .certify import Budget, certify
 from .coset import CosetCount, coset_enumeration
 from .surgery import fiber_sum, torus_surgery
 from .trace import Certificate, INFINITE_CYCLIC, TRIVIAL
-from .words import gen
+from .words import Record, gen, replace, set_field
 
 
 class GeographyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    chi: int
-    c1sq: int
+class GeoPoint(Record):
+    __slots__ = ("chi", "c1sq")
+
+    def __init__(self, chi: int, c1sq: int) -> None:
+        set_field(self, "chi", chi)
+        set_field(self, "c1sq", c1sq)
 
     @property
     def signature(self) -> int:
@@ -69,13 +69,15 @@ def in_odd_region(pt: GeoPoint) -> bool:
     return 0 <= pt.c1sq <= 8 * pt.chi - 1
 
 
-@dataclass(frozen=True, slots=True)
-class FreedmanModel:
+class FreedmanModel(Record):
     """Homeomorphism type m CP^2 # n CP^2bar of a closed, simply connected
     4-manifold with odd intersection form (b2_plus = m, b2_minus = n)."""
 
-    b2_plus: int
-    b2_minus: int
+    __slots__ = ("b2_plus", "b2_minus")
+
+    def __init__(self, b2_plus: int, b2_minus: int) -> None:
+        set_field(self, "b2_plus", b2_plus)
+        set_field(self, "b2_minus", b2_minus)
 
     def describe(self) -> str:
         def side(count: int, base: str) -> str:
@@ -118,8 +120,7 @@ def freedman_model(M: MarkedManifold, cert: Certificate) -> FreedmanModel:
 # realizations with a marked square-zero torus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Realization:
+class Realization(Record):
     """A symplectic manifold at `point` with a marked torus site whose
     complement is certified infinite cyclic.
 
@@ -131,13 +132,20 @@ class Realization:
     enumeration over the two torus generators reached index 1, i.e. the
     pair already generates."""
 
-    point: GeoPoint
-    manifold: MarkedManifold
-    site_name: str
-    closed_certificate: Certificate
-    complement_certificate: Certificate
-    meridian_dies: bool
-    torus_surjects: bool
+    __slots__ = ("point", "manifold", "site_name", "closed_certificate",
+                 "complement_certificate", "meridian_dies", "torus_surjects")
+
+    def __init__(self, point: GeoPoint, manifold: MarkedManifold,
+                 site_name: str, closed_certificate: Certificate,
+                 complement_certificate: Certificate, meridian_dies: bool,
+                 torus_surjects: bool) -> None:
+        set_field(self, "point", point)
+        set_field(self, "manifold", manifold)
+        set_field(self, "site_name", site_name)
+        set_field(self, "closed_certificate", closed_certificate)
+        set_field(self, "complement_certificate", complement_certificate)
+        set_field(self, "meridian_dies", meridian_dies)
+        set_field(self, "torus_surjects", torus_surjects)
 
     @property
     def site(self) -> SurgeryDatum:

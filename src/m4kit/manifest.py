@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import inspect
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -53,6 +52,7 @@ from .geography import GeographyError, coords, freedman_model, in_odd_region
 # the operations are looked up in globals() when a definition calls them
 from .surgery import blow_up, fiber_sum, torus_surgery
 from .trace import Certificate, INCONCLUSIVE, parse_target, target_of
+from .words import Record, set_field
 
 
 class ManifestError(ValueError):
@@ -103,25 +103,38 @@ def _tokenize(text: str, line: int) -> list[tuple[str, Any]]:
     return out
 
 
-@dataclass(frozen=True)
-class Definition:
-    kind: str                 # block | surgery | blowup | sum
-    name: str
-    ctor: str                 # catalog name or operation name
-    args: tuple[tuple[str, Value], ...]       # by keyword, in parameter order
-    line: int = field(default=0, compare=False)   # line numbers don't count
+class Definition(Record):
+    """`kind` is block, surgery, blowup or sum; `ctor` the catalog name or
+    operation name; `args` are by keyword, in parameter order."""
+
+    __slots__ = ("kind", "name", "ctor", "args", "line")
+    _uncompared = ("line",)          # line numbers don't count
+
+    def __init__(self, kind: str, name: str, ctor: str,
+                 args: tuple[tuple[str, Value], ...], line: int = 0) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "name", name)
+        set_field(self, "ctor", ctor)
+        set_field(self, "args", args)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Expectation:
-    name: str
-    checks: tuple[tuple[str, Value], ...]
-    line: int = field(default=0, compare=False)
+class Expectation(Record):
+    __slots__ = ("name", "checks", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, name: str, checks: tuple[tuple[str, Value], ...],
+                 line: int = 0) -> None:
+        set_field(self, "name", name)
+        set_field(self, "checks", checks)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Manifest:
-    items: tuple[Definition | Expectation, ...]
+class Manifest(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Definition | Expectation, ...]) -> None:
+        set_field(self, "items", items)
 
 
 # --- argument schemas and expectation keys --------------------------------
@@ -356,21 +369,33 @@ def format_manifest(m: Manifest) -> str:
 
 # --- evaluation ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    manifold: str
-    key: str
-    expected: Any
-    actual: Any
-    passed: bool
-    budget_limited: bool = False
+class CheckOutcome(Record):
+    __slots__ = ("manifold", "key", "expected", "actual", "passed",
+                 "budget_limited")
+
+    def __init__(self, manifold: str, key: str, expected: Any, actual: Any,
+                 passed: bool, budget_limited: bool = False) -> None:
+        set_field(self, "manifold", manifold)
+        set_field(self, "key", key)
+        set_field(self, "expected", expected)
+        set_field(self, "actual", actual)
+        set_field(self, "passed", passed)
+        set_field(self, "budget_limited", budget_limited)
 
 
-@dataclass
-class RunResult:
-    manifolds: dict[str, MarkedManifold]
-    outcomes: list[CheckOutcome]
-    certificates: dict[str, Certificate]
+class RunResult(Record):
+    # unlike the other records, mutable and so unhashable
+    __slots__ = ("manifolds", "outcomes", "certificates")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, manifolds: dict[str, MarkedManifold],
+                 outcomes: list[CheckOutcome],
+                 certificates: dict[str, Certificate]) -> None:
+        self.manifolds = manifolds
+        self.outcomes = outcomes
+        self.certificates = certificates
 
     @property
     def ok(self) -> bool:

@@ -20,17 +20,19 @@ All types are immutable; operations return new presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from .words import (
     NAME_RE,
+    Record,
     Word,
     WordSyntaxError,
     format_word,
     gen,
     parse_word,
+    replace,
     rotate,
+    set_field,
     substitute,
 )
 
@@ -39,22 +41,26 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class MeridionalTier:
+class MeridionalTier(Record):
     """Symbolic stand-in for finitely many extra generators, each conjugate
     to the key word.  The count is deliberately not stored: no downstream
     argument may depend on it."""
 
-    label: str
-    key: Word
+    __slots__ = ("label", "key")
+
+    def __init__(self, label: str, key: Word) -> None:
+        set_field(self, "label", label)
+        set_field(self, "key", key)
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionalRelator:
+class ConditionalRelator(Record):
     """A relator valid in any quotient where `key` is trivial."""
 
-    relator: Word
-    key: Word
+    __slots__ = ("relator", "key")
+
+    def __init__(self, relator: Word, key: Word) -> None:
+        set_field(self, "relator", relator)
+        set_field(self, "key", key)
 
 
 _name, _sign = itemgetter(0), itemgetter(1)
@@ -75,30 +81,33 @@ def _check_word(w: Word, what: str, generators: set[str]) -> None:
             f"{what} {format_word(w)!r} has a sign other than +1 or -1")
 
 
-@dataclass(frozen=True, slots=True)
-class FpPresentation:
-    generators: tuple[str, ...] = ()
-    relators: tuple[Word, ...] = ()
-    conditional: tuple[ConditionalRelator, ...] = ()
-    meridional: tuple[MeridionalTier, ...] = ()
+class FpPresentation(Record):
+    __slots__ = ("generators", "relators", "conditional", "meridional")
 
-    def __post_init__(self) -> None:
+    def __init__(self, generators: tuple[str, ...] = (),
+                 relators: tuple[Word, ...] = (),
+                 conditional: tuple[ConditionalRelator, ...] = (),
+                 meridional: tuple[MeridionalTier, ...] = ()) -> None:
         seen: set[str] = set()
-        for g in self.generators:
+        for g in generators:
             if not NAME_RE.fullmatch(g):
                 raise PresentationError(f"bad generator name {g!r}")
             if g in seen:
                 raise PresentationError(f"duplicate generator {g!r}")
             seen.add(g)
-        for w in self.relators:
+        for w in relators:
             _check_word(w, "relator", seen)
-        for c in self.conditional:
+        for c in conditional:
             _check_word(c.relator, "conditional relator", seen)
             _check_word(c.key, "conditional key", seen)
-        for t in self.meridional:
+        for t in meridional:
             if not NAME_RE.fullmatch(t.label):
                 raise PresentationError(f"bad tier label {t.label!r}")
             _check_word(t.key, f"meridional key for {t.label!r}", seen)
+        set_field(self, "generators", generators)
+        set_field(self, "relators", relators)
+        set_field(self, "conditional", conditional)
+        set_field(self, "meridional", meridional)
 
     # -- small immutable transforms ---------------------------------------
 

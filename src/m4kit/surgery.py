@@ -21,12 +21,11 @@ presented group surjects onto it and certification stays one-sided.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import gcd
 
 from .blocks import EmbeddedSurface, MarkedManifold, SurgeryDatum
 from .presentation import ConditionalRelator, FpPresentation
-from .words import Word, gen, substitute
+from .words import Word, gen, replace, substitute
 
 
 class SurgeryError(ValueError):

@@ -51,16 +51,15 @@ as vacuous.  Keys are only freely reduced.  A rewrite keeps the relator's
 place, an activated relator comes last, and a step that names a relator
 held more than once acts on its first copy.
 
-A certificate's fields are its dataclass annotations, and one table maps
-each annotation to its JSON type, for steps and certificates alike:
-words and presentations are text, tuples are lists and a step is an
-object that names its kind.
+A certificate's fields are its class's `__slots__`, in order, and one
+table maps the annotation of each in the class's constructor to its JSON
+type, for steps and certificates alike: words and presentations are
+text, tuples are lists and a step is an object that names its kind.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .presentation import (
@@ -69,7 +68,14 @@ from .presentation import (
     format_presentation,
     parse_presentation,
 )
-from .words import Word, WordSyntaxError, format_word, parse_word
+from .words import (
+    Record,
+    Word,
+    WordSyntaxError,
+    format_word,
+    parse_word,
+    set_field,
+)
 
 TRIVIAL = "trivial"
 INFINITE_CYCLIC = "infinite_cyclic"
@@ -84,56 +90,92 @@ class CertificateFormatError(ValueError):
     target, unknown step kind, missing field or a field of the wrong type."""
 
 
-@dataclass(frozen=True, slots=True)
-class PairFromRelator:
-    x: str
-    y: str
-    relator: Word
+class PairFromRelator(Record):
+    __slots__ = ("x", "y", "relator")
+
+    def __init__(self, x: str, y: str, relator: Word) -> None:
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "relator", relator)
 
 
-@dataclass(frozen=True, slots=True)
-class PairFromDefinition:
-    gen: str
-    other: str
-    relator: Word
+class PairFromDefinition(Record):
+    __slots__ = ("gen", "other", "relator")
+
+    def __init__(self, gen: str, other: str, relator: Word) -> None:
+        set_field(self, "gen", gen)
+        set_field(self, "other", other)
+        set_field(self, "relator", relator)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.gen, self.other, self.relator) == (
+                other.gen, other.other, other.relator)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gen, self.other, self.relator))
 
 
-@dataclass(frozen=True, slots=True)
-class CommutationCancel:
-    before: Word
-    after: Word
-    rotation: int
-    i: int
-    j: int
-    x: str
+class CommutationCancel(Record):
+    __slots__ = ("before", "after", "rotation", "i", "j", "x")
+
+    def __init__(self, before: Word, after: Word, rotation: int, i: int,
+                 j: int, x: str) -> None:
+        set_field(self, "before", before)
+        set_field(self, "after", after)
+        set_field(self, "rotation", rotation)
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "x", x)
 
 
-@dataclass(frozen=True, slots=True)
-class Eliminate:
-    gen: str
-    definition: Word
-    via: Word
+class Eliminate(Record):
+    __slots__ = ("gen", "definition", "via")
+
+    def __init__(self, gen: str, definition: Word, via: Word) -> None:
+        set_field(self, "gen", gen)
+        set_field(self, "definition", definition)
+        set_field(self, "via", via)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.gen, self.definition, self.via) == (
+                other.gen, other.definition, other.via)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gen, self.definition, self.via))
 
 
-@dataclass(frozen=True, slots=True)
-class ReplaceSubword:
-    before: Word
-    after: Word
-    via: Word
-    via_rotation: int
-    via_inverted: bool
-    split: int
-    at: int
+class ReplaceSubword(Record):
+    __slots__ = ("before", "after", "via", "via_rotation", "via_inverted",
+                 "split", "at")
+
+    def __init__(self, before: Word, after: Word, via: Word,
+                 via_rotation: int, via_inverted: bool, split: int,
+                 at: int) -> None:
+        set_field(self, "before", before)
+        set_field(self, "after", after)
+        set_field(self, "via", via)
+        set_field(self, "via_rotation", via_rotation)
+        set_field(self, "via_inverted", via_inverted)
+        set_field(self, "split", split)
+        set_field(self, "at", at)
 
 
-@dataclass(frozen=True, slots=True)
-class ActivateConditional:
-    relator: Word
+class ActivateConditional(Record):
+    __slots__ = ("relator",)
+
+    def __init__(self, relator: Word) -> None:
+        set_field(self, "relator", relator)
 
 
-@dataclass(frozen=True, slots=True)
-class DischargeMeridional:
-    label: str
+class DischargeMeridional(Record):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        set_field(self, "label", label)
 
 
 TraceStep = (PairFromRelator | PairFromDefinition | CommutationCancel
@@ -159,23 +201,35 @@ def core_presentation(p: FpPresentation,
     return FpPresentation(p.generators, p.relators + tuple(activated))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    verdict: str
-    generator: str | None
-    order: int | None
-    reason: str | None
-    presentation: FpPresentation
-    final: FpPresentation
-    trace: tuple[TraceStep, ...]
-    activated: tuple[Word, ...]
-    h1_rank: int | None
-    h1_torsion: tuple[int, ...] | None
-    coset_index: int | None
-    coset_subgroup: tuple[str, ...] | None
-    steps_used: int
-    target: str | None
-    matches_target: bool | None
+class Certificate(Record):
+    __slots__ = ("verdict", "generator", "order", "reason", "presentation",
+                 "final", "trace", "activated", "h1_rank", "h1_torsion",
+                 "coset_index", "coset_subgroup", "steps_used", "target",
+                 "matches_target")
+
+    def __init__(self, verdict: str, generator: str | None,
+                 order: int | None, reason: str | None,
+                 presentation: FpPresentation, final: FpPresentation,
+                 trace: tuple[TraceStep, ...], activated: tuple[Word, ...],
+                 h1_rank: int | None, h1_torsion: tuple[int, ...] | None,
+                 coset_index: int | None,
+                 coset_subgroup: tuple[str, ...] | None, steps_used: int,
+                 target: str | None, matches_target: bool | None) -> None:
+        set_field(self, "verdict", verdict)
+        set_field(self, "generator", generator)
+        set_field(self, "order", order)
+        set_field(self, "reason", reason)
+        set_field(self, "presentation", presentation)
+        set_field(self, "final", final)
+        set_field(self, "trace", trace)
+        set_field(self, "activated", activated)
+        set_field(self, "h1_rank", h1_rank)
+        set_field(self, "h1_torsion", h1_torsion)
+        set_field(self, "coset_index", coset_index)
+        set_field(self, "coset_subgroup", coset_subgroup)
+        set_field(self, "steps_used", steps_used)
+        set_field(self, "target", target)
+        set_field(self, "matches_target", matches_target)
 
     @property
     def is_definite(self) -> bool:
@@ -265,7 +319,7 @@ def _to_json(v: Any) -> Any:
 
 def _fields_to_json(obj: Any) -> dict[str, Any]:
     """The fields of a step or certificate, in order, as JSON values."""
-    return {f: _to_json(getattr(obj, f)) for f in obj.__dataclass_fields__}
+    return {f: _to_json(getattr(obj, f)) for f in obj.__slots__}
 
 
 def json_field(data: Any, key: str, what: str, *kinds: type) -> Any:
@@ -299,12 +353,14 @@ _JSON_TYPES: dict[str, tuple[type, Callable[[Any], Any]]] = {
 
 
 def _fields_from_json(cls: type, data: Any, what: str) -> dict[str, Any]:
-    """The fields of dataclass `cls`, each decoded from data by its
-    annotation."""
+    """The fields of step or certificate class `cls`, each decoded from
+    data by its constructor's annotation."""
     out = {}
-    for key, spec in cls.__dataclass_fields__.items():
-        base = spec.type.removesuffix(" | None")
-        nulls = (type(None),) if base != spec.type else ()
+    annotations = cls.__init__.__annotations__
+    for key in cls.__slots__:
+        spec = annotations[key]
+        base = spec.removesuffix(" | None")
+        nulls = (type(None),) if base != spec else ()
         item = base.removeprefix("tuple[").removesuffix(", ...]")
         kind, decode = _JSON_TYPES[item]
         v = json_field(data, key, what, kind if item == base else list, *nulls)

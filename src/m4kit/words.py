@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter, length_hint
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Letter = tuple[str, int]
 _name = itemgetter(0)          # the generator of a letter
@@ -50,17 +49,79 @@ def _invert(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return tuple((name, -sign) for name, sign in reversed(letters))
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+# A Record's constructor fills each field with set_field(self, name, value).
+set_field = object.__setattr__
+
+_V = TypeVar("_V", bound="Record")
+
+
+class Record:
+    """Frozen value semantics for the package's value types.
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    its `__init__` checks its arguments and fills each field with
+    `set_field`.  Two values are equal when they are of one class and
+    agree on every field but those in `_uncompared`; those same fields are
+    hashed.  The repr is ``Name(field=value, ...)``, fields cannot be
+    assigned or deleted, and `replace` makes changed copies.  The classes
+    built thousands of times per certificate write `__eq__` and `__hash__`
+    out over their fields, which is faster than `_key`."""
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, f) for f in self.__slots__
+                      if f not in self._uncompared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # copy and pickle rebuild through the constructor
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+def replace(obj: _V, **changes: Any) -> _V:
+    """A copy of `obj` with the fields in `changes` replaced, built by its
+    constructor, so that its checks run again."""
+    fields = {f: getattr(obj, f) for f in obj.__slots__}
+    return type(obj)(**(fields | changes))
+
+
+class Word(Record):
     """A freely reduced word.  Construct via gen(), parse_word(), or the
     algebraic operations below; the constructor reduces whatever it is
     given and checks nothing: letters are validated where they enter, in
     gen(), parse_word() and FpPresentation."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", _reduce(self.letters))
+    def __init__(self, letters: Iterable[Letter] = ()) -> None:
+        set_field(self, "letters", _reduce(letters))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     # -- algebra ---------------------------------------------------------
 
@@ -114,7 +175,7 @@ def _reduced_word(letters: tuple[Letter, ...]) -> Word:
     without reducing them again.  This is the one way round the reducing
     constructor; it stays private to this module."""
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+    set_field(w, "letters", letters)
     return w
 
 

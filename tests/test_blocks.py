@@ -36,7 +36,7 @@ from m4kit.constructions import (
 )
 from m4kit.presentation import FpPresentation, PresentationError, parse_presentation
 from m4kit.surgery import blow_up, torus_surgery
-from m4kit.words import Word, commutator, gen, parse_word
+from m4kit.words import Record, Word, commutator, gen, parse_word
 
 _EXPECTED = {
     "t2xg2(1,1)": """
@@ -335,10 +335,9 @@ def _canonical(x):
         return repr(sorted(x))
     if isinstance(x, tuple):
         return "(" + ", ".join(map(_canonical, x)) + ")"
-    if hasattr(x, "__dataclass_fields__") and not isinstance(x, Word):
+    if isinstance(x, Record) and not isinstance(x, Word):
         return type(x).__name__ + "(" + ", ".join(
-            f"{f}={_canonical(getattr(x, f))}"
-            for f in x.__dataclass_fields__) + ")"
+            f"{f}={_canonical(getattr(x, f))}" for f in x.__slots__) + ")"
     return repr(x)
 
 

@@ -3,7 +3,6 @@ certificates replay); the point of this file is the other direction —
 every kind of tampering must raise CheckFailure."""
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,15 @@ from m4kit.trace import (
     PairFromRelator,
     ReplaceSubword,
 )
-from m4kit.words import Word, commutator, cyclic_reduce, gen, parse_word, substitute
+from m4kit.words import (
+    Word,
+    commutator,
+    cyclic_reduce,
+    gen,
+    parse_word,
+    replace,
+    substitute,
+)
 
 
 def pres(gens: str, *rels: str, **extra) -> FpPresentation:

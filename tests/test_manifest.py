@@ -1,7 +1,6 @@
 """The manifest DSL and the command-line pipeline: grammar, canonical form,
 evaluation, deterministic reports, and process exit codes."""
 
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -9,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -274,6 +274,28 @@ def test_exit_usage_on_bad_arguments(tmp_path, capsys, command, call):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "certify"])
+@pytest.mark.parametrize("text", [
+    "block b = G2xGn(n=1000000000, m=1)",
+    "block b = G2xGn(n=2, m=1000000000)",
+    "block b = T2xG2(p=1000000000, q=1)",
+    "block b = BT4(q=1, r=1000000001, m=1000000000)",
+    "block t = T4()\n"
+    "surgery b = torus_surgery(t, site=\"alpha2'xalpha3'\", k=1000000001)",
+], ids=["huge_n", "huge_m", "huge_block_k", "huge_block_m", "huge_surgery_k"])
+def test_exit_usage_on_oversized_block(tmp_path, capsys, command, text):
+    # each size is checked against MAX_LETTERS before a word is built, so
+    # a one-line manifest cannot ask for a billion letters
+    path = write(tmp_path, text + "\n")
+    argv = [command, path] + (["b"] if command == "certify" else [])
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "more than 1,000,000 letters" in err
+    assert "manifest error: line" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["build", "certify", "replay", "fmt"])
 @pytest.mark.parametrize("unreadable", ["directory", "missing", "not_utf8"])
 def test_exit_usage_on_unreadable_input(tmp_path, capsys, command, unreadable):
@@ -418,8 +440,8 @@ MANGLES = [
         _mangle_repeated_generators, _mangle_target)
 ] + [
     # every certificate field decodes from its own JSON type only
-    pytest.param(_mangle_to_object(f.name), id=f"{f.name}={{}}")
-    for f in dataclasses.fields(Certificate)
+    pytest.param(_mangle_to_object(f), id=f"{f}={{}}")
+    for f in Certificate.__slots__
 ] + [
     pytest.param(_mangle_item(key, item), id=f"{key}[0]={item!r}")
     for key, item in (("h1_torsion", "1"), ("coset_subgroup", 1),

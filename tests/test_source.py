@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +156,37 @@ def test_the_unreduced_word_constructor_stays_private():
              and (builders[0] in path.read_text(encoding="utf-8")
                   or unreduced_word_builders(path.read_text(encoding="utf-8")))]
     assert users == []
+
+
+IMPORT_GUARD = """
+import builtins, importlib, sys
+importlib.import_module("m4kit")
+importlib.import_module("m4kit.cli")
+for name in [n for n in sys.modules if n == "m4kit" or n.startswith("m4kit.")]:
+    del sys.modules[name]
+calls = []
+for fn in ("exec", "eval"):
+    def counting(source, *args, _original=getattr(builtins, fn), **kwargs):
+        if isinstance(source, (str, bytes)):
+            calls.append(source)
+        return _original(source, *args, **kwargs)
+    setattr(builtins, fn, counting)
+importlib.import_module("m4kit")
+importlib.import_module("m4kit.cli")
+print(len(calls))
+"""
+
+
+def test_importing_the_package_runs_no_source_text():
+    # a fresh import (each benchmark set-up makes one) compiles the
+    # package's own files and nothing more: no class, such as a dataclass,
+    # has methods generated from text by exec or eval.  The first import
+    # loads the standard library, some of which evals its own source.
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
+
+
+def test_no_module_imports_dataclasses():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "dataclasses" in imports_of(path)] == []
