@@ -40,6 +40,7 @@ from .trace import (
     FINITE_CYCLIC,
     INCONCLUSIVE,
     INFINITE_CYCLIC,
+    Kill,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
@@ -52,6 +53,7 @@ from .trace import (
     target_of,
 )
 from .words import (
+    IDENTITY,
     Record,
     Word,
     commutator,
@@ -190,9 +192,12 @@ class _State:
             self.definitions.setdefault(g, {})[key] = defining_rotation(w, g)
             self.dirty.add(g)
 
-    def substitute_everywhere(self, name: str, definition: Word) -> None:
-        images = {name: definition}
-        for key in list(self.occ.get(name, ())):
+    def substitute_everywhere(self, images: dict[str, Word]) -> None:
+        """Apply the map `images` once to every relator that mentions one
+        of its generators, reducing each cyclically, and to the conditional
+        relators and tier keys; then remove those generators and their
+        pairs."""
+        for key in set().union(*(self.occ.get(g, ()) for g in images)):
             self.put(key, cyclic_reduce(substitute(self.rels[key], images)))
 
         def sub(w: Word) -> Word:
@@ -211,8 +216,9 @@ class _State:
                 self.count(key, -1)
         self.conditional = new_cond
         self.tiers = [MeridionalTier(t.label, sub(t.key)) for t in self.tiers]
-        del self.gens[name]
-        self.pairs = {pr for pr in self.pairs if name not in pr}
+        for g in images:
+            del self.gens[g]
+        self.pairs = {pr for pr in self.pairs if pr.isdisjoint(images)}
 
     def snapshot(self) -> FpPresentation:
         return FpPresentation(
@@ -332,19 +338,23 @@ def _make_cancel(r: Word, rotation: int, i: int, j: int,
                              i=i, j=j, x=x)
 
 
-def _find_elimination(state: _State) -> tuple[Eliminate, int] | None:
+def _find_elimination(state: _State
+                      ) -> tuple[Eliminate | Kill, int | tuple[int, ...]] | None:
     """Cheapest Tietze elimination, with the key of its relator.  A
     generator occurring exactly once in some relator can be eliminated;
     kills (relator g^±1) and renames (definition of length one) are free,
     otherwise the cost estimates the growth caused by substituting the
     definition elsewhere.  The least (cost, len(definition), g, key) wins.
+    When that is a kill and other generators have kills too, the move is
+    one Kill of them all, in (g, key) order, with the keys of its relators.
 
     For a fixed g the cost grows with the definition's length, so g's best
     candidate is its definition of least (length, key) whatever its letter
     count.  The candidates wait in a heap that is invalidated lazily: each
     generator whose count or definitions changed since the last search gets
     a fresh entry, and an entry that is no longer its generator's best is
-    dropped when it reaches the top."""
+    dropped when it reaches the top.  Kills lead the heap; the ones found
+    are taken off it, as the engine applies a kill as soon as it is found."""
     for g in state.dirty:
         entries = state.definitions.get(g)
         if not entries:
@@ -364,9 +374,21 @@ def _find_elimination(state: _State) -> tuple[Eliminate, int] | None:
         heappop(heap)
     if not heap:
         return None
-    _, _, g, key = heap[0]
-    return Eliminate(gen=g, definition=state.definitions[g][key],
-                     via=state.rels[key]), key
+    _, length, g, key = heap[0]
+    if length:
+        return Eliminate(gen=g, definition=state.definitions[g][key],
+                         via=state.rels[key]), key
+    kills = []
+    while heap and not heap[0][1]:
+        entry = heappop(heap)
+        if state.best.get(entry[2]) == entry:
+            del state.best[entry[2]]        # a copy of the entry may follow
+            kills.append(entry[2:])
+    if len(kills) == 1:
+        [(g, key)] = kills
+        return Eliminate(gen=g, definition=IDENTITY, via=state.rels[key]), key
+    keys = tuple(key for _, key in kills)
+    return Kill(tuple(state.rels[key] for key in keys)), keys
 
 
 def _find_replacement(state: _State) -> tuple[ReplaceSubword, int] | None:
@@ -404,9 +426,10 @@ def _find_replacement(state: _State) -> tuple[ReplaceSubword, int] | None:
 # -- move application -------------------------------------------------------
 
 def _apply(state: _State,
-           step: Eliminate | CommutationCancel | ReplaceSubword,
-           key: int) -> None:
-    """Apply a move at relator `key`, where its finder found it.
+           step: Eliminate | Kill | CommutationCancel | ReplaceSubword,
+           key: int | tuple[int, ...]) -> None:
+    """Apply a move at relator `key` (at each of a Kill's keys), where its
+    finder found it.
 
     The checker applies a step to the first relator equal to the one it
     names, and `key` is that copy: each finder scans the relators in key
@@ -414,11 +437,17 @@ def _apply(state: _State,
     ranks its candidates by (cost, length, generator, key), and within a
     round `state.settled` gives every copy of a relator the same answer
     for each pair."""
-    if isinstance(step, Eliminate):
-        state.put(key, Word())
-        state.substitute_everywhere(step.gen, step.definition)
+    if isinstance(step, Kill):
+        images = {r.letters[0][0]: IDENTITY for r in step.relators}
+        keys = key
+    elif isinstance(step, Eliminate):
+        images, keys = {step.gen: step.definition}, (key,)
     else:
         state.put(key, step.after)
+        return
+    for k in keys:
+        state.put(k, IDENTITY)
+    state.substitute_everywhere(images)
 
 
 def _discharge_pass(state: _State) -> list[TraceStep]:
@@ -464,7 +493,8 @@ def _run_engine(p: FpPresentation, budget: Budget, *,
         state.settled = {}          # forget last round's settled pairs
         # a kill first, then a cancellation, any elimination, a replacement
         move = _find_elimination(state)
-        if move is None or move[0].definition:
+        if move is None or (isinstance(move[0], Eliminate)
+                            and move[0].definition):
             move = (_find_cancel(state, trace) or move
                     or _find_replacement(state))
         if move is not None:

@@ -29,6 +29,7 @@ from .trace import (
     FINITE_CYCLIC,
     INCONCLUSIVE,
     INFINITE_CYCLIC,
+    Kill,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
@@ -175,8 +176,31 @@ class _Replay:
                   f"{s.gen} = {format_word(definition)}, not "
                   f"{format_word(s.definition)}")
         self.put(idx, Word())
-        images = {s.gen: definition}
-        for k in list(self.occ.get(s.gen, ())):
+        self._substitute_everywhere({s.gen: definition})
+
+    def kill(self, s: Kill) -> None:
+        if len(s.relators) < 2:
+            _fail("kill: fewer than two relators (a single kill is an "
+                  "eliminate step)")
+        images: dict[str, Word] = {}
+        for r in s.relators:
+            if len(r) != 1:
+                _fail(f"kill: relator {format_word(r)!r} is not one letter")
+            ((name, _),) = r.letters
+            if name not in self.gens:
+                _fail(f"kill: unknown generator {name!r}")
+            if name in images:
+                _fail(f"kill: generator {name!r} is killed twice")
+            images[name] = Word()
+        for k in [self.require_relator(r, "kill") for r in s.relators]:
+            self.put(k, Word())
+        self._substitute_everywhere(images)
+
+    def _substitute_everywhere(self, images: dict[str, Word]) -> None:
+        """Apply the map `images` once to every relator that mentions one
+        of its generators, reducing each cyclically, and to the conditional
+        relators and keys; then remove those generators and their pairs."""
+        for k in set().union(*(self.occ.get(g, ()) for g in images)):
             self.put(k, cyclic_reduce(substitute(self.rels[k], images)))
 
         new_cond = []
@@ -187,8 +211,9 @@ class _Replay:
         self.conditional = new_cond
         self.tiers = [(label, substitute(key, images))
                       for label, key in self.tiers]
-        del self.gens[s.gen]
-        self.pairs = {pr for pr in self.pairs if s.gen not in pr}
+        for g in images:
+            del self.gens[g]
+        self.pairs = {pr for pr in self.pairs if pr.isdisjoint(images)}
 
     def replace_subword(self, s: ReplaceSubword) -> None:
         idx = self.require_relator(s.before, "replace_subword")
@@ -254,6 +279,7 @@ _HANDLERS = {
     PairFromDefinition: _Replay.pair_from_definition,
     CommutationCancel: _Replay.commutation_cancel,
     Eliminate: _Replay.eliminate,
+    Kill: _Replay.kill,
     ReplaceSubword: _Replay.replace_subword,
     ActivateConditional: _Replay.activate_conditional,
     DischargeMeridional: _Replay.discharge_meridional,
@@ -313,7 +339,8 @@ def _check_forced_fields(cert: Certificate) -> None:
     the step count, the reason (null exactly when the verdict is definite),
     the target (a target, with its match recorded), and for a definite
     verdict its abelianization, the coset index (1, or null when not
-    corroborated) and the coset subgroup."""
+    corroborated) and the coset subgroup, which is set whenever the index
+    is."""
     if cert.steps_used != len(cert.trace):
         _fail(f"steps_used is {cert.steps_used} but the trace has "
               f"{len(cert.trace)} steps")
@@ -344,3 +371,6 @@ def _check_forced_fields(cert: Certificate) -> None:
     if cert.coset_subgroup not in (None, subgroup):
         _fail(f"coset subgroup {cert.coset_subgroup} for a {cert.verdict} "
               f"verdict (must be {list(subgroup)} or null)")
+    if cert.coset_index is not None and cert.coset_subgroup is None:
+        _fail(f"coset index {cert.coset_index} with a null coset subgroup "
+              "(an index is over a subgroup)")

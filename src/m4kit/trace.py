@@ -31,6 +31,21 @@ Soundness contracts (P = presentation state before the step):
   every relator, conditional relator and key.  The kill of a generator
   (relator g^±1) is the definition-is-empty case.
 
+* Kill(relators): at least two relators of P, each one letter g^±1, no
+  two on the same generator.  The first copy of each is dropped, and one
+  substitution, sending every one of those generators to 1, is applied to
+  each relator that mentions any of them (then reduced cyclically once),
+  to every conditional relator and to every key; the generators and every
+  proved pair that names one are removed.  This is sound because killing
+  one generator cannot change another generator's one-letter relator: each
+  kill in turn is a single Tietze elimination with an empty definition, and
+  applying them one after the other sends every word to the same element
+  of the free group as the simultaneous map, so each relator ends up the
+  same up to cyclic rotation (a cyclic reduction between kills can rotate
+  it differently: killing x and then y in a^-1 y^-1 a y^-1 b a x^2 leaves
+  a b, killing both at once leaves b a).  Replay must therefore apply the
+  one simultaneous map, as the engine does.
+
 * ReplaceSubword(before, after, via, via_rotation, via_inverted, split,
   at): `via` is a *different* relator of P; rotating (and possibly
   inverting) it and splitting at `split` gives via' = s t with |s| > |t|.
@@ -82,7 +97,9 @@ INFINITE_CYCLIC = "infinite_cyclic"
 FINITE_CYCLIC = "finite_cyclic"
 INCONCLUSIVE = "inconclusive"
 
-_SCHEMA = "m4kit.certificate/1"
+_SCHEMA = "m4kit.certificate/2"
+# the schema before Kill, still read: the same format without that step
+_SCHEMA_1 = "m4kit.certificate/1"
 
 
 class CertificateFormatError(ValueError):
@@ -148,6 +165,13 @@ class Eliminate(Record):
         return hash((self.gen, self.definition, self.via))
 
 
+class Kill(Record):
+    __slots__ = ("relators",)
+
+    def __init__(self, relators: tuple[Word, ...]) -> None:
+        set_field(self, "relators", relators)
+
+
 class ReplaceSubword(Record):
     __slots__ = ("before", "after", "via", "via_rotation", "via_inverted",
                  "split", "at")
@@ -179,7 +203,7 @@ class DischargeMeridional(Record):
 
 
 TraceStep = (PairFromRelator | PairFromDefinition | CommutationCancel
-             | Eliminate | ReplaceSubword | ActivateConditional
+             | Eliminate | Kill | ReplaceSubword | ActivateConditional
              | DischargeMeridional)
 
 _KINDS = {
@@ -187,6 +211,7 @@ _KINDS = {
     "pair_from_definition": PairFromDefinition,
     "commutation_cancel": CommutationCancel,
     "eliminate": Eliminate,
+    "kill": Kill,
     "replace_subword": ReplaceSubword,
     "activate_conditional": ActivateConditional,
     "discharge_meridional": DischargeMeridional,
@@ -252,13 +277,16 @@ class Certificate(Record):
 
     @staticmethod
     def from_json(data: Any) -> Certificate:
-        """Decode to_json() output.  Raises CertificateFormatError on a
-        wrong schema, verdict or target, a missing field or a wrongly typed
-        value."""
+        """Decode to_json() output, or a `/1` certificate.  Raises
+        CertificateFormatError on a wrong schema, verdict or target, a
+        missing field, a wrongly typed value or a `/1` trace with a kill."""
         schema = json_field(data, "schema", "certificate", str)
-        if schema != _SCHEMA:
+        if schema not in (_SCHEMA, _SCHEMA_1):
             raise CertificateFormatError(f"unknown schema {schema!r}")
         cert = Certificate(**_fields_from_json(Certificate, data, "certificate"))
+        if schema == _SCHEMA_1 and any(type(s) is Kill for s in cert.trace):
+            raise CertificateFormatError(
+                f"trace step kind 'kill' is not in schema {schema!r}")
         if cert.verdict not in (TRIVIAL, INFINITE_CYCLIC, FINITE_CYCLIC,
                                 INCONCLUSIVE):
             raise CertificateFormatError(f"unknown verdict {cert.verdict!r}")

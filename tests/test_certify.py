@@ -4,6 +4,7 @@ tier discharge / conditional activation, gates, and byte-stable traces."""
 import hashlib
 import importlib
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,6 +45,7 @@ from m4kit.trace import (
     FINITE_CYCLIC,
     INCONCLUSIVE,
     INFINITE_CYCLIC,
+    Kill,
     PairFromDefinition,
     PairFromRelator,
     TRIVIAL,
@@ -257,11 +259,12 @@ def test_certificate_json_round_trip_keeps_every_presentation(p, target):
 
 
 # SHA-256 of the certificate JSON (sort_keys=True) of the engine-scale
-# family members, computed when commuting pairs became proved on demand
-# (56 and 76 steps): the engine must keep choosing the same steps.
+# family members, computed when schema /2 batched the ready kills into one
+# step (13 steps at both sizes, 56 and 76 before): the engine must keep
+# choosing the same steps.
 ENGINE_SCALE_SHA256 = {
-    20: "5f36d76047eb57d3804489c922b901b12648ba6cbd37e0c6c104f6f2a65043d9",
-    30: "7bb1e6d2a1be09e9f8ac7dabe6545a3aa0be84a34073dc6421ae1829367bcfc6",
+    20: "ed4b6ffd7cf6eb0e89914de05cabae414104fa0e423eed3f9ca5e69cdc316569",
+    30: "42b82fcc8304b5de0811a56cea399231504dcc1729269dd17330e694f7cac20b",
 }
 
 
@@ -275,11 +278,12 @@ def test_engine_scale_certificate_bytes(n, eps1, eps3):
 
 
 # SHA-256 of the certificate JSON (sort_keys=True) at n = 80, computed
-# before relators untouched by an elimination were reused across rounds and
-# before the Smith form stopped at unit pivots: the certificate must not
-# change with them.
+# when schema /2 batched the ready kills (first computed before relators
+# untouched by an elimination were reused across rounds and before the
+# Smith form stopped at unit pivots): the certificate must not change with
+# work-saving changes.
 SCALE_SHA256 = {
-    80: "32f1033731de54aa6d277bb3fa76fed11aa622723786c2aff57ac867bbe4f7e4",
+    80: "4ffc7c3f83d0162d14d42e82f48aeccd260f0ab4eb44b52e1a7fff2bae569ab2",
 }
 
 
@@ -320,9 +324,17 @@ def _kill(name, via):
     return Eliminate(name, parse_word("1"), parse_word(via))
 
 
-# The trace of the paper's family, the same for every n >= 3 and m: this
-# prefix kills every generator outside the j-indexed blocks, and then each
-# c_j and d_j is killed by its own relator, in name order.
+def _kills(*vias):
+    """One kill step, its relators in generator order as the engine takes
+    them (c10 sorts before c2)."""
+    return Kill(tuple(sorted(map(parse_word, vias),
+                             key=lambda w: w.letters[0][0])))
+
+
+# The trace of the paper's family, 13 steps for every n >= 3 and m: the
+# commuting pairs that cancel a1, then every kill that is ready, all at
+# once, round after round.  The 2n block generators c_j and d_j fall in
+# three of those kill steps, the same three for every n.
 FAMILY_PREFIX = (
     PairFromRelator("alpha2", "alpha4",
                     parse_word("alpha2 alpha4 alpha2^-1 alpha4^-1")),
@@ -333,29 +345,100 @@ FAMILY_PREFIX = (
     CommutationCancel(parse_word("b1^-1 d1^-1 b1 d1 a1^-1"),
                       parse_word("a1^-1"), 0, 0, 2, "b1"),
     _kill("a1", "a1^-1"),
-    _kill("alpha1", "alpha1^-1"),
-    _kill("alpha3", "alpha3"),
-    DischargeMeridional("g"),
-    ActivateConditional(parse_word("a2")),
-    _kill("a2", "a2"),
-    _kill("b1", "b1^-1"),
-    _kill("alpha2", "alpha2^-1"),
-    _kill("b2", "b2^-1"),
-    _kill("alpha4", "alpha4^-1"),
 )
 
 
+def family_trace(n):
+    c = [f"c{j}^-1" for j in range(1, n + 1)]
+    d = [f"d{j}^-1" for j in range(1, n + 1)]
+    return FAMILY_PREFIX + (
+        _kills("alpha1^-1", "b1^-1", *c[2:]),
+        _kills("alpha2^-1", "alpha3", c[1], *d[1:]),
+        DischargeMeridional("g"),
+        ActivateConditional(parse_word("a2")),
+        _kills("a2^-1", "b2^-1"),
+        _kills("alpha4^-1", c[0], d[0]),
+    )
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_family_trace_is_the_prefix_then_one_kill_per_block_generator(m):
+def test_family_trace_is_the_same_13_steps_at_every_n(m):
     for n in range(3, 41):
         trace = certify(exotic_odd_cp2(n, m).pi1,
                         budget=Budget(corroborate=False)).trace
-        tail = sorted(f"{x}{j}" for x in "cd" for j in range(1, n + 1))
-        expected = FAMILY_PREFIX + tuple(_kill(g, f"{g}^-1") for g in tail)
+        expected = family_trace(n)
         for k, (got, want) in enumerate(zip(trace, expected)):
             assert got == want, f"n={n}, m={m}, step {k}: {got} != {want}"
-        assert len(trace) == len(expected), (
+        assert len(trace) == len(expected) == 13, (
             f"n={n}, m={m}: {len(trace)} steps, expected {len(expected)}")
+        killed = {r.letters[0][0] for s in trace if type(s) is Kill
+                  for r in s.relators}
+        assert {f"{x}{j}" for x in "cd" for j in range(1, n + 1)} <= killed
+
+
+def test_put_work_is_linear_in_relator_letters(monkeypatch):
+    # every ready kill is one step, so the surface relator is rewritten a
+    # fixed number of times, not once for each block generator: at n = 320 the
+    # engine's and the checker's put each took 213,207 letters when every
+    # kill was a step of its own, against 7,114 relator letters
+    letters = {}
+    for cls in (_State, _Replay):
+        letters[cls] = 0
+
+        def counting(self, key, w, cls=cls, put=cls.put):
+            letters[cls] += len(w)
+            return put(self, key, w)
+
+        monkeypatch.setattr(cls, "put", counting)
+    p = exotic_odd_cp2(320, 1).pi1
+    c = certify(p, target="trivial", budget=Budget(corroborate=False))
+    replay(c, p)
+    relator_letters = sum(map(len, p.relators)) + sum(
+        len(r.relator) for r in p.conditional)
+    assert c.verdict == TRIVIAL and relator_letters == 7114
+    assert 0 < letters[_State] <= 2 * relator_letters
+    assert 0 < letters[_Replay] <= 2 * relator_letters
+
+
+def random_corpus(count):
+    """`count` seeded random presentations: 1-7 generators and 1 to 2k
+    relators on k generators, 30% of them commutators of two letters on
+    different generators and the rest random words of 1-6 letters."""
+    rng = random.Random(7)
+    for _ in range(count):
+        k = rng.randint(1, 7)
+        gens = [f"g{i}" for i in range(k)]
+        rels = []
+        for _ in range(rng.randint(1, 2 * k)):
+            if k >= 2 and rng.random() < 0.3:
+                x, y = rng.sample(gens, 2)
+                rels.append(commutator(gen(x, rng.choice((1, -1))),
+                                       gen(y, rng.choice((1, -1)))))
+            else:
+                rels.append(Word([(rng.choice(gens), rng.choice((1, -1)))
+                                  for _ in range(rng.randint(1, 6))]))
+        yield FpPresentation(tuple(gens), tuple(rels))
+
+
+# SHA-256 of the lines "verdict order", one for each of the 3,000
+# presentations of random_corpus, computed before every ready kill became
+# one step: batching the kills must change no verdict and no order.
+CORPUS_VERDICTS_SHA256 = (
+    "48c7544122a9b66b23adb69fa8f77ecf125c3371bfa24955424fd68e754396c8")
+
+
+def test_random_corpus_keeps_its_verdicts():
+    budget = Budget(corroborate=False, max_derivation_steps=400)
+    lines, batched = [], 0
+    for p in random_corpus(3000):
+        c = certify(p, budget=budget)
+        replay(c, p)
+        lines.append(f"{c.verdict} {c.order}")
+        batched += any(type(s) is Kill for s in c.trace)
+    assert sum(not line.startswith(INCONCLUSIVE) for line in lines) == 1661
+    assert batched > 100
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CORPUS_VERDICTS_SHA256
 
 
 @pytest.mark.parametrize("n", [40, 320])
@@ -427,7 +510,7 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     # with relator keys read as positions, and the step the heap picks with
     # the position of its relator
     engine = importlib.import_module("m4kit.certify")
-    find, rounds = engine._find_elimination, []
+    find, rounds, batches = engine._find_elimination, [], []
 
     def index(state):
         pos = {key: i for i, key in enumerate(state.rels)}
@@ -446,14 +529,31 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
                  for k, d in entries.items()]
         return min(cands, key=lambda c: c[:4], default=None)
 
+    def ready_kills(state):
+        # each generator's first one-letter relator, in generator order
+        pos = {key: i for i, key in enumerate(state.rels)}
+        kills = {g: min(pos[k] for k, d in entries.items() if not d)
+                 for g, entries in sorted(state.definitions.items())
+                 if any(not d for d in entries.values())}
+        return [(g, i, list(state.rels.values())[i])
+                for g, i in kills.items()]
+
     def compare_then_find(state):
         fresh = _State(state.snapshot())
         assert index(state) == index(fresh)
-        found, best = find(state), cheapest(fresh)
+        found, best, kills = find(state), cheapest(fresh), ready_kills(fresh)
         if best is None:
             assert found is None
+        elif type(found[0]) is Kill:
+            # every ready kill at once, each at its relator's position
+            step, keys = found
+            assert best[1] == 0 and len(kills) >= 2
+            assert [(r.letters[0][0], list(state.rels).index(k), r)
+                    for r, k in zip(step.relators, keys)] == kills
+            batches.append(len(kills))
         else:
             step, key = found
+            assert best[1] or len(kills) == 1
             assert (step.gen, step.definition, step.via,
                     list(state.rels).index(key)) == \
                 (best[2], best[4], list(fresh.rels.values())[best[3]], best[3])
@@ -463,6 +563,7 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     monkeypatch.setattr(engine, "_find_elimination", compare_then_find)
     _run_engine(build().pi1, Budget(), allow_discharge=True)
     assert len(rounds) > 5
+    assert batches
 
 
 def test_trace_step_order_is_stable_for_symmetric_input():

@@ -3,6 +3,7 @@ certificates replay); the point of this file is the other direction —
 every kind of tampering must raise CheckFailure."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from m4kit.certify import Budget, certify
 from m4kit.checker import CheckFailure, _HANDLERS, _Replay, replay
 from m4kit.cli import main
-from m4kit.constructions import exotic_cp2_2
+from m4kit.constructions import exotic_cp2_2, exotic_odd_cp2
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier
 from m4kit.trace import (
     ActivateConditional,
@@ -19,6 +20,7 @@ from m4kit.trace import (
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
+    Kill,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
@@ -275,12 +277,60 @@ def test_generator_order_and_activated_are_checked(cp2, field):
         replay(edited(cp2, **{field: FORGERIES[field]}))
 
 
+def test_coset_index_needs_its_subgroup(cp2):
+    # the engine sets the subgroup whenever it sets the index: (1, set)
+    # when corroborated, (null, set) when the budget ran out, (null, null)
+    # when corroboration was off
+    replay(edited(cp2, coset_index=None))
+    replay(edited(cp2, coset_index=None, coset_subgroup=None))
+    with pytest.raises(CheckFailure, match="null coset subgroup"):
+        replay(edited(cp2, coset_subgroup=None))
+
+
 @pytest.mark.parametrize("field", sorted(FORGERIES))
 def test_cli_replay_exits_fail_on_forged_field(cp2, tmp_path, capsys, field):
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps({**cp2, field: FORGERIES[field]}))
     assert main(["replay", str(path)]) == 1
     assert "REPLAY FAILED" in capsys.readouterr().err
+
+
+# -- schema /1 -----------------------------------------------------------------
+
+# certificates written before the kill step existed, by `m4kit certify -o`'s
+# encoder: exotic_odd_cp2(5, 1) uncorroborated and exotic_cp2_2()
+# corroborated, each with target "trivial"
+V1 = sorted((Path(__file__).parent / "data").glob("certificate_v1_*.json"))
+
+
+@pytest.mark.parametrize("path", V1, ids=lambda p: p.stem)
+def test_schema_1_certificates_decode_and_replay(path, capsys):
+    data = json.loads(path.read_text())
+    assert data["schema"] == "m4kit.certificate/1"
+    c = Certificate.from_json(data)
+    assert c.verdict == "trivial" and c.matches_target is True
+    replay(c)
+    # a trace with no kill step encodes as it did, bar the schema
+    assert c.to_json() == {**data, "schema": "m4kit.certificate/2"}
+    assert main(["replay", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("replay ok: trivial")
+
+
+def test_schema_1_certificate_with_a_kill_is_malformed(tmp_path, capsys):
+    [path] = [p for p in V1 if "odd" in p.stem]
+    data = json.loads(path.read_text())
+    p = exotic_odd_cp2(5, 1).pi1
+    ours = certify(p, target="trivial", budget=Budget(corroborate=False))
+    assert any(type(s) is Kill for s in ours.trace)
+    replay(Certificate.from_json(data), p)
+    forged = {**ours.to_json(), "schema": data["schema"]}
+    with pytest.raises(CertificateFormatError, match="'kill'"):
+        Certificate.from_json(forged)
+    path = tmp_path / "kill_v1.json"
+    path.write_text(json.dumps(forged))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'kill'" in err and "Traceback" not in err
 
 
 # -- the occurrence index ----------------------------------------------------
@@ -318,16 +368,23 @@ def reference_replay(cert):
         if isinstance(s, (CommutationCancel, ReplaceSubword)):
             i = rels.index(s.before)
             rels[i:i + 1] = [s.after] if s.after else []
-        elif isinstance(s, Eliminate):
-            del rels[rels.index(s.via)]
+        elif isinstance(s, (Eliminate, Kill)):
+            if isinstance(s, Eliminate):
+                vias, images = [s.via], {s.gen: s.definition}
+            else:       # every generator killed at once
+                vias = s.relators
+                images = {r.letters[0][0]: Word() for r in vias}
+            for via in vias:
+                del rels[rels.index(via)]
 
             def sub(w):
-                return substitute(w, {s.gen: s.definition})
+                return substitute(w, images)
 
             rels = [r for r in (cyclic_reduce(sub(r)) for r in rels) if r]
             cond = [(sub(rel), sub(key)) for rel, key in cond if sub(rel)]
             tiers = [(label, sub(key)) for label, key in tiers]
-            gens.remove(s.gen)
+            for g in images:
+                gens.remove(g)
         elif isinstance(s, ActivateConditional):
             rel, _ = cond.pop(next(k for k, (rel, key) in enumerate(cond)
                                    if rel == s.relator and not key))
@@ -395,6 +452,44 @@ def test_steps_naming_a_relator_outside_the_state_fail(step):
     with pytest.raises(CheckFailure, match="^step 0: .*(not in the state"
                                            "|no conditional relator '1')"):
         replay(replace(c, trace=(step,) + c.trace))
+
+
+# two generators with one-letter relators, killed by one step
+KILL_P = pres("a b c", "a", "b^-1", "a c b c^-1 a", "c^3")
+
+
+@pytest.mark.parametrize("step, message", [
+    (Kill((gen("a"), parse_word("b c"))), "relator 'b c' is not one letter"),
+    (Kill((gen("a"), gen("a"))), "generator 'a' is killed twice"),
+    (Kill((gen("b", -1), gen("a"), gen("b"))), "generator 'b' is killed twice"),
+    (Kill((gen("a"), gen("z"))), "unknown generator 'z'"),
+    (Kill((gen("a"), gen("c"))), "relator 'c' is not in the state"),
+    (Kill((gen("a"), gen("b"))), "relator 'b' is not in the state"),
+    (Kill((gen("a"),)), "fewer than two relators"),
+    (Kill(()), "fewer than two relators"),
+], ids=["two_letters", "repeated", "repeated_inverse", "unknown_generator",
+        "not_in_state", "wrong_sign", "one_relator", "empty"])
+def test_malformed_kills_fail(step, message):
+    c = certify(KILL_P, budget=Budget(corroborate=False))
+    assert type(c.trace[0]) is Kill and c.verdict == "finite_cyclic"
+    replay(c, KILL_P)
+    with pytest.raises(CheckFailure, match=f"^step 0: kill: {message}"):
+        replay(replace(c, trace=(step,) + c.trace[1:]))
+
+
+def test_kill_is_replayed_as_one_simultaneous_map():
+    # killing x and then y, reducing cyclically in between, leaves a b;
+    # killing both at once leaves b a, and the checker must agree with the
+    # engine on the rotation
+    p = pres("a b x y", "x", "y", "a^-1 y^-1 a y^-1 b a x^2")
+    c = certify(p, budget=Budget(max_derivation_steps=1, corroborate=False))
+    assert c.trace == (Kill((gen("x"), gen("y"))),)
+    assert c.final == pres("a b", "b a")
+    replay(c, p)
+    assert reference_replay(c) == c.final
+    sequential = replace(c.final, relators=(parse_word("a b"),))
+    with pytest.raises(CheckFailure, match="terminal state"):
+        replay(replace(c, final=sequential))
 
 
 @st.composite

@@ -203,22 +203,22 @@ def test_report_is_deterministic_across_interpreters(tmp_path):
 
 # SHA-256 of each shipped manifest's report, exactly as `m4kit build -o` writes
 # it.  Any change to verdicts, traces, certificate or report bytes shows here;
-# a deliberate format or trace change updates the digests (last: commuting
-# pairs proved on demand, which shortened the traces).
+# a deliberate format or trace change updates the digests (last: schema /2,
+# whose kill step takes every ready kill at once and shortened the traces).
 REPORT_SHA256 = {
     "blocks.m4": "f9101c3261989762ef844ed1f131c101abba4d52da2d13ee843536a464365d2a",
-    "cyclic_family.m4": "75a6b6c0000d43298bf668faf3b2868ef48c49a25e8118d4bb8e2e5ecf26f2de",
-    "exotic_cp2_2.m4": "49f552bbaa6d53b07cb60f0fa8a0137a1bda424cd3c73c980ac3d4bcc42e174d",
-    "exotic_cp2_4.m4": "d946741244a391bf6626b3d6097797f97cbacc35b0383a46da352c08d152cea0",
-    "exotic_cp2_6.m4": "9e6dc5a562805b704ef699ae15e520a804440beac154fe4a8fe9ba9a3f8609de",
-    "exotic_odd_cp2.m4": "f950bbc7ad3fb4abff185b90ff14931367b8196c48a865ffa8c8e7e7ff2bdbeb",
-    "finite_cyclic.m4": "d191778bd009fbee4eee75d62b9ab473974959761c83eaf4e0aae93386cfc20d",
-    "geography_1_5.m4": "c675c74978c07ef9e64dca4bcfd40a4abcb87db6dc5eb3c1fb1521ee83084b13",
-    "geography_1_7.m4": "8289ad0891ea7c816a8ebaf0741fbc868d78725a0ddcb4d7b08856173945cbf8",
-    "geography_2_11.m4": "1c184bff89759092f7170dad809cdbf15c84ac6c9ab1db6043631eed3ce1bc62",
-    "geography_2_13.m4": "521fa71832c810adbf04c3503dc7fcc3c609084325189e42151e9b46ac930533",
-    "geography_2_15.m4": "b40d93b225322260836f6281d42a408544484edf88ea9fe96e6a373829f677cd",
-    "geography_2_9.m4": "c71b306204854a1fc0588928c70756f59fb9906d92992f78cefbf639e3b8b862",
+    "cyclic_family.m4": "efdd7bbad348c2b4689d4f4c4a346551dc2db25dce32692f18d47abe9f77320c",
+    "exotic_cp2_2.m4": "91f36a04b66b3e8beb7c16cb2cc731f5a1f402610e116cdb840b5f298e1ca5dd",
+    "exotic_cp2_4.m4": "56e8576a39e57be45476929c2f05d474823c7c93c85ed6949e4e10a324d518e1",
+    "exotic_cp2_6.m4": "ee15c3ca752647f2501d343547502425e393c8c02c8d162388ee3e8f0765d272",
+    "exotic_odd_cp2.m4": "aff35de9f3adae0de0069ab43479320a9ddfd285aeffc182824e1be45e108712",
+    "finite_cyclic.m4": "2387889a99f268d92ed13eee96095326bdd74ad49275a2aa8bbfe78b4b2d179f",
+    "geography_1_5.m4": "579cfb74cc68b40a256c02618558b0bedb1d03267075f63537e860b48e5ebe5c",
+    "geography_1_7.m4": "3e446d102c93208b19606f41ce159d0968f958c5d0d95289188429e82d59203e",
+    "geography_2_11.m4": "647e1329d10612c20b1d827b3def622e5a0a1d3b556bcf937495f22b145337dd",
+    "geography_2_13.m4": "fb5f8ac16de20c6bd2ba8764f12400eba74b7fd66a6362b9694d995d24d64002",
+    "geography_2_15.m4": "8dabfa01b941365f84512e58d38e28760b72a354f3c044dd06881437b38454e5",
+    "geography_2_9.m4": "db6c1de80bcac83607be6c6850206f143367b5ce8e039ab0134372225a6d6673",
     "surgery_routes.m4": "aa2f4fe49dda9fc92082deefa96016d83f771df6f0b93e61da9f147600a67691",
 }
 

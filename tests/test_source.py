@@ -94,6 +94,27 @@ def test_names_the_benchmark_looks_up_exist():
     assert missing == []
 
 
+def test_certificate_keys_the_benchmark_reads_exist():
+    # bench/run.py reads certificate JSON by key, as `data[...]` (in
+    # _check_certificate and the family check); a renamed key breaks the
+    # benchmark only
+    run = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    keys = {node.slice.value for node in ast.walk(run)
+            if isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) == "data"
+            and isinstance(node.slice, ast.Constant)}
+    assert {"verdict", "reason", "order", "h1_rank", "h1_torsion",
+            "coset_index", "matches_target"} <= keys
+    p = m4kit.exotic_odd_cp2(5, 1).pi1
+    for cert in (m4kit.certify(p, target="trivial",
+                               budget=m4kit.Budget(corroborate=False)),
+                 m4kit.certify(m4kit.exotic_cp2_2().pi1, target="trivial")):
+        data = cert.to_json()
+        assert data["schema"] == "m4kit.certificate/2"
+        assert any(step["kind"] == "kill" for step in data["trace"])
+        assert keys <= data.keys()
+
+
 def replay_reached_outside_the_check(source):
     """Whether the elimination `_smith` reaches `_replay` other than through
     `_check_smith`: following the names that each module-level function

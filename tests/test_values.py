@@ -35,6 +35,7 @@ from m4kit.trace import (
     CommutationCancel,
     DischargeMeridional,
     Eliminate,
+    Kill,
     PairFromDefinition,
     PairFromRelator,
     ReplaceSubword,
@@ -76,6 +77,7 @@ FIELDS = {
     PairFromDefinition: ["gen", "other", "relator"],
     CommutationCancel: ["before", "after", "rotation", "i", "j", "x"],
     Eliminate: ["gen", "definition", "via"],
+    Kill: ["relators"],
     ReplaceSubword: ["before", "after", "via", "via_rotation", "via_inverted",
                      "split", "at"],
     ActivateConditional: ["relator"],
@@ -120,6 +122,8 @@ def _samples():
              PairFromDefinition("a", "b", v), PairFromDefinition("b", "a", v),
              CommutationCancel(v, w, 0, 1, 2, "a"), Eliminate("a", w, v),
              Eliminate("a", w, v), Eliminate("a", v, w),
+             Kill((gen("a"), gen("b", -1))), Kill((gen("a"), gen("b", -1))),
+             Kill((gen("b", -1), gen("a"))), Kill((gen("a"),)),
              ReplaceSubword(v, w, v, 1, True, 2, 0),
              ActivateConditional(v), ActivateConditional(w),
              DischargeMeridional("g"), DischargeMeridional("g")]
