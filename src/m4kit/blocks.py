@@ -212,6 +212,15 @@ def _product_site(name: str, curve: str, pushoff: str,
                         word ** m * gen(curve) ** -k, word)
 
 
+def _tail_site(name: str, curve: str, x: str, y: str,
+               torus_other: str) -> SurgeryDatum:
+    """_product_site(name, curve, "[x^-1, y^-1]", (torus_other, curve), 1, 1)
+    for distinct names, built from its letters."""
+    pushoff = Word(((x, -1), (y, -1), (x, 1), (y, 1)))
+    return SurgeryDatum(name, curve, pushoff, (torus_other, curve),
+                        Word(pushoff.letters + ((curve, -1),)), pushoff)
+
+
 def _surgered_site(name: str, curve: str, pushoff: Word,
                    torus: tuple[str, str], unsurgered: str,
                    k: int, m: int) -> SurgeryDatum:
@@ -279,8 +288,10 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
     """
     if n < 2 or m < 1:
         raise ValueError(f"G2xGn needs n >= 2 and m >= 1, got n={n}, m={m}")
-    if 4 * n > MAX_LETTERS:     # the fiber's relator [c1, d1] ... [cn, dn]
-        raise ValueError(f"G2xGn(n={n}) builds a relator of more than "
+    # its relators: 36 + 4m letters at the first eight sites, 40 in the nine
+    # words after them, 4n in the fiber's and 18 for each j >= 3 of the tail
+    if 22 * n + 4 * m + 40 > MAX_LETTERS:
+        raise ValueError(f"G2xGn(n={n}, m={m}) builds relators of more than "
                          f"{MAX_LETTERS:,} letters")
     cs = [f"c{j}" for j in range(1, n + 1)]
     ds = [f"d{j}" for j in range(1, n + 1)]
@@ -303,17 +314,16 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
     # [c1, d1] ... [cn, dn]: distinct names, so already freely reduced
     fiber_word = Word(tuple(letter for c, d in zip(cs, ds)
                             for letter in ((c, 1), (d, 1), (c, -1), (d, -1))))
+    # the tail is built from letters: a parse costs ten times the Word it
+    # makes, and the tail grows with n
     tail: list[Word] = []
-    for j in range(3, n + 1):
-        pair = (
-            _product_site(f"b1'xc{j}'", f"c{j}", f"[a1^-1, d{j}^-1]",
-                          ("b1", f"c{j}"), 1, 1),
-            _product_site(f"b2'xd{j}'", f"d{j}", f"[a2^-1, c{j}^-1]",
-                          ("b2", f"d{j}"), 1, 1),
-        )
+    for c, d in zip(cs[2:], ds[2:]):
+        pair = (_tail_site(f"b1'x{c}'", c, "a1", d, "b1"),
+                _tail_site(f"b2'x{d}'", d, "a2", c, "b2"))
         sites += pair
         tail += (pair[0].relator, pair[1].relator,
-                 *_words(f"[b1, c{j}]", f"[b2, d{j}]"))
+                 Word((("b1", 1), (c, 1), ("b1", -1), (c, -1))),
+                 Word((("b2", 1), (d, 1), ("b2", -1), (d, -1))))
 
     complement = FpPresentation(gens, (*rel, *tail))
     return MarkedManifold(

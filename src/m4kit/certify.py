@@ -56,9 +56,7 @@ from .words import (
     IDENTITY,
     Record,
     Word,
-    commutator,
     cyclic_reduce,
-    cyclically_equal,
     gen,
     rotate,
     set_field,
@@ -105,8 +103,11 @@ class Budget(Record):
 
 _name = itemgetter(0)          # the generator of a letter
 
-# a step that proves a commuting pair, with the pairs it needs proved first
-_Rule = tuple[TraceStep, list[frozenset[str]]]
+# a way to prove a commuting pair: the class of its step, the step's two
+# generators and the key of its relator, then the pairs it needs proved
+# first; the step itself is built only when the rule settles its pair
+_Rule = tuple[type[PairFromRelator | PairFromDefinition], str, str, int,
+              list[frozenset[str]]]
 
 
 class _State:
@@ -119,9 +120,12 @@ class _State:
     occurrence index is kept up to date for exactly the words a move
     changes: `occ` maps a generator to the keys of the relators that
     mention it, `total` counts its letters over the relators, tier keys and
-    conditionals, and `definitions` maps it to {key: definition} for each
-    relator that mentions it once.  An elimination therefore rewrites only
-    the relators that mention the generator."""
+    conditionals, and `definitions` maps it to the keys of the relators
+    that mention it once.  An elimination therefore rewrites only the
+    relators that mention the generator.  The definition itself, the
+    rotation of such a relator that solves for the generator, is found
+    only when a move reads it (`definition`), and kept until its relator
+    is replaced."""
 
     def __init__(self, p: FpPresentation):
         self.gens: dict[str, None] = dict.fromkeys(p.generators)
@@ -129,9 +133,10 @@ class _State:
         self.counts: dict[int, Counter[str]] = {}  # key -> its letter counts
         self.occ: dict[str, set[int]] = {}
         self.total: Counter[str] = Counter()
-        self.definitions: dict[str, dict[int, Word]] = {}
+        self.definitions: dict[str, set[int]] = {}
+        self.rotations: dict[tuple[str, int], Word] = {}  # see definition
         self.next_key = 0
-        # generators whose count or definitions changed since the last
+        # generators whose count or defining keys changed since the last
         # search, and that search's heap of candidates (see _find_elimination)
         self.dirty: set[str] = set()
         self.heap: list[tuple[int, int, str, int]] = []
@@ -152,8 +157,14 @@ class _State:
         self.settled: dict[frozenset[str], _Rule | None] = {}
         self.activated: list[Word] = []      # original forms, for reporting
 
-    def paired(self, a: str, b: str) -> bool:
-        return a == b or frozenset((a, b)) in self.pairs
+    def definition(self, g: str, key: int) -> Word:
+        """The definition of g that relator `key` gives, for a key in
+        `definitions[g]`: found once, then kept until `put` replaces the
+        relator."""
+        d = self.rotations.get((g, key))
+        if d is None:
+            d = self.rotations[g, key] = defining_rotation(self.rels[key], g)
+        return d
 
     def count(self, w: Word, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) w's letters in `total`."""
@@ -164,7 +175,7 @@ class _State:
     def put(self, key: int | None, w: Word) -> None:
         """Make w relator `key`, or a new last relator when key is None;
         an empty w drops the relator.  Only the generators whose letter
-        count changes are re-counted, and only the definitions of the old
+        count changes are re-counted, and only the defining keys of the old
         and new word are redone."""
         old: dict[str, int] = {}
         if key is None:
@@ -173,7 +184,8 @@ class _State:
             old = self.counts.pop(key)
             for g, n in old.items():
                 if n == 1:
-                    del self.definitions[g][key]
+                    self.definitions[g].discard(key)
+                    self.rotations.pop((g, key), None)
         new = Counter(map(_name, w.letters))
         for g in {g for g, _ in old.items() ^ new.items()}:
             before, after = old.get(g, 0), new.get(g, 0)
@@ -189,7 +201,7 @@ class _State:
         self.rels[key] = w
         self.counts[key] = new
         for g in [g for g, n in new.items() if n == 1]:
-            self.definitions.setdefault(g, {})[key] = defining_rotation(w, g)
+            self.definitions.setdefault(g, set()).add(key)
             self.dirty.add(g)
 
     def substitute_everywhere(self, images: dict[str, Word]) -> None:
@@ -240,27 +252,28 @@ def _prove_pair(state: _State, x: str, y: str,
     every pair it settles, proved or not, for the rest of the round.  It
     loops instead of recursing, so a long chain of definitions can neither
     exhaust the stack nor be searched more than once."""
-    if state.paired(x, y):
-        return True
     goal = frozenset((x, y))
+    if x == y or goal in state.pairs:
+        return True
     rules: dict[frozenset[str], list[_Rule]] = {}
     todo = [goal]
     while todo:
         pair = todo.pop()
         if pair not in rules and pair not in state.settled \
-                and not state.paired(*pair):
+                and pair not in state.pairs:
             rules[pair] = _pair_rules(state, pair)
-            todo += [q for _, premises in rules[pair] for q in premises]
+            todo += [q for *_, premises in rules[pair] for q in premises]
     changed = True
     while changed:
         changed = False
         for pair, options in rules.items():
             if pair in state.settled:
                 continue
-            for step, premises in options:
-                if all(state.paired(*q) or state.settled.get(q)
+            for cls, a, b, key, premises in options:
+                if all(q in state.pairs or state.settled.get(q)
                        for q in premises):
-                    state.settled[pair] = (step, premises)
+                    state.settled[pair] = (cls(a, b, state.rels[key]),
+                                           premises)
                     changed = True
                     break
     for pair in rules:
@@ -271,36 +284,42 @@ def _prove_pair(state: _State, x: str, y: str,
     while todo:
         pair = todo[-1]
         step, premises = state.settled[pair]
-        waiting = [q for q in premises if not state.paired(*q)]
+        waiting = [q for q in premises if q not in state.pairs]
         if waiting:
             todo += waiting
             continue
         todo.pop()
-        if not state.paired(*pair):
+        if pair not in state.pairs:
             state.pairs.add(pair)
             steps.append(step)
     return True
 
 
+def _is_commutator(r: Word) -> bool:
+    """Whether r is a b a^-1 b^-1 for letters a and b, which name distinct
+    generators as r is reduced: the cyclically reduced relators that are a
+    rotation of [x^±1, y^±1]."""
+    if len(r) != 4:
+        return False
+    (a, ea), (b, eb), third, fourth = r.letters
+    return third == (a, -ea) and fourth == (b, -eb)
+
+
 def _pair_rules(state: _State, pair: frozenset[str]) -> list[_Rule]:
-    """The steps that can prove a pair, each with the pairs it needs: a
+    """The ways to prove a pair, each with the pairs it needs: a
     commutator relator needs none, a definition of either generator needs
     each of its letters to commute with the other generator."""
     x, y = sorted(pair)
     both = state.occ.get(x, set()) & state.occ.get(y, set())
-    rules: list[_Rule] = [
-        (PairFromRelator(x, y, r), []) for r in
-        (state.rels[key] for key in sorted(both))
-        if len(r) == 4 and r.names() == pair and any(
-            cyclically_equal(r, commutator(gen(x, ex), gen(y, ey)))
-            for ex in (1, -1) for ey in (1, -1))]
+    # a relator in `both` mentions x and y, so a commutator names just them
+    rules: list[_Rule] = [(PairFromRelator, x, y, key, []) for key in
+                          sorted(both) if _is_commutator(state.rels[key])]
     for g, other in ((x, y), (y, x)):
-        rules += [(PairFromDefinition(g, other, state.rels[key]),
-                   [frozenset((n, other)) for n in
-                    dict.fromkeys(n for n, _ in definition.letters)
+        rules += [(PairFromDefinition, g, other, key,
+                   [frozenset((n, other)) for n in dict.fromkeys(
+                       map(_name, state.definition(g, key).letters))
                     if n != other])
-                  for key, definition
-                  in sorted(state.definitions.get(g, {}).items())]
+                  for key in sorted(state.definitions.get(g, ()))]
     return rules
 
 
@@ -348,23 +367,26 @@ def _find_elimination(state: _State
     When that is a kill and other generators have kills too, the move is
     one Kill of them all, in (g, key) order, with the keys of its relators.
 
-    For a fixed g the cost grows with the definition's length, so g's best
-    candidate is its definition of least (length, key) whatever its letter
-    count.  The candidates wait in a heap that is invalidated lazily: each
-    generator whose count or definitions changed since the last search gets
-    a fresh entry, and an entry that is no longer its generator's best is
+    A definition is one letter shorter than its relator, which is
+    cyclically reduced, so lengths are read off the relators: only the
+    winning elimination's definition is built.  For a fixed g the cost
+    grows with the definition's length, so g's best candidate is its
+    definition of least (length, key) whatever its letter count.  The
+    candidates wait in a heap that is invalidated lazily: each generator
+    whose count or defining keys changed since the last search gets a
+    fresh entry, and an entry that is no longer its generator's best is
     dropped when it reaches the top.  Kills lead the heap; the ones found
     are taken off it, as the engine applies a kill as soon as it is found."""
+    rels = state.rels
     for g in state.dirty:
-        entries = state.definitions.get(g)
-        if not entries:
+        keys = state.definitions.get(g)
+        if not keys:
             state.best.pop(g, None)
             continue
-        key, definition = min(entries.items(),
-                              key=lambda item: (len(item[1]), item[0]))
+        length, key = min([(len(rels[k]) - 1, k) for k in keys])
         # rels[key] mentions g exactly once, as it defines g
-        cost = (state.total[g] - 1) * max(len(definition) - 1, 0)
-        cand = (cost, len(definition), g, key)
+        cost = (state.total[g] - 1) * max(length - 1, 0)
+        cand = (cost, length, g, key)
         if state.best.get(g) != cand:
             state.best[g] = cand
             heappush(state.heap, cand)
@@ -376,8 +398,8 @@ def _find_elimination(state: _State
         return None
     _, length, g, key = heap[0]
     if length:
-        return Eliminate(gen=g, definition=state.definitions[g][key],
-                         via=state.rels[key]), key
+        return Eliminate(gen=g, definition=state.definition(g, key),
+                         via=rels[key]), key
     kills = []
     while heap and not heap[0][1]:
         entry = heappop(heap)

@@ -205,6 +205,65 @@ def test_bt4_surface_is_exact_only_modulo_meridian():
     assert S.complement_pi1.meridional[0].key == S.meridian
 
 
+def _g2xgn_by_parsing(n, m):
+    """g2xgn's pi1, surface complement and sites, every word parsed from
+    its text: the oracle for the constructor, which builds its tail from
+    letters."""
+    # (name, curve, pushoff, torus, multiplicity)
+    sites = [("a1'xc1'", "a1", "[b1^-1, d1^-1]", ("a1", "c1"), 1),
+             ("b1'xc1''", "b1", "[a1^-1, d1]", ("b1", "c1"), 1),
+             ("a2'xc2'", "a2", "[b2^-1, d2^-1]", ("a2", "c2"), 1),
+             ("b2'xc2''", "b2", "[a2^-1, d2]", ("b2", "c2"), 1),
+             ("a2'xc1'", "c1", "[d1^-1, b2^-1]", ("a2", "c1"), 1),
+             ("a2''xd1'", "d1", "[c1^-1, b2]", ("a2", "d1"), 1),
+             ("a1'xc2'", "c2", "[d2^-1, b1^-1]", ("a1", "c2"), 1),
+             ("a1''xd2'", "d2", "[c2^-1, b1]", ("a1", "d2"), m)]
+    tail = []
+    for j in range(3, n + 1):
+        sites += [(f"b1'xc{j}'", f"c{j}", f"[a1^-1, d{j}^-1]",
+                   ("b1", f"c{j}"), 1),
+                  (f"b2'xd{j}'", f"d{j}", f"[a2^-1, c{j}^-1]",
+                   ("b2", f"d{j}"), 1)]
+        tail += [f"({sites[-2][2]}) c{j}^-1", f"({sites[-1][2]}) d{j}^-1",
+                 f"[b1, c{j}]", f"[b2, d{j}]"]
+    data = tuple(SurgeryDatum(
+        name, curve, parse_word(pushoff), torus,
+        parse_word(f"({pushoff})^{k} {curve}^-1"), parse_word(pushoff))
+        for name, curve, pushoff, torus, k in sites)
+    head = [f"({pushoff})^{k} {curve}^-1"
+            for _, curve, pushoff, _, k in sites[:8]]
+    head += ["[a1, c1]", "[a1, c2]", "[a1, d2]", "[b1, c1]", "[a2, c1]",
+             "[a2, c2]", "[a2, d1]", "[b2, c2]", "[a1, b1] [a2, b2]"]
+    fiber = " ".join(f"[c{j}, d{j}]" for j in range(1, n + 1))
+    gens = ("a1", "b1", "a2", "b2") + tuple(
+        x for j in range(1, n + 1) for x in (f"c{j}", f"d{j}"))
+    pi1 = FpPresentation(gens, tuple(map(parse_word, head + [fiber] + tail)))
+    complement = FpPresentation(gens, tuple(map(parse_word, head + tail)))
+    return pi1, complement, data
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_g2xgn_matches_a_parse_based_oracle(n):
+    for m in (1, 2, 3):
+        M = g2xgn(n, m)
+        pi1, complement, sites = _g2xgn_by_parsing(n, m)
+        assert M.pi1 == pi1
+        assert M.surface("Sigma2").complement_pi1 == complement
+        assert M.sites == sites
+        # the letter count that the constructor checks against MAX_LETTERS
+        assert sum(map(len, pi1.relators)) == 22 * n + 4 * m + 40
+
+
+def test_g2xgn_letter_cap_counts_the_whole_presentation():
+    # each word of G2xGn(45453, 1) is far inside the cap, but its relators
+    # together exceed it
+    assert sum(map(len, g2xgn(4000, 1).pi1.relators)) == 88_044
+    with pytest.raises(ValueError, match="more than 1,000,000 letters"):
+        g2xgn(45_453, 1)
+    with pytest.raises(ValueError, match="more than 1,000,000 letters"):
+        g2xgn(2, 249_980)
+
+
 def test_site_count_grows_with_genus():
     assert len(g2xgn(2, 1).sites) == 8
     assert len(g2xgn(3, 1).sites) == 10

@@ -3,6 +3,7 @@ tier discharge / conditional activation, gates, and byte-stable traces."""
 
 import hashlib
 import importlib
+import itertools
 import json
 import random
 
@@ -16,6 +17,7 @@ from m4kit.certify import (
     commutation_closure,
     simplify,
     _State,
+    _is_commutator,
     _prove_pair,
     _run_engine,
 )
@@ -304,9 +306,9 @@ def test_paper_family_certified_at_scale(n):
 
 @pytest.mark.parametrize("n", [40, 80])
 def test_definitions_found_once_per_relator(n, monkeypatch):
-    # a relator's definitions are found when it first appears and kept
-    # while no elimination touches it; finding them again for every
-    # relator in every round takes 4,112 calls at n = 40 and 14,552 at 80
+    # a relator's definition is kept, once found, while no elimination
+    # touches it; finding the definitions again for every relator in every
+    # round takes 4,112 calls at n = 40 and 14,552 at 80
     engine = importlib.import_module("m4kit.certify")
     calls = []
 
@@ -318,6 +320,28 @@ def test_definitions_found_once_per_relator(n, monkeypatch):
     c = certify(exotic_odd_cp2(n, 1).pi1, budget=Budget(corroborate=False))
     assert c.verdict == TRIVIAL
     assert len(calls) <= 4 * n + 40
+
+
+def test_definitions_are_built_only_when_read(monkeypatch):
+    # a relator's definition is built only when an elimination or a
+    # commuting-pair proof reads it: building one for every relator that
+    # mentions a generator once made 1,300 calls at n = 320
+    calls = []
+
+    def counting(r, g):
+        calls.append(g)
+        return defining_rotation(r, g)
+
+    monkeypatch.setattr(importlib.import_module("m4kit.certify"),
+                        "defining_rotation", counting)
+    counts = []
+    for n in (10, 320):
+        calls.clear()
+        c = certify(exotic_odd_cp2(n, 1).pi1,
+                    budget=Budget(corroborate=False))
+        assert c.verdict == TRIVIAL
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _kill(name, via):
@@ -506,11 +530,16 @@ def test_substitution_work_is_linear_in_relator_letters(monkeypatch):
 def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     # every round searches for an elimination after the round's moves, so
     # this compares the incremental index with one built from scratch after
-    # every step of the engine: occurrences, letter counts and definitions,
-    # with relator keys read as positions, and the step the heap picks with
-    # the position of its relator
+    # every step of the engine: occurrences, letter counts, defining keys
+    # and every definition read through the memoising accessor, with
+    # relator keys read as positions, and the step the heap picks with the
+    # position of its relator
     engine = importlib.import_module("m4kit.certify")
     find, rounds, batches = engine._find_elimination, [], []
+
+    def definitions(state):
+        return {g: {k: state.definition(g, k) for k in keys}
+                for g, keys in state.definitions.items() if keys}
 
     def index(state):
         pos = {key: i for i, key in enumerate(state.rels)}
@@ -519,13 +548,13 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
                  for g, keys in state.occ.items() if keys},
                 {g: n for g, n in state.total.items() if n},
                 {g: {pos[k]: d for k, d in entries.items()}
-                 for g, entries in state.definitions.items() if entries})
+                 for g, entries in definitions(state).items()})
 
     def cheapest(state):
         # the full scan the heap replaces
         pos = {key: i for i, key in enumerate(state.rels)}
         cands = [((state.total[g] - 1) * max(len(d) - 1, 0), len(d), g,
-                  pos[k], d) for g, entries in state.definitions.items()
+                  pos[k], d) for g, entries in definitions(state).items()
                  for k, d in entries.items()]
         return min(cands, key=lambda c: c[:4], default=None)
 
@@ -533,7 +562,7 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
         # each generator's first one-letter relator, in generator order
         pos = {key: i for i, key in enumerate(state.rels)}
         kills = {g: min(pos[k] for k, d in entries.items() if not d)
-                 for g, entries in sorted(state.definitions.items())
+                 for g, entries in sorted(definitions(state).items())
                  if any(not d for d in entries.values())}
         return [(g, i, list(state.rels.values())[i])
                 for g, i in kills.items()]
@@ -666,6 +695,27 @@ def prove_every_pair(p: FpPresentation) -> frozenset[frozenset[str]]:
 @given(presentations())
 def test_commutation_closure_matches_eager_oracle(p):
     assert prove_every_pair(p) == eager_closure(p)
+
+
+def test_commutator_letter_test_matches_cyclic_equality():
+    # every cyclically reduced 4-letter word on three names: the letter
+    # test the pair prover uses agrees, for each pair of names, with
+    # comparing the word against the four commutators of the pair
+    letters = [(x, e) for x in "abc" for e in (1, -1)]
+    words = {w for w in map(Word, itertools.product(letters, repeat=4))
+             if len(w) == 4 and cyclic_reduce(w) == w}
+    assert len(words) == 630
+    hits = 0
+    for r in words:
+        for pair in map(frozenset, itertools.combinations("abc", 2)):
+            x, y = sorted(pair)
+            old = r.names() == pair and any(
+                cyclically_equal(r, commutator(gen(x, ex), gen(y, ey)))
+                for ex in (1, -1) for ey in (1, -1))
+            assert (_is_commutator(r) and r.names() == pair) == old
+            hits += old
+    # a^s b^t a^-s b^-t: two orders of the pair, two signs each
+    assert hits == 3 * 8
 
 
 def test_commutation_closure_through_definitional_cycle():

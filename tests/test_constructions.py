@@ -3,6 +3,7 @@ parameter ranges, abelianization oracles, and plumbing of the sign choice.
 Certification of the groups themselves happens in the acceptance suite."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -170,3 +171,21 @@ def test_each_word_is_checked_once_per_presentation(monkeypatch):
     words = len(p.relators) + 2 * len(p.conditional) + len(p.meridional)
     assert words == 180
     assert len(calls) <= 4 * words
+
+
+def test_building_the_family_parses_no_text_per_generator(monkeypatch):
+    # the tail of g2xgn is built from letters: parsing four texts for each
+    # j >= 3 made 1,298 parses at n = 320
+    calls = []
+    for module in [m for k, m in sys.modules.items() if k.startswith("m4kit")]:
+        if hasattr(module, "parse_word"):
+            def counting(text, parse=module.parse_word):
+                calls.append(text)
+                return parse(text)
+            monkeypatch.setattr(module, "parse_word", counting)
+    counts = []
+    for n in (10, 320):
+        calls.clear()
+        exotic_odd_cp2(n, 1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
