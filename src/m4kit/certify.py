@@ -17,7 +17,6 @@ gate downgrades any verdict whose abelianization disagrees.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
@@ -103,6 +102,16 @@ class Budget(Record):
 
 _name = itemgetter(0)          # the generator of a letter
 
+
+def _letter_counts(w: Word) -> dict[str, int]:
+    """The number of letters of each generator in w, in order of first
+    occurrence."""
+    counts: dict[str, int] = {}
+    for g, _ in w.letters:
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
 # a way to prove a commuting pair: the class of its step, the step's two
 # generators and the key of its relator, then the pairs it needs proved
 # first; the step itself is built only when the rule settles its pair
@@ -130,9 +139,9 @@ class _State:
     def __init__(self, p: FpPresentation):
         self.gens: dict[str, None] = dict.fromkeys(p.generators)
         self.rels: dict[int, Word] = {}
-        self.counts: dict[int, Counter[str]] = {}  # key -> its letter counts
+        self.counts: dict[int, dict[str, int]] = {}  # key -> letter counts
         self.occ: dict[str, set[int]] = {}
-        self.total: Counter[str] = Counter()
+        self.total: dict[str, int] = {}
         self.definitions: dict[str, set[int]] = {}
         self.rotations: dict[tuple[str, int], Word] = {}  # see definition
         self.next_key = 0
@@ -168,8 +177,9 @@ class _State:
 
     def count(self, w: Word, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) w's letters in `total`."""
-        for g, n in Counter(map(_name, w.letters)).items():
-            self.total[g] += sign * n
+        total = self.total
+        for g, n in _letter_counts(w).items():
+            total[g] = total.get(g, 0) + sign * n
             self.dirty.add(g)
 
     def put(self, key: int | None, w: Word) -> None:
@@ -186,15 +196,20 @@ class _State:
                 if n == 1:
                     self.definitions[g].discard(key)
                     self.rotations.pop((g, key), None)
-        new = Counter(map(_name, w.letters))
-        for g in {g for g, _ in old.items() ^ new.items()}:
-            before, after = old.get(g, 0), new.get(g, 0)
-            self.total[g] += after - before
-            self.dirty.add(g)
-            if not before:
-                self.occ.setdefault(g, set()).add(key)
-            elif not after:
-                self.occ[g].discard(key)
+        new = _letter_counts(w)
+        total, dirty, occ = self.total, self.dirty, self.occ
+        for g, after in new.items():
+            before = old.get(g, 0)
+            if after != before:
+                total[g] = total.get(g, 0) + after - before
+                dirty.add(g)
+                if not before:
+                    occ.setdefault(g, set()).add(key)
+        for g, before in old.items():
+            if g not in new:
+                total[g] -= before
+                dirty.add(g)
+                occ[g].discard(key)
         if not w:
             self.rels.pop(key, None)
             return

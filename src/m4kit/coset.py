@@ -14,7 +14,12 @@ from a.  The rotations of both r and r^-1 are listed, so this one side
 reaches every relator cycle through the entry (scanning from a·x with
 x^-1 would walk the same cycles again), and a cycle is rechecked only when
 one of its entries changes.  Each of these scans starts past its own
-entry (a, x), which the deduction reads once for all of them.
+entry (a, x), which the deduction reads once for all of them.  A cycle of
+three or more letters whose first reads forward from a·x and back from a
+both find gaps has two gaps, so its scan could change nothing: it is
+skipped on those two reads, which each rotation keeps beside its columns.
+The rotation lists are built by slicing the doubled relator and its
+doubled letterwise inverse, one slice per rotation.
 Coincidences are processed with a queue over a union-find.  Rows are never
 renumbered or dropped, so the table holds exactly the cosets defined, and
 `max_cosets` rows bound its memory.
@@ -52,8 +57,9 @@ class _Overflow(Exception):
 
 
 # a relator rotation as the deduction scans read it: its columns, their
-# inverse columns and its last index
-_Rotation = tuple[tuple[int, ...], tuple[int, ...], int]
+# inverse columns, its last index, its second column and the inverse of its
+# last column (the first read of a scan forward and back from a deduction)
+_Rotation = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 
 
 class _Enumerator:
@@ -69,20 +75,29 @@ class _Enumerator:
         self.parent = [0]            # union-find over coset numbers
         self.live = 1
         self.deductions: list[tuple[int, int]] = []
+        # a row with every entry set, read in place of the row of an unset
+        # entry, so that no scan from it is skipped
+        self.no_gap = [0] * self.ncols
         # rotations[x]: the distinct cyclic rotations of every relator and
-        # of its inverse that start with column x
+        # of its inverse that start with column x.  Each is a slice of the
+        # doubled word, and its inverse columns the same slice of the
+        # doubled letterwise inverse.
         self.rotations: list[list[_Rotation]] = [
             [] for _ in range(self.ncols)]
         seen: set[tuple[int, ...]] = set()
         for r in relators:
             w = self.compile(r)
-            for v in (w, tuple(x ^ 1 for x in reversed(w))):
-                for i in range(len(v)):
-                    rot = v[i:] + v[:i]
+            n = len(w)
+            w_inv = tuple(x ^ 1 for x in w)
+            for v, v_inv in ((w, w_inv), (w_inv[::-1], w[::-1])):
+                vv, ii = v + v, v_inv + v_inv
+                for i in range(n):
+                    rot = vv[i:i + n]
                     if rot not in seen:
                         seen.add(rot)
                         self.rotations[rot[0]].append(
-                            (rot, tuple(x ^ 1 for x in rot), len(rot) - 1))
+                            (rot, ii[i:i + n], n - 1,
+                             vv[i + 1], ii[i + n - 1]))
 
     def compile(self, w: Word) -> tuple[int, ...]:
         return tuple(self.col[letter] for letter in w.letters)
@@ -190,7 +205,7 @@ class _Enumerator:
         without defining: a cycle that closes on two cosets is a
         coincidence, a single gap a deduction."""
         table, parent, rotations = self.table, self.parent, self.rotations
-        coincidence = self.coincidence
+        coincidence, no_gap = self.coincidence, self.no_gap
         stack = self.deductions
         while stack:
             a, x = stack.pop()
@@ -200,9 +215,15 @@ class _Enumerator:
             # cycles through (a, x) are all scanned from a.  Each starts
             # with x, so its scan starts past the entry (a, x) it was
             # pushed for; only a coincidence can change that entry.
-            b0 = table[a][x]
-            f0, i0 = (a, 0) if b0 is None else (b0, 1)
-            for w, inv, j in rotations[x]:
+            row_a = table[a]
+            b0 = row_a[x]
+            f0, i0, row_b = ((a, 0, no_gap) if b0 is None
+                             else (b0, 1, table[b0]))
+            for w, inv, j, w1, z in rotations[x]:
+                # a cycle of three or more letters open at both ends of
+                # the entry has two gaps: its scan would change nothing
+                if j > 1 and row_b[w1] is None and row_a[z] is None:
+                    continue
                 f, i = f0, i0
                 while i <= j:
                     nxt = table[f][w[i]]
@@ -215,8 +236,9 @@ class _Enumerator:
                         coincidence(f, a)
                         if parent[a] != a:
                             break
-                        b0 = table[a][x]
-                        f0, i0 = (a, 0) if b0 is None else (b0, 1)
+                        b0 = row_a[x]
+                        f0, i0, row_b = ((a, 0, no_gap) if b0 is None
+                                         else (b0, 1, table[b0]))
                     continue
                 b = a
                 while j > i:
@@ -236,8 +258,9 @@ class _Enumerator:
                         coincidence(f, nxt)
                         if parent[a] != a:
                             break
-                        b0 = table[a][x]
-                        f0, i0 = (a, 0) if b0 is None else (b0, 1)
+                        b0 = row_a[x]
+                        f0, i0, row_b = ((a, 0, no_gap) if b0 is None
+                                         else (b0, 1, table[b0]))
 
     def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
         """Enumerate the cosets of the subgroup generated by `subgroup`,

@@ -331,9 +331,13 @@ def parse_word(text: str) -> Word:
     # reducing after every step.  Each open bracket is (the token that
     # may come next at its level, its start in out, its comma in out).
     # `atom` is the start of the atom a "^" would raise, or -1 for none.
+    # `inverse` maps each letter that has been inverted to its inverse,
+    # made once per parse, so inverting a stretch of out makes no new
+    # letters.
     out: list[Letter] = []
     stack: list[tuple[str, int, int]] = []
     atom = -1
+    inverse = _Inverses()
     for tok in rest:
         if tok[0] in _LETTERS:
             atom = len(out)
@@ -351,7 +355,7 @@ def parse_word(text: str) -> Word:
             base = _reduce(out[atom:])
             if atom + len(base) * abs(k) > MAX_LETTERS:
                 raise _too_long(text)
-            out[atom:] = (base if k >= 0 else _invert(base)) * abs(k)
+            out[atom:] = (base if k >= 0 else inverse.invert(base)) * abs(k)
             atom = -1
         elif tok == "[" or tok == "(":
             if len(stack) == MAX_NESTING:
@@ -367,7 +371,8 @@ def parse_word(text: str) -> Word:
                 if tok == "]":
                     if 2 * len(out) - start > MAX_LETTERS:
                         raise _too_long(text)
-                    out += _invert(out[start:comma]) + _invert(out[comma:])
+                    out += (inverse.invert(out[start:comma])
+                            + inverse.invert(out[comma:]))
                 atom = start
         elif tok == "1":
             atom = len(out)
@@ -377,6 +382,18 @@ def parse_word(text: str) -> Word:
     if stack:
         raise _syntax_error(text, f"unexpected end of word in {text!r}")
     return Word(tuple(out))
+
+
+class _Inverses(dict):
+    """Letter -> its inverse letter, each made once, on first lookup."""
+
+    def __missing__(self, letter: Letter) -> Letter:
+        inv = self[letter] = (letter[0], -letter[1])
+        return inv
+
+    def invert(self, letters: Sequence[Letter]) -> list[Letter]:
+        """The letters of the inverse word, made of the letters held."""
+        return list(map(self.__getitem__, reversed(letters)))
 
 
 def _syntax_error(text: str, message: str,

@@ -3,9 +3,14 @@
 Oracle values are textbook: |S3| = 6, |Q8| = 8, |D4| = 8, |A5| = 60,
 |PSL(2,7)| = 168, cyclic orders and indices by Lagrange.  Further down,
 one test closes a large table that is mostly dead rows, one pins the
-cosets defined on the paper's family, one compares the deduction scans
-and the coincidence processing with reference copies of the plain loops,
-and the closed-table tests check the finished table itself.
+cosets defined on the paper's family, and the closed-table tests check the
+finished table itself.  Reference copies of the plain loops are compared
+with the kernel: the rotation lists, which the kernel slices from the
+doubled relator, against a build by concatenation; and the deduction scans,
+which the kernel skips when a cycle is open at both ends of the deduction,
+and the coincidence processing, against scans of every rotation letter by
+letter.  The short-relator runs cover the rotations of one and two letters
+that are never skipped.
 """
 
 from random import Random
@@ -242,7 +247,7 @@ class _PlainScans(_Enumerator):
                 continue
             if table[a][x] is None:
                 self.unset += 1
-            for w, _, _ in rotations[x]:
+            for w, *_ in rotations[x]:
                 f, i, j = a, 0, len(w) - 1
                 while i <= j:
                     nxt = table[f][w[i]]
@@ -276,11 +281,33 @@ class _PlainScans(_Enumerator):
                             break
 
 
+def _plain_rotations(enum, relators):
+    """The reference build of the rotation lists: each rotation of r and
+    of r^-1 by concatenation, its inverse columns letter by letter, its
+    cyclic second column and the inverse of its last column."""
+    rotations = [[] for _ in range(enum.ncols)]
+    seen = set()
+    for r in relators:
+        w = enum.compile(r)
+        for v in (w, tuple(x ^ 1 for x in reversed(w))):
+            for i in range(len(v)):
+                rot = v[i:] + v[:i]
+                if rot not in seen:
+                    seen.add(rot)
+                    rotations[rot[0]].append(
+                        (rot, tuple(x ^ 1 for x in rot), len(rot) - 1,
+                         rot[1 % len(rot)], rot[-1] ^ 1))
+    return rotations
+
+
 def _assert_same_run(p, subgroup=(), max_cosets=1_000_000):
     runs = []
     for cls in (_Enumerator, _PlainScans):
         enum = cls(p.generators, max_cosets, p.relators)
         runs.append((enum.run(subgroup), enum.table, enum.parent, enum.live))
+    # _PlainScans inherits the kernel's rotation lists, so they are checked
+    # against the reference build on their own
+    assert enum.rotations == _plain_rotations(enum, p.relators), str(p)
     assert runs[0] == runs[1], (str(p), [str(w) for w in subgroup])
     assert enum.unset == 0, (str(p), [str(w) for w in subgroup])
     return runs[0][0]
@@ -309,6 +336,32 @@ def _random_presentations(count, seed):
         subgroup = [gen(rng.choice(gens))] if rng.random() < 0.5 else []
         yield (FpPresentation(gens, tuple(rels)), subgroup,
                rng.choice((30, 200, 600)))
+
+
+# Relators of one and two letters, whose rotations are never skipped, and
+# proper powers and relators that are rotations of each other or of each
+# other's inverses, whose rotations repeat and are listed once; each over
+# the trivial subgroup and over one generator.
+SHORT_RELATORS = [
+    pres("a b", "a", "b^3"),
+    pres("a b", "a b", "b^5"),
+    pres("a b", "a^2", "b^2", "(a b)^3"),
+    pres("a b", "a^2", "b^-2", "(a b^-1)^4"),
+    pres("a b c", "a b^-1", "b c^-1", "c^6"),
+    pres("a b c", "a^2", "b^2", "c^2", "(a b)^3", "(b c)^3", "(a c)^2"),
+    pres("a b", "a^4", "b^2", "(a b)^2", "[a, b]^2"),
+    pres("a b", "a^3", "b a^-1", "(a b)^2"),
+    pres("a b", "(a b)^3", "a^4"),
+    pres("a b", "b", "a^2 b", "(a b^-1)^5"),
+    pres("a b", "[a, b]", "b a b^-1 a^-1", "a^-1 b^-1 a b", "a^2 b^2"),
+    pres("a b", "[a, b]^2", "(a b^-1)^2", "b^3"),
+]
+
+
+@pytest.mark.parametrize("p", SHORT_RELATORS, ids=str)
+@pytest.mark.parametrize("subgroup", ["", "a", "b"])
+def test_deduction_scans_match_the_reference_on_short_relators(p, subgroup):
+    _assert_same_run(p, [parse_word(subgroup)] if subgroup else [], 2000)
 
 
 def test_deduction_scans_match_the_reference_on_random_presentations():

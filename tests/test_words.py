@@ -2,6 +2,7 @@
 
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +357,20 @@ def test_parse_caps_the_expanded_length(text):
                        match="^word expands to more than 1,000,000 letters$"):
         parse_word(text)
     assert time.perf_counter() - start < 1.0
+
+
+def test_parse_refuses_nested_commutators_in_bounded_memory():
+    # near the cap the letter list alone is about 8 MB of references, so
+    # the inverses that a commutator appends must reuse letters rather than
+    # make one per letter copied
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError, match="more than 1,000,000"):
+            parse_word("[" * 500 + "a" + ", b]" * 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_letter_cap_admits_exactly_max_letters():
