@@ -66,18 +66,6 @@ class SurgeryDatum(Record):
         set_field(self, "relator", relator)
         set_field(self, "unsurgered", unsurgered)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.curve, self.pushoff,
-                    self.torus_generators, self.relator, self.unsurgered) == (
-                other.name, other.curve, other.pushoff,
-                other.torus_generators, other.relator, other.unsurgered)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.curve, self.pushoff,
-                     self.torus_generators, self.relator, self.unsurgered))
-
     def surgered(self, k: int, m: int) -> Word:
         """The relator a k/m surgery installs here: curve^k (pushoff^m)^-1,
         or `unsurgered` when k = 0."""

@@ -107,12 +107,13 @@ class _Replay:
             _fail(f"{what}: relator {format_word(w)!r} is not in the state")
         return min(keys)
 
-    def rewrite_of(self, r: Word, name: str) -> Word:
+    def rewrite_of(self, r: Word, name: str, what: str) -> Word:
         """The definition of `name` read off relator r (which must mention
-        it exactly once)."""
+        it exactly once) for step kind `what`.  Since r is in the state
+        and every relator names only live generators, `name` is live."""
         if r.occurrences(name) != 1:
-            _fail(f"relator {format_word(r)!r} does not define {name!r} "
-                  "(not a single occurrence)")
+            _fail(f"{what}: relator {format_word(r)!r} does not define "
+                  f"{name!r} (not a single occurrence)")
         k = next(i for i, (n, _) in enumerate(r.letters) if n == name)
         rot = rotate(r, k)
         e = rot.letters[0][1]
@@ -125,9 +126,7 @@ class _Replay:
         self.require_relator(s.relator, "pair_from_relator")
         if s.x == s.y or s.x not in self.gens or s.y not in self.gens:
             _fail(f"pair_from_relator: bad pair ({s.x}, {s.y})")
-        if len(s.relator) != 4 or s.relator.names() != {s.x, s.y}:
-            _fail(f"pair_from_relator: {format_word(s.relator)!r} is not a "
-                  "two-letter commutator shape")
+        # this also rules out any relator not of four letters on x and y
         if not any(cyclically_equal(s.relator, commutator(gen(s.x, ex), gen(s.y, ey)))
                    for ex in (1, -1) for ey in (1, -1)):
             _fail(f"pair_from_relator: {format_word(s.relator)!r} is not a "
@@ -139,7 +138,7 @@ class _Replay:
         self.require_relator(r, "pair_from_definition")
         if s.gen == s.other or s.other not in self.gens or s.gen not in self.gens:
             _fail(f"pair_from_definition: bad pair ({s.gen}, {s.other})")
-        definition = self.rewrite_of(r, s.gen)
+        definition = self.rewrite_of(r, s.gen, "pair_from_definition")
         for n, _ in definition.letters:
             if not self.paired(n, s.other):
                 _fail(f"pair_from_definition: letter {n!r} of the definition "
@@ -166,11 +165,8 @@ class _Replay:
 
     def eliminate(self, s: Eliminate) -> None:
         idx = self.require_relator(s.via, "eliminate")
-        if s.gen not in self.gens:
-            _fail(f"eliminate: unknown generator {s.gen!r}")
-        if s.gen in s.definition.names():
-            _fail(f"eliminate: definition of {s.gen!r} mentions itself")
-        definition = self.rewrite_of(s.via, s.gen)
+        definition = self.rewrite_of(s.via, s.gen, "eliminate")
+        # read off gen's one occurrence, definition avoids gen, as s's must
         if definition != s.definition:
             _fail(f"eliminate: relator {format_word(s.via)!r} defines "
                   f"{s.gen} = {format_word(definition)}, not "
@@ -187,11 +183,10 @@ class _Replay:
             if len(r) != 1:
                 _fail(f"kill: relator {format_word(r)!r} is not one letter")
             ((name, _),) = r.letters
-            if name not in self.gens:
-                _fail(f"kill: unknown generator {name!r}")
             if name in images:
                 _fail(f"kill: generator {name!r} is killed twice")
             images[name] = Word()
+        # a one-letter relator on a dead or unknown name is never in the state
         for k in [self.require_relator(r, "kill") for r in s.relators]:
             self.put(k, Word())
         self._substitute_everywhere(images)

@@ -75,9 +75,6 @@ class _Enumerator:
         self.parent = [0]            # union-find over coset numbers
         self.live = 1
         self.deductions: list[tuple[int, int]] = []
-        # a row with every entry set, read in place of the row of an unset
-        # entry, so that no scan from it is skipped
-        self.no_gap = [0] * self.ncols
         # rotations[x]: the distinct cyclic rotations of every relator and
         # of its inverse that start with column x.  Each is a slice of the
         # doubled word, and its inverse columns the same slice of the
@@ -127,7 +124,17 @@ class _Enumerator:
         Most entries of a merged-away row point at a root, and most merges
         that they ask for are of a coset with itself, so the parent is read
         before find is called; merges are inline, and `live` drops once,
-        by the number of rows merged away."""
+        by the number of rows merged away.
+
+        An entry of a live row is cleared here only as the reverse arrow
+        d·x^-1 of an entry dead·x = d being moved, and it is set again
+        before this returns, so a deduction's entry stays set while its
+        coset is live.  Entries are set in consistent pairs and never
+        overwritten.  When find(dead) has no x arrow and d no x^-1 arrow,
+        the "else" arm sets the cleared arrow again at once.  Otherwise a
+        merge follows, the row it merges away is queued, and processing
+        that row moves its arrows, the one that stands for the cleared
+        arrow included, back onto the roots."""
         table, parent, find = self.table, self.parent, self.find
         deductions = self.deductions
         a, b = find(a), find(b)
@@ -205,7 +212,7 @@ class _Enumerator:
         without defining: a cycle that closes on two cosets is a
         coincidence, a single gap a deduction."""
         table, parent, rotations = self.table, self.parent, self.rotations
-        coincidence, no_gap = self.coincidence, self.no_gap
+        coincidence = self.coincidence
         stack = self.deductions
         while stack:
             a, x = stack.pop()
@@ -214,17 +221,16 @@ class _Enumerator:
             # rotations[x] holds the rotations of r and of r^-1, so the
             # cycles through (a, x) are all scanned from a.  Each starts
             # with x, so its scan starts past the entry (a, x) it was
-            # pushed for; only a coincidence can change that entry.
+            # pushed for, which is set while a is live (see coincidence).
             row_a = table[a]
-            b0 = row_a[x]
-            f0, i0, row_b = ((a, 0, no_gap) if b0 is None
-                             else (b0, 1, table[b0]))
+            f0 = row_a[x]
+            row_b = table[f0]
             for w, inv, j, w1, z in rotations[x]:
                 # a cycle of three or more letters open at both ends of
                 # the entry has two gaps: its scan would change nothing
                 if j > 1 and row_b[w1] is None and row_a[z] is None:
                     continue
-                f, i = f0, i0
+                f, i = f0, 1
                 while i <= j:
                     nxt = table[f][w[i]]
                     if nxt is None:
@@ -236,9 +242,8 @@ class _Enumerator:
                         coincidence(f, a)
                         if parent[a] != a:
                             break
-                        b0 = row_a[x]
-                        f0, i0, row_b = ((a, 0, no_gap) if b0 is None
-                                         else (b0, 1, table[b0]))
+                        f0 = row_a[x]
+                        row_b = table[f0]
                     continue
                 b = a
                 while j > i:
@@ -258,9 +263,8 @@ class _Enumerator:
                         coincidence(f, nxt)
                         if parent[a] != a:
                             break
-                        b0 = row_a[x]
-                        f0, i0, row_b = ((a, 0, no_gap) if b0 is None
-                                         else (b0, 1, table[b0]))
+                        f0 = row_a[x]
+                        row_b = table[f0]
 
     def run(self, subgroup: Iterable[Word]) -> CosetCount | Exceeded:
         """Enumerate the cosets of the subgroup generated by `subgroup`,

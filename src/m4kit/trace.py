@@ -124,15 +124,6 @@ class PairFromDefinition(Record):
         set_field(self, "other", other)
         set_field(self, "relator", relator)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.gen, self.other, self.relator) == (
-                other.gen, other.other, other.relator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gen, self.other, self.relator))
-
 
 class CommutationCancel(Record):
     __slots__ = ("before", "after", "rotation", "i", "j", "x")
@@ -154,15 +145,6 @@ class Eliminate(Record):
         set_field(self, "gen", gen)
         set_field(self, "definition", definition)
         set_field(self, "via", via)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.gen, self.definition, self.via) == (
-                other.gen, other.definition, other.via)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gen, self.definition, self.via))
 
 
 class Kill(Record):

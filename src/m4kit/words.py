@@ -63,9 +63,10 @@ class Record:
     `set_field`.  Two values are equal when they are of one class and
     agree on every field but those in `_uncompared`; those same fields are
     hashed.  The repr is ``Name(field=value, ...)``, fields cannot be
-    assigned or deleted, and `replace` makes changed copies.  The classes
-    built thousands of times per certificate write `__eq__` and `__hash__`
-    out over their fields, which is faster than `_key`."""
+    assigned or deleted, and `replace` makes changed copies.  `Word`,
+    built and compared thousands of times per certificate, writes
+    `__eq__` and `__hash__` out over its one field, which is faster than
+    `_key`."""
 
     __slots__ = ()
     _uncompared: tuple[str, ...] = ()

@@ -3,10 +3,12 @@ certificates replay); the point of this file is the other direction —
 every kind of tampering must raise CheckFailure."""
 
 import json
+import re
+from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from m4kit.certify import Budget, certify
 from m4kit.checker import CheckFailure, _HANDLERS, _Replay, replay
@@ -462,7 +464,7 @@ KILL_P = pres("a b c", "a", "b^-1", "a c b c^-1 a", "c^3")
     (Kill((gen("a"), parse_word("b c"))), "relator 'b c' is not one letter"),
     (Kill((gen("a"), gen("a"))), "generator 'a' is killed twice"),
     (Kill((gen("b", -1), gen("a"), gen("b"))), "generator 'b' is killed twice"),
-    (Kill((gen("a"), gen("z"))), "unknown generator 'z'"),
+    (Kill((gen("a"), gen("z"))), "relator 'z' is not in the state"),
     (Kill((gen("a"), gen("c"))), "relator 'c' is not in the state"),
     (Kill((gen("a"), gen("b"))), "relator 'b' is not in the state"),
     (Kill((gen("a"),)), "fewer than two relators"),
@@ -523,3 +525,179 @@ def test_indexed_replay_matches_the_list_replay(p):
         assert_index_matches(state)
     assert state.snapshot() == reference_replay(c) == c.final
     replay(c, p)
+
+
+# -- each rule, by the forged step that only it rejects -----------------------
+#
+# Each forgery prepends one step to an honest certificate or edits one field
+# of one of its steps, and must fail at that step with its rule's message:
+# without the rule, the step passes and replay fails later, or not at all.
+# tests/mutate_checker.py drops the rules one at a time to show this.
+
+REPLACE_P = pres("a b", "b^3", "a^2 b^2 a^3 b^2")     # b^2 -> b^-1, twice
+XY_P = pres("x y", "x^2 y^2", "x y x^-1 y^2")        # no step applies
+
+
+def prepend(step):
+    return lambda trace: (step,) + trace
+
+
+def edit(n, **fields):
+    return lambda trace: (trace[:n] + (replace(trace[n], **fields),)
+                          + trace[n + 1:])
+
+
+W = parse_word
+
+
+@pytest.mark.parametrize("p, forge, message", [
+    (XY_P, prepend(PairFromRelator("x", "y", W("x^2 y^2"))),
+     "step 0: pair_from_relator: 'x^2 y^2' is not a commutator of x^±1 "
+     "and y^±1"),
+    (XY_P, prepend(PairFromRelator("!!", "y", W("x^2 y^2"))),
+     "step 0: pair_from_relator: bad pair (!!, y)"),
+    (TRIVIAL_P, prepend(PairFromDefinition("b", "b", W("b"))),
+     "step 0: pair_from_definition: bad pair (b, b)"),
+    (KILL_P, prepend(PairFromDefinition("b", "a", W("a c b c^-1 a"))),
+     "step 0: pair_from_definition: letter 'c' of the definition of 'b' is "
+     "not known to commute with 'a'"),
+    (XY_P, prepend(PairFromDefinition("x", "y", W("x^2 y^2"))),
+     "step 0: pair_from_definition: relator 'x^2 y^2' does not define 'x'"),
+    (Z_P, edit(1, rotation=-4),
+     "step 1: commutation_cancel: positions out of range"),
+    (Z_P, edit(1, i=-4, j=-2),
+     "step 1: commutation_cancel: positions out of range"),
+    (Z_P, edit(1, x="b"),
+     "step 1: commutation_cancel: positions 0,2 do not hold b^e and b^-e"),
+    (Z_P, lambda trace: (trace[1],) + trace,
+     "step 0: commutation_cancel: interior letter 'b' is not known to "
+     "commute with 'a'"),
+    (Z_P, edit(1, after=W("b")),
+     "step 1: commutation_cancel: recorded result does not match (1 != b)"),
+    (pres("x y", "x y x"), prepend(Eliminate("x", W("x^-1 y^-1"),
+                                             W("x y x"))),
+     "step 0: eliminate: relator 'x y x' does not define 'x'"),
+    (REPLACE_P, prepend(ReplaceSubword(W("b^3"), EMPTY, W("b^3"), 0, False,
+                                       3, 0)),
+     "step 0: replace_subword: a relator may not rewrite itself"),
+    (REPLACE_P, edit(0, via_rotation=-3),
+     "step 0: replace_subword: rotation out of range"),
+    (REPLACE_P, edit(0, split=1),
+     "step 0: replace_subword: split does not shorten"),
+    (REPLACE_P, edit(0, at=-7),
+     "step 0: replace_subword: occurrence out of range"),
+    (REPLACE_P, edit(0, at=0),
+     "step 0: replace_subword: claimed occurrence does not match"),
+    (REPLACE_P, edit(1, after=W("a^2 b^-1 a^3 b^2")),
+     "step 1: replace_subword: recorded result does not match"),
+    (Z_P, lambda trace: trace + ("a step",),
+     "step 3: unknown step kind str"),
+], ids=["not_a_commutator", "pair_bad_name", "definition_bad_pair",
+        "definition_letter_not_paired", "definition_not_single",
+        "cancel_negative_rotation", "cancel_negative_positions",
+        "cancel_wrong_letter", "cancel_before_its_pair", "cancel_after",
+        "eliminate_not_single", "replace_itself", "replace_negative_rotation",
+        "replace_split_does_not_shorten", "replace_negative_at",
+        "replace_wrong_at", "replace_after", "not_a_step"])
+def test_forged_step_fails_at_its_rule(p, forge, message):
+    c = certify(p, budget=Budget(corroborate=False))
+    replay(c, p)
+    with pytest.raises(CheckFailure, match="^" + re.escape(message)):
+        replay(replace(c, trace=forge(c.trace)), p)
+
+
+# Steps that the rules implied by others (and deleted) used to reject, each
+# with the message of the rule that now rejects it; a kill of an unknown
+# generator is a case of test_malformed_kills_fail.
+@pytest.mark.parametrize("p, step, message", [
+    (TRIVIAL_P, PairFromRelator("a", "b", W("a b^-1")),
+     "pair_from_relator: 'a b^-1' is not a commutator of a^±1 and b^±1"),
+    (DUPLICATES_P, PairFromRelator("a", "c", W("[a, b]")),
+     "pair_from_relator: 'a b a^-1 b^-1' is not a commutator of a^±1 and "
+     "c^±1"),
+    (TRIVIAL_P, Eliminate("z", EMPTY, W("b")),
+     "eliminate: relator 'b' does not define 'z'"),
+    (TRIVIAL_P, Eliminate("a", W("a"), W("a b^-1")),
+     "eliminate: relator 'a b^-1' defines a = b, not a"),
+    (REPLACE_P, Eliminate("b", W("b^-2"), W("b^3")),
+     "eliminate: relator 'b^3' does not define 'b'"),
+], ids=["pair_shape", "pair_names", "eliminate_unknown",
+        "eliminate_self_definition", "eliminate_self_in_power"])
+def test_steps_of_the_implied_rules_still_fail(p, step, message):
+    c = certify(p, budget=Budget(corroborate=False))
+    with pytest.raises(CheckFailure, match="^step 0: " + re.escape(message)):
+        replay(replace(c, trace=(step,) + c.trace), p)
+
+
+# -- robustness: one field of one step edited through JSON --------------------
+
+# honest certificates whose traces hold every step kind
+ROBUST_P = [Z_P, KILL_P, REPLACE_P, TIERED_P, exotic_cp2_2().pi1]
+KINDS = ["pair_from_relator", "pair_from_definition", "commutation_cancel",
+         "eliminate", "kill", "replace_subword", "activate_conditional",
+         "discharge_meridional"]
+NAMES = ["a", "b", "c", "x", "b1", "alpha2", "z"]
+LETTER = st.tuples(st.sampled_from(NAMES), st.sampled_from(["", "^-1", "^2"]))
+WORD_TEXT = st.lists(LETTER, max_size=5).map(
+    lambda letters: " ".join(n + e for n, e in letters) or "1")
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@cache
+def honest_json(k):
+    return certify(ROBUST_P[k], budget=Budget(corroborate=False)).to_json()
+
+
+@st.composite
+def step_edits(draw):
+    """(certificate, step, field, value): one field of one step of one of
+    the honest certificates, and a value of its JSON type or any other."""
+    k = draw(st.integers(0, len(ROBUST_P) - 1))
+    trace = honest_json(k)["trace"]
+    n = draw(st.integers(0, len(trace) - 1))
+    field = draw(st.sampled_from(sorted(trace[n])))
+    old = trace[n][field]
+    words = sorted({v for step in trace for v in step.values()
+                    if type(v) is str})
+    typed = {
+        bool: st.booleans(),
+        int: st.integers(-12, 12) | st.integers(),
+        str: (st.sampled_from(KINDS) if field == "kind" else
+              st.sampled_from(words) | WORD_TEXT | st.text(max_size=6)),
+        list: st.lists(st.sampled_from(words) | WORD_TEXT, max_size=4),
+    }[type(old)]
+    return k, n, field, draw(typed | JSON_VALUE)
+
+
+@pytest.fixture(scope="module")
+def robust_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("robust") / "cert.json"
+
+
+@seed(1978)
+@settings(max_examples=300, deadline=None)
+@given(step_edits())
+@example((0, 0, "x", "!!"))              # gen() refuses the name
+@example((0, 1, "rotation", -4))         # the same letters from the end
+@example((1, 0, "relators", ["a", "z"]))
+def test_one_step_field_edit_ends_in_a_typed_outcome(robust_path, edit):
+    k, n, field, value = edit
+    data = json.loads(json.dumps(honest_json(k)))
+    data["trace"][n][field] = value
+    try:
+        c = Certificate.from_json(data)
+    except CertificateFormatError:
+        code = 2
+    else:
+        try:
+            replay(c)
+            code = 0
+        except CheckFailure:
+            code = 1
+    robust_path.write_text(json.dumps(data))
+    assert main(["replay", str(robust_path)]) == code

@@ -196,8 +196,9 @@ class _PlainScans(_Enumerator):
     """The reference loops.  Every deduction scan starts at (a, 0) and
     reads each rotation letter by letter; every coincidence calls find on
     both ends of each entry it moves and merges through one helper.  It
-    also counts popped deductions of a live coset whose entry is unset,
-    where the kernel's scans cannot start past it."""
+    also counts popped deductions of a live coset whose entry is unset.
+    The kernel starts every scan at that entry, so the count must stay 0:
+    it is the evidence for the invariant that `coincidence` states."""
 
     unset = 0
 
