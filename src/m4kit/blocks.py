@@ -27,6 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 from .presentation import FpPresentation, PresentationError
@@ -180,8 +181,15 @@ class MarkedManifold(Record):
                        f"available: {[t.name for t in self.sites]}")
 
 
+@cache
+def _word(text: str) -> Word:
+    """parse_word(text), once per process: every text a block parses is a
+    constant of this module, and words are immutable."""
+    return parse_word(text)
+
+
 def _words(*texts: str) -> tuple[Word, ...]:
-    return tuple(parse_word(t) for t in texts)
+    return tuple(map(_word, texts))
 
 
 def _product_site(name: str, curve: str, pushoff: str,
@@ -194,7 +202,7 @@ def _product_site(name: str, curve: str, pushoff: str,
     which is also the site's unsurgered relator; the inverse of
     surgered(0, m) would be the pushoff's inverse and change t2xg2(0, q).
     """
-    word = parse_word(pushoff)
+    word = _word(pushoff)
     _check_twist(k, word, m)
     return SurgeryDatum(name, curve, word, torus,
                         word ** m * gen(curve) ** -k, word)
@@ -214,7 +222,7 @@ def _surgered_site(name: str, curve: str, pushoff: Word,
                    k: int, m: int) -> SurgeryDatum:
     """One four-torus site after a k/m surgery (k = 0: untouched), carrying
     the relator that torus_surgery would install."""
-    word = parse_word(unsurgered)
+    word = _word(unsurgered)
     site = SurgeryDatum(name, curve, pushoff, torus, word, word)
     return replace(site, relator=site.surgered(k, m))
 
@@ -253,7 +261,7 @@ def t2xg2(p: int, q: int) -> MarkedManifold:
            *_words("[a1, c]", "[b1, c]", "[a2, c]", "[a2, d]",
                    "[a1, b1] [a2, b2]"))
     gens_ = ("a1", "b1", "a2", "b2", "c", "d")
-    meridian = parse_word("[c, d]")
+    meridian = _word("[c, d]")
     return MarkedManifold(
         name=f"T2xG2({p},{q})", euler=0, signature=0, parity="unknown",
         symplectic=True, minimal=(True if (p, q) == (1, 1) else None),
@@ -336,7 +344,7 @@ def _t4(q: int, r: int, m: int, eps1: int, eps3: int,
     blown-up block's surface complement keeps, and pi1."""
     sites = (
         _surgered_site("alpha2'xalpha3'", "alpha3",
-                       parse_word("[alpha1^-1, alpha4^-1]"),
+                       _word("[alpha1^-1, alpha4^-1]"),
                        ("alpha2", "alpha3"), "[alpha1, alpha4]", q, 1),
         _surgered_site("alpha2''xalpha4'", "alpha4",
                        commutator(gen("alpha1", eps1), gen("alpha3", eps3)),
@@ -371,11 +379,11 @@ def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedMani
         raise ValueError("skipping the second surgery (r = 0) forces m = 1")
 
     sites, core, pi1 = _t4(q, r, m, eps1, eps3)
-    meridian = parse_word("[alpha3, alpha4]")
+    meridian = _word("[alpha3, alpha4]")
     sigmabar2 = EmbeddedSurface(
         name="SigmaBar2", genus=2, self_intersection=0,
         generator_images=(("abar1", gen("alpha1")), ("bbar1", gen("alpha2")),
-                          ("abar2", parse_word("alpha3^2")),
+                          ("abar2", _word("alpha3^2")),
                           ("bbar2", gen("alpha4"))),
         modulo_meridian=frozenset({"abar2"}),
         meridian=meridian,
@@ -406,10 +414,10 @@ def _bbt4(q: int, r: int, name: str) -> MarkedManifold:
     sites (a zero leaves that site untouched)."""
     sites = (
         _surgered_site("alpha1'xalpha3'", "alpha1",
-                       parse_word("[alpha2^-1, alpha4^-1]"),
+                       _word("[alpha2^-1, alpha4^-1]"),
                        ("alpha1", "alpha3"), "[alpha2, alpha4]", q, 1),
         _surgered_site("alpha2'xalpha3''", "alpha2",
-                       parse_word("[alpha1^-1, alpha4]"),
+                       _word("[alpha1^-1, alpha4]"),
                        ("alpha2", "alpha3"), "[alpha1, alpha4]", r, 1),
     )
     pi1 = FpPresentation(_ALPHAS, (
@@ -461,12 +469,12 @@ def t2xs2b4() -> MarkedManifold:
     square-zero genus-2 surface SigmaTilde2 obtained by resolving a
     bidegree-(2,2) curve: pi1 = Z^2, trivial meridian, exact images."""
     gens_ = ("c", "d")
-    pi1 = FpPresentation(gens_, (parse_word("[c, d]"),))
+    pi1 = FpPresentation(gens_, (_word("[c, d]"),))
     sigmatilde2 = EmbeddedSurface(
         name="SigmaTilde2", genus=2, self_intersection=0,
         generator_images=(("atil1", gen("c")), ("btil1", gen("d")),
-                          ("atil2", parse_word("c^-1")),
-                          ("btil2", parse_word("d^-1"))),
+                          ("atil2", _word("c^-1")),
+                          ("btil2", _word("d^-1"))),
         modulo_meridian=frozenset(),
         meridian=Word(),
         complement_pi1=pi1,

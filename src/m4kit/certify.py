@@ -101,6 +101,7 @@ class Budget(Record):
 
 
 _name = itemgetter(0)          # the generator of a letter
+_NONE: frozenset[int] = frozenset()   # the keys of no relator
 
 
 def _letter_counts(w: Word) -> dict[str, int]:
@@ -114,7 +115,7 @@ def _letter_counts(w: Word) -> dict[str, int]:
 
 # a way to prove a commuting pair: the class of its step, the step's two
 # generators and the key of its relator, then the pairs it needs proved
-# first; the step itself is built only when the rule settles its pair
+# first; the step itself is built only when the proof is emitted
 _Rule = tuple[type[PairFromRelator | PairFromDefinition], str, str, int,
               list[frozenset[str]]]
 
@@ -134,7 +135,9 @@ class _State:
     relators that mention the generator.  The definition itself, the
     rotation of such a relator that solves for the generator, is found
     only when a move reads it (`definition`), and kept until its relator
-    is replaced."""
+    is replaced; so is the list of a generator's defining keys with the
+    names of each definition (`definition_names`), until one of those keys
+    is added or dropped."""
 
     def __init__(self, p: FpPresentation):
         self.gens: dict[str, None] = dict.fromkeys(p.generators)
@@ -144,6 +147,8 @@ class _State:
         self.total: dict[str, int] = {}
         self.definitions: dict[str, set[int]] = {}
         self.rotations: dict[tuple[str, int], Word] = {}  # see definition
+        # see definition_names
+        self.names: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
         self.next_key = 0
         # generators whose count or defining keys changed since the last
         # search, and that search's heap of candidates (see _find_elimination)
@@ -162,7 +167,8 @@ class _State:
             self.count(rel, 1)
             self.count(key, 1)
         self.pairs: set[frozenset[str]] = set()
-        # pair -> (step, pairs it needs) if proved this round, else None
+        # pair -> the rule that proved it this round, else None; the
+        # relators stay as they are until the round's move is applied
         self.settled: dict[frozenset[str], _Rule | None] = {}
         self.activated: list[Word] = []      # original forms, for reporting
 
@@ -174,6 +180,19 @@ class _State:
         if d is None:
             d = self.rotations[g, key] = defining_rotation(self.rels[key], g)
         return d
+
+    def definition_names(self, g: str) -> list[tuple[int, tuple[str, ...]]]:
+        """(key, the distinct names of g's definition by relator `key` in
+        order of first occurrence) for each key in `definitions[g]`, in key
+        order: found once, then kept until `put` adds or drops one of those
+        keys."""
+        names = self.names.get(g)
+        if names is None:
+            names = self.names[g] = [
+                (key, tuple(dict.fromkeys(map(_name, self.definition(g, key)
+                                              .letters))))
+                for key in sorted(self.definitions.get(g, ()))]
+        return names
 
     def count(self, w: Word, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) w's letters in `total`."""
@@ -196,6 +215,7 @@ class _State:
                 if n == 1:
                     self.definitions[g].discard(key)
                     self.rotations.pop((g, key), None)
+                    self.names.pop(g, None)
         new = _letter_counts(w)
         total, dirty, occ = self.total, self.dirty, self.occ
         for g, after in new.items():
@@ -217,6 +237,7 @@ class _State:
         self.counts[key] = new
         for g in [g for g, n in new.items() if n == 1]:
             self.definitions.setdefault(g, set()).add(key)
+            self.names.pop(g, None)
             self.dirty.add(g)
 
     def substitute_everywhere(self, images: dict[str, Word]) -> None:
@@ -262,51 +283,75 @@ class _State:
 def _prove_pair(state: _State, x: str, y: str,
                 steps: list[TraceStep]) -> bool:
     """Prove that x and y commute, appending the steps of the proof to
-    `steps`, each after the steps it depends on.  Collects the pairs the
-    goal depends on, derives among them until nothing changes, and keeps
-    every pair it settles, proved or not, for the rest of the round.  It
-    loops instead of recursing, so a long chain of definitions can neither
-    exhaust the stack nor be searched more than once."""
+    `steps`, each after the steps it depends on.
+
+    Collects the pairs the goal depends on, each with its rules, the ways
+    to prove it: a commutator relator needs no other pair, a definition of
+    either generator needs each of its letters to commute with the other
+    generator.  Then it sweeps the pairs in the order they were found
+    until a sweep settles none.  A pair settles by its first rule whose
+    premises are all proved when the sweep reaches it, pairs settled
+    earlier in the same sweep included; a settled pair leaves the later
+    sweeps.  Every pair it settles, proved or not, is kept for the rest of
+    the round.  It loops instead of recursing, so a long chain of
+    definitions can neither exhaust the stack nor be searched more than
+    once."""
+    settled, pairs = state.settled, state.pairs
+    occ, rels = state.occ, state.rels
     goal = frozenset((x, y))
-    if x == y or goal in state.pairs:
+    if x == y or goal in pairs:
         return True
     rules: dict[frozenset[str], list[_Rule]] = {}
     todo = [goal]
     while todo:
         pair = todo.pop()
-        if pair not in rules and pair not in state.settled \
-                and pair not in state.pairs:
-            rules[pair] = _pair_rules(state, pair)
-            todo += [q for *_, premises in rules[pair] for q in premises]
-    changed = True
-    while changed:
-        changed = False
-        for pair, options in rules.items():
-            if pair in state.settled:
-                continue
-            for cls, a, b, key, premises in options:
-                if all(q in state.pairs or state.settled.get(q)
-                       for q in premises):
-                    state.settled[pair] = (cls(a, b, state.rels[key]),
-                                           premises)
-                    changed = True
-                    break
-    for pair in rules:
-        state.settled.setdefault(pair, None)
-    if state.settled[goal] is None:
+        if pair in rules or pair in settled or pair in pairs:
+            continue
+        u, v = sorted(pair)
+        both = occ.get(u, _NONE) & occ.get(v, _NONE)
+        # a relator in `both` mentions u and v: a commutator names only them
+        rules[pair] = options = [
+            (PairFromRelator, u, v, key, []) for key in sorted(both)
+            if _is_commutator(rels[key])] if both else []
+        for g, other in ((u, v), (v, u)):
+            for key, names in state.definition_names(g):
+                premises = [frozenset((n, other)) for n in names
+                            if n != other]
+                options.append((PairFromDefinition, g, other, key, premises))
+                todo += premises
+    if rules:
+        # the pairs proved this round so far
+        proved = pairs.union([q for q, rule in settled.items() if rule])
+        waiting = list(rules.items())
+        while waiting:
+            left = []
+            for pair, options in waiting:
+                for rule in options:
+                    if proved.issuperset(rule[-1]):
+                        settled[pair] = rule
+                        proved.add(pair)
+                        break
+                else:
+                    left.append((pair, options))
+            if len(left) == len(waiting):
+                break
+            waiting = left
+        for pair in rules:
+            settled.setdefault(pair, None)
+    if settled[goal] is None:
         return False
     todo = [goal]           # emit the goal's proof, premises first
     while todo:
         pair = todo[-1]
-        step, premises = state.settled[pair]
-        waiting = [q for q in premises if q not in state.pairs]
+        cls, a, b, key, premises = settled[pair]
+        waiting = [q for q in premises if q not in pairs]
         if waiting:
             todo += waiting
             continue
         todo.pop()
-        if pair not in state.pairs:
-            state.pairs.add(pair)
-            steps.append(step)
+        if pair not in pairs:
+            pairs.add(pair)
+            steps.append(cls(a, b, rels[key]))
     return True
 
 
@@ -318,24 +363,6 @@ def _is_commutator(r: Word) -> bool:
         return False
     (a, ea), (b, eb), third, fourth = r.letters
     return third == (a, -ea) and fourth == (b, -eb)
-
-
-def _pair_rules(state: _State, pair: frozenset[str]) -> list[_Rule]:
-    """The ways to prove a pair, each with the pairs it needs: a
-    commutator relator needs none, a definition of either generator needs
-    each of its letters to commute with the other generator."""
-    x, y = sorted(pair)
-    both = state.occ.get(x, set()) & state.occ.get(y, set())
-    # a relator in `both` mentions x and y, so a commutator names just them
-    rules: list[_Rule] = [(PairFromRelator, x, y, key, []) for key in
-                          sorted(both) if _is_commutator(state.rels[key])]
-    for g, other in ((x, y), (y, x)):
-        rules += [(PairFromDefinition, g, other, key,
-                   [frozenset((n, other)) for n in dict.fromkeys(
-                       map(_name, state.definition(g, key).letters))
-                    if n != other])
-                  for key in sorted(state.definitions.get(g, ()))]
-    return rules
 
 
 def _find_cancel(state: _State, steps: list[TraceStep]

@@ -136,7 +136,8 @@ class _Replay:
     def pair_from_definition(self, s: PairFromDefinition) -> None:
         r = s.relator
         self.require_relator(r, "pair_from_definition")
-        if s.gen == s.other or s.other not in self.gens or s.gen not in self.gens:
+        # rewrite_of rejects an unknown s.gen: no relator names it
+        if s.gen == s.other or s.other not in self.gens:
             _fail(f"pair_from_definition: bad pair ({s.gen}, {s.other})")
         definition = self.rewrite_of(r, s.gen, "pair_from_definition")
         for n, _ in definition.letters:
@@ -223,7 +224,8 @@ class _Replay:
             _fail("replace_subword: split does not shorten")
         sub = w.letters[:s.split]
         t = Word(w.letters[s.split:])
-        if s.at < 0 or s.at + s.split > len(s.before):
+        # past the end, the slice below is too short to match
+        if s.at < 0:
             _fail("replace_subword: occurrence out of range")
         if s.before.letters[s.at:s.at + s.split] != sub:
             _fail("replace_subword: claimed occurrence does not match")

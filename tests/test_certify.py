@@ -523,9 +523,13 @@ def test_substitution_work_is_linear_in_relator_letters(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: exotic_cp2_2(2), lambda: exotic_cp2_4(2), lambda: exotic_cp2_6(2),
-    lambda: exotic_odd_cp2(6, 3), lambda: cyclic_family(4),
-    finite_cyclic_example,
+    lambda: exotic_cp2_2(2).pi1, lambda: exotic_cp2_4(2).pi1,
+    lambda: exotic_cp2_6(2).pi1, lambda: exotic_odd_cp2(6, 3).pi1,
+    lambda: cyclic_family(4).pi1, lambda: finite_cyclic_example().pi1,
+    # the prover memoises the definition names of g0, then eliminating g0
+    # drops both of its defining keys
+    lambda: pres("g0 g1 g2 g3 g4", "g2^-1 g0^-1", "g3^-1 g4^-1",
+                 "g3^-1 g0^-1 g2 g3 g0 g3^-1", "g2 g0 g3^-1", "g1 g3 g4"),
 ])
 def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     # every round searches for an elimination after the round's moves, so
@@ -533,9 +537,19 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     # every step of the engine: occurrences, letter counts, defining keys
     # and every definition read through the memoising accessor, with
     # relator keys read as positions, and the step the heap picks with the
-    # position of its relator
+    # position of its relator.  First, each list of definition names that
+    # the pair prover memoised and the engine kept must still be the one a
+    # fresh computation gives.
     engine = importlib.import_module("m4kit.certify")
-    find, rounds, batches = engine._find_elimination, [], []
+    find, rounds, batches, memos = engine._find_elimination, [], [], []
+
+    def kept_names_are_fresh(state):
+        for g, names in state.names.items():
+            keys = sorted(state.definitions.get(g, ()))
+            words = [defining_rotation(state.rels[k], g) for k in keys]
+            assert names == [(k, tuple(dict.fromkeys(n for n, _ in w.letters)))
+                             for k, w in zip(keys, words)], g
+            memos.append(g)
 
     def definitions(state):
         return {g: {k: state.definition(g, k) for k in keys}
@@ -568,6 +582,7 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
                 for g, i in kills.items()]
 
     def compare_then_find(state):
+        kept_names_are_fresh(state)
         fresh = _State(state.snapshot())
         assert index(state) == index(fresh)
         found, best, kills = find(state), cheapest(fresh), ready_kills(fresh)
@@ -590,9 +605,9 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
         return found
 
     monkeypatch.setattr(engine, "_find_elimination", compare_then_find)
-    _run_engine(build().pi1, Budget(), allow_discharge=True)
+    _run_engine(build(), Budget(), allow_discharge=True)
     assert len(rounds) > 5
-    assert batches
+    assert batches and memos
 
 
 def test_trace_step_order_is_stable_for_symmetric_input():
@@ -695,6 +710,125 @@ def prove_every_pair(p: FpPresentation) -> frozenset[frozenset[str]]:
 @given(presentations())
 def test_commutation_closure_matches_eager_oracle(p):
     assert prove_every_pair(p) == eager_closure(p)
+
+
+def reference_prove_pair(state, x, y, steps):
+    """Reference for `_prove_pair`: the plain sweep loop, which walks every
+    collected pair in every sweep, skips the settled ones and tests each
+    premise by lookups in `state.pairs` and `state.settled`, and stops
+    after a sweep that settles nothing.  Its rules read each definition
+    afresh, without the engine's memos.  Like the engine, it records in
+    `state.settled` the rule that settles a pair, and builds a step only
+    when it emits the step."""
+    goal = frozenset((x, y))
+    if x == y or goal in state.pairs:
+        return True
+    rules = {}
+    todo = [goal]
+    while todo:
+        pair = todo.pop()
+        if pair not in rules and pair not in state.settled \
+                and pair not in state.pairs:
+            rules[pair] = reference_pair_rules(state, pair)
+            todo += [q for *_, premises in rules[pair] for q in premises]
+    changed = True
+    while changed:
+        changed = False
+        for pair, options in rules.items():
+            if pair in state.settled:
+                continue
+            for rule in options:
+                if all(q in state.pairs or state.settled.get(q)
+                       for q in rule[-1]):
+                    state.settled[pair] = rule
+                    changed = True
+                    break
+    for pair in rules:
+        state.settled.setdefault(pair, None)
+    if state.settled[goal] is None:
+        return False
+    todo = [goal]
+    while todo:
+        pair = todo[-1]
+        cls, a, b, key, premises = state.settled[pair]
+        waiting = [q for q in premises if q not in state.pairs]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        if pair not in state.pairs:
+            state.pairs.add(pair)
+            steps.append(cls(a, b, state.rels[key]))
+    return True
+
+
+def reference_pair_rules(state, pair):
+    x, y = sorted(pair)
+    both = state.occ.get(x, set()) & state.occ.get(y, set())
+    rules = [(PairFromRelator, x, y, key, []) for key in sorted(both)
+             if _is_commutator(state.rels[key])]
+    for g, other in ((x, y), (y, x)):
+        for key in sorted(state.definitions.get(g, ())):
+            names = dict.fromkeys(
+                n for n, _ in defining_rotation(state.rels[key], g).letters)
+            rules.append((PairFromDefinition, g, other, key,
+                          [frozenset((n, other)) for n in names
+                           if n != other]))
+    return rules
+
+
+def check_every_pair_proof(monkeypatch):
+    """Make every `_prove_pair` call of the engine also run the reference
+    from the same start, and require the same answer, the same settled
+    pairs (in the same order, with the same rules), the same proved pairs
+    and the same appended steps.  Returns a list that gets the number of
+    steps each checked call appends."""
+    engine = importlib.import_module("m4kit.certify")
+    prove, calls = engine._prove_pair, []
+
+    def checked(state, x, y, steps):
+        settled, pairs = dict(state.settled), set(state.pairs)
+        start = len(steps)
+        got = (prove(state, x, y, steps), list(state.settled.items()),
+               state.pairs, steps[start:])
+        kept = state.settled, state.pairs
+        state.settled, state.pairs, ref_steps = settled, pairs, []
+        want = (reference_prove_pair(state, x, y, ref_steps),
+                list(state.settled.items()), state.pairs, ref_steps)
+        assert got == want, (x, y, str(state.snapshot()))
+        state.settled, state.pairs = kept
+        calls.append(len(ref_steps))
+        return got[0]
+
+    monkeypatch.setattr(engine, "_prove_pair", checked)
+    return calls
+
+
+def test_pair_prover_matches_the_reference_on_the_family(monkeypatch):
+    calls = check_every_pair_proof(monkeypatch)
+    for n in range(2, 13):
+        for m in (1, 2, 3):
+            calls.clear()
+            _run_engine(exotic_odd_cp2(n, m).pi1, Budget(),
+                        allow_discharge=True)
+            assert sum(calls) >= 5, (n, m)
+
+
+def test_pair_prover_matches_the_reference_on_the_corpus(monkeypatch):
+    calls = check_every_pair_proof(monkeypatch)
+    budget = Budget(max_derivation_steps=400)
+    for p in random_corpus(3000):
+        _run_engine(p, budget, allow_discharge=True)
+    assert sum(map(bool, calls)) > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_pair_prover_matches_the_reference_on_random_input(p):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_every_pair_proof(monkeypatch)
+        _run_engine(p, Budget(max_derivation_steps=400), allow_discharge=True)
+        commutation_closure(p)
 
 
 def test_commutator_letter_test_matches_cyclic_equality():

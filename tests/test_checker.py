@@ -621,8 +621,14 @@ def test_forged_step_fails_at_its_rule(p, forge, message):
      "eliminate: relator 'a b^-1' defines a = b, not a"),
     (REPLACE_P, Eliminate("b", W("b^-2"), W("b^3")),
      "eliminate: relator 'b^3' does not define 'b'"),
+    (TRIVIAL_P, PairFromDefinition("z", "a", W("a b^-1")),
+     "pair_from_definition: relator 'a b^-1' does not define 'z'"),
+    (REPLACE_P, ReplaceSubword(W("a^2 b^2 a^3 b^2"), W("a^2 b^2 a^3 b^-1"),
+                               W("b^3"), 0, False, 2, 8),
+     "replace_subword: claimed occurrence does not match"),
 ], ids=["pair_shape", "pair_names", "eliminate_unknown",
-        "eliminate_self_definition", "eliminate_self_in_power"])
+        "eliminate_self_definition", "eliminate_self_in_power",
+        "definition_unknown_gen", "replace_past_the_end"])
 def test_steps_of_the_implied_rules_still_fail(p, step, message):
     c = certify(p, budget=Budget(corroborate=False))
     with pytest.raises(CheckFailure, match="^step 0: " + re.escape(message)):

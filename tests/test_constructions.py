@@ -3,7 +3,6 @@ parameter ranges, abelianization oracles, and plumbing of the sign choice.
 Certification of the groups themselves happens in the acceptance suite."""
 
 import importlib
-import sys
 
 import pytest
 
@@ -174,18 +173,24 @@ def test_each_word_is_checked_once_per_presentation(monkeypatch):
 
 
 def test_building_the_family_parses_no_text_per_generator(monkeypatch):
-    # the tail of g2xgn is built from letters: parsing four texts for each
-    # j >= 3 made 1,298 parses at n = 320
-    calls = []
-    for module in [m for k, m in sys.modules.items() if k.startswith("m4kit")]:
-        if hasattr(module, "parse_word"):
-            def counting(text, parse=module.parse_word):
-                calls.append(text)
-                return parse(text)
-            monkeypatch.setattr(module, "parse_word", counting)
-    counts = []
+    # every text a block parses is a constant, parsed once per process, and
+    # the tail of g2xgn is built from letters: each build parsed 26 texts,
+    # and parsing four texts for each j >= 3 made 1,298 parses at n = 320.
+    # Parses are counted where every one of them starts, at the tokenizer,
+    # since a parsed constant need not call parse_word through any module.
+    words = importlib.import_module("m4kit.words")
+    tokens, texts = words._TOKEN_RE, []
+
+    class Counting:
+        def findall(self, text):
+            texts.append(text)
+            return tokens.findall(text)
+
+    exotic_odd_cp2(10, 1)
+    monkeypatch.setattr(words, "_TOKEN_RE", Counting())
+    words.parse_word("[c, d]")
+    assert texts == ["[c, d]"]
     for n in (10, 320):
-        calls.clear()
+        texts.clear()
         exotic_odd_cp2(n, 1)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        assert texts == [], f"n={n}: a build after the first parsed {texts}"
