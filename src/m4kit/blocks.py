@@ -28,7 +28,9 @@ Conventions:
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from math import gcd
+from operator import attrgetter, itemgetter
 
 from .presentation import FpPresentation, PresentationError
 from .words import (
@@ -85,6 +87,28 @@ def _check_twist(k: int, pushoff: Word, m: int) -> None:
                          f"more than {MAX_LETTERS:,} letters")
 
 
+_letters, _curve, _pushoff, _relator, _torus, _unsurgered = map(
+    attrgetter, ("letters", "curve", "pushoff", "relator", "torus_generators",
+                 "unsurgered"))
+
+
+def _sites_fit(sites: tuple[SurgeryDatum, ...], gens: set[str],
+               relators: tuple[Word, ...]) -> bool:
+    """Whether all sites pass MarkedManifold's checks, in one pass: each
+    site relator is one of the `relators` objects (so among them, and over
+    `gens`), and the curves, torus generators and the letters of the other
+    site words are in `gens`."""
+    try:
+        return (set(map(id, relators)).issuperset(map(id, map(_relator, sites)))
+                and gens.issuperset(map(_curve, sites))
+                and gens.issuperset(chain.from_iterable(map(_torus, sites)))
+                and gens.issuperset(map(itemgetter(0), chain.from_iterable(
+                    map(_letters, chain(map(_pushoff, sites),
+                                        map(_unsurgered, sites)))))))
+    except (AttributeError, TypeError):     # the per-site loop meets it
+        return False
+
+
 class EmbeddedSurface(Record):
     __slots__ = ("name", "genus", "self_intersection", "generator_images",
                  "modulo_meridian", "meridian", "complement_pi1")
@@ -134,8 +158,11 @@ class MarkedManifold(Record):
         if len(names) != len(set(names)):
             raise PresentationError(f"{name}: duplicate surface/site names")
         gens = set(pi1.generators)
-        relators = set(pi1.relators)
-        for t in sites:
+        # the loop runs only when the one pass over all sites fails, to
+        # compare relators by value and name the first fault
+        unfit = () if _sites_fit(sites, gens, pi1.relators) else sites
+        relators = set(pi1.relators) if unfit else set()
+        for t in unfit:
             if t.curve not in gens:
                 raise PresentationError(
                     f"site {t.name!r}: curve {t.curve!r} is not a generator")
@@ -262,11 +289,12 @@ def t2xg2(p: int, q: int) -> MarkedManifold:
                    "[a1, b1] [a2, b2]"))
     gens_ = ("a1", "b1", "a2", "b2", "c", "d")
     meridian = _word("[c, d]")
+    pi1 = FpPresentation(gens_, rel + (meridian,))
     return MarkedManifold(
         name=f"T2xG2({p},{q})", euler=0, signature=0, parity="unknown",
         symplectic=True, minimal=(True if (p, q) == (1, 1) else None),
-        pi1=FpPresentation(gens_, rel + (meridian,)),
-        surfaces=(_sigma2(meridian, FpPresentation(gens_, rel)),), sites=sites,
+        pi1=pi1, surfaces=(_sigma2(meridian, pi1.without_relator(meridian)),),
+        sites=sites,
     )
 
 
@@ -321,12 +349,12 @@ def g2xgn(n: int, m: int) -> MarkedManifold:
                  Word((("b1", 1), (c, 1), ("b1", -1), (c, -1))),
                  Word((("b2", 1), (d, 1), ("b2", -1), (d, -1))))
 
-    complement = FpPresentation(gens, (*rel, *tail))
+    pi1 = FpPresentation(gens, (*rel, fiber_word, *tail))
     return MarkedManifold(
         name=f"G2xG{n}({m})", euler=4 * n - 4, signature=0, parity="unknown",
-        symplectic=(m == 1), minimal=None,
-        pi1=FpPresentation(gens, (*rel, fiber_word, *tail)),
-        surfaces=(_sigma2(fiber_word, complement),), sites=tuple(sites),
+        symplectic=(m == 1), minimal=None, pi1=pi1,
+        surfaces=(_sigma2(fiber_word, pi1.without_relator(fiber_word)),),
+        sites=tuple(sites),
     )
 
 
@@ -338,10 +366,10 @@ _ALPHAS = ("alpha1", "alpha2", "alpha3", "alpha4")
 
 
 def _t4(q: int, r: int, m: int, eps1: int, eps3: int,
-        ) -> tuple[tuple[SurgeryDatum, ...], tuple[Word, ...], FpPresentation]:
+        ) -> tuple[tuple[SurgeryDatum, ...], FpPresentation]:
     """The four-torus with surgeries 1/q and m/r at its two sites (a zero
-    leaves that site untouched): its sites, the pi1 relators that the
-    blown-up block's surface complement keeps, and pi1."""
+    leaves that site untouched): its sites and pi1, whose last two
+    relators the blown-up block's surface complement drops."""
     sites = (
         _surgered_site("alpha2'xalpha3'", "alpha3",
                        _word("[alpha1^-1, alpha4^-1]"),
@@ -350,11 +378,11 @@ def _t4(q: int, r: int, m: int, eps1: int, eps3: int,
                        commutator(gen("alpha1", eps1), gen("alpha3", eps3)),
                        ("alpha2", "alpha4"), "[alpha1, alpha3]", r, m),
     )
-    core = (sites[0].relator, sites[1].relator,
-            *_words("[alpha2, alpha3]", "[alpha2, alpha4]"))
-    pi1 = FpPresentation(_ALPHAS, core + _words("[alpha1, alpha2]",
-                                                "[alpha3, alpha4]"))
-    return sites, core, pi1
+    pi1 = FpPresentation(_ALPHAS, (
+        sites[0].relator, sites[1].relator,
+        *_words("[alpha2, alpha3]", "[alpha2, alpha4]", "[alpha1, alpha2]",
+                "[alpha3, alpha4]")))
+    return sites, pi1
 
 
 def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedManifold:
@@ -378,7 +406,7 @@ def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedMani
     if r == 0 and m != 1:
         raise ValueError("skipping the second surgery (r = 0) forces m = 1")
 
-    sites, core, pi1 = _t4(q, r, m, eps1, eps3)
+    sites, pi1 = _t4(q, r, m, eps1, eps3)
     meridian = _word("[alpha3, alpha4]")
     sigmabar2 = EmbeddedSurface(
         name="SigmaBar2", genus=2, self_intersection=0,
@@ -387,8 +415,8 @@ def bt4(q: int, r: int, m: int = 1, eps1: int = 1, eps3: int = -1) -> MarkedMani
                           ("bbar2", gen("alpha4"))),
         modulo_meridian=frozenset({"abar2"}),
         meridian=meridian,
-        complement_pi1=FpPresentation(_ALPHAS, core).with_meridional(
-            "g", meridian),
+        complement_pi1=pi1.without_relator(
+            _word("[alpha1, alpha2]")).relator_to_tier("g", meridian),
     )
     return MarkedManifold(
         name=f"BT4({q},{r},{m})", euler=1, signature=-1, parity="odd",
@@ -401,7 +429,7 @@ def t4() -> MarkedManifold:
     """The four-torus itself, with the two standard surgery sites armed but
     untouched.  Twisting both and blowing up once reproduces bt4 — a route
     the tests compare against the direct constructor."""
-    sites, _, pi1 = _t4(0, 0, 1, 1, -1)
+    sites, pi1 = _t4(0, 0, 1, 1, -1)
     return MarkedManifold(
         name="T4", euler=0, signature=0, parity="even",
         symplectic=True, minimal=True,

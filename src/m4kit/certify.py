@@ -28,6 +28,7 @@ from .presentation import (
     ConditionalRelator,
     FpPresentation,
     MeridionalTier,
+    core_presentation,
     defining_rotation,
 )
 from .trace import (
@@ -46,7 +47,6 @@ from .trace import (
     TRIVIAL,
     TraceStep,
     coset_subgroup_of,
-    core_presentation,
     h1_of,
     parse_target,
     target_of,
@@ -185,13 +185,20 @@ class _State:
         """(key, the distinct names of g's definition by relator `key` in
         order of first occurrence) for each key in `definitions[g]`, in key
         order: found once, then kept until `put` adds or drops one of those
-        keys."""
+        keys.  The names are read off the relator, which is cyclically
+        reduced: the letters after g's one letter, cyclically, are the
+        definition, or its inverse (so reversed) when g's sign is +1."""
         names = self.names.get(g)
         if names is None:
-            names = self.names[g] = [
-                (key, tuple(dict.fromkeys(map(_name, self.definition(g, key)
-                                              .letters))))
-                for key in sorted(self.definitions.get(g, ()))]
+            names = self.names[g] = []
+            for key in sorted(self.definitions.get(g, ())):
+                letters = self.rels[key].letters
+                seq = list(map(_name, letters))
+                k = seq.index(g)
+                seq = seq[k + 1:] + seq[:k]
+                if letters[k][1] > 0:
+                    seq.reverse()
+                names.append((key, tuple(dict.fromkeys(seq))))
         return names
 
     def count(self, w: Word, sign: int) -> None:

@@ -30,7 +30,7 @@ from .certify import Budget, certify
 from .coset import CosetCount, coset_enumeration
 from .surgery import fiber_sum, torus_surgery
 from .trace import Certificate, INFINITE_CYCLIC, TRIVIAL
-from .words import Record, gen, replace, set_field
+from .words import Record, gen, set_field
 
 
 class GeographyError(ValueError):
@@ -201,9 +201,7 @@ def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
     closed_cert = certify(M.pi1, target="Z", budget=budget)
     # the complement drops the first copy of the site's relator, which
     # MarkedManifold guarantees is among the relators
-    relators = list(M.pi1.relators)
-    relators.remove(site.relator)
-    complement = replace(M.pi1, relators=tuple(relators))
+    complement = M.pi1.without_relator(site.relator)
     comp_cert = certify(complement, target="Z", budget=budget)
 
     meridian_dies = (

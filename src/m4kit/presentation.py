@@ -16,11 +16,22 @@ of side data that the rest of the package leans on:
   become freely trivial.
 
 All types are immutable; operations return new presentations.
+
+Every word is validated once, where it enters.  The constructor, and so
+the text parser, the block constructors and certificate decoding, checks
+that generator names and tier labels follow the name rule and that every
+letter names a generator with sign +1 or -1.  A presentation derived from
+valid ones (strip_meridional, without_relator, relator_to_tier, glued,
+core_presentation, replace_relator, with_meridional, with_prefix) relies
+on their validity: it keeps their words unchecked, checks only the words
+and names it adds, and raises the message the constructor would.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Iterable
 
 from .words import (
     NAME_RE,
@@ -30,7 +41,6 @@ from .words import (
     format_word,
     gen,
     parse_word,
-    replace,
     rotate,
     set_field,
     substitute,
@@ -64,6 +74,8 @@ class ConditionalRelator(Record):
 
 
 _name, _sign = itemgetter(0), itemgetter(1)
+_letters, _label, _key = map(attrgetter, ("letters", "label", "key"))
+_relator_and_key = attrgetter("relator", "key")
 _SIGNS = frozenset((1, -1))
 
 
@@ -81,6 +93,38 @@ def _check_word(w: Word, what: str, generators: set[str]) -> None:
             f"{what} {format_word(w)!r} has a sign other than +1 or -1")
 
 
+def _check_words(generators: set[str], relators: Iterable[Word] = (),
+                 conditional: Iterable[ConditionalRelator] = (),
+                 meridional: Iterable[MeridionalTier] = ()) -> None:
+    """Raise PresentationError at the first fault: relators, conditionals
+    (relator, then key), tiers (label, then key); in a word, names before
+    signs.  The loop that names it runs only when one C-level pass over
+    every letter and label finds a fault."""
+    try:
+        letters = list(chain.from_iterable(map(_letters, chain(
+            relators, chain.from_iterable(map(_relator_and_key, conditional)),
+            map(_key, meridional)))))
+        if (generators.issuperset(map(_name, letters))
+                and _SIGNS.issuperset(map(_sign, letters))
+                and all(map(NAME_RE.fullmatch, map(_label, meridional)))):
+            return
+    except (AttributeError, TypeError):  # the loop meets it, or a fault first
+        pass
+    for w in relators:
+        _check_word(w, "relator", generators)
+    for c in conditional:
+        _check_word(c.relator, "conditional relator", generators)
+        _check_word(c.key, "conditional key", generators)
+    for t in meridional:
+        _check_label(t.label)
+        _check_word(t.key, f"meridional key for {t.label!r}", generators)
+
+
+def _check_label(label: str) -> None:
+    if not NAME_RE.fullmatch(label):
+        raise PresentationError(f"bad tier label {label!r}")
+
+
 class FpPresentation(Record):
     __slots__ = ("generators", "relators", "conditional", "meridional")
 
@@ -95,15 +139,7 @@ class FpPresentation(Record):
             if g in seen:
                 raise PresentationError(f"duplicate generator {g!r}")
             seen.add(g)
-        for w in relators:
-            _check_word(w, "relator", seen)
-        for c in conditional:
-            _check_word(c.relator, "conditional relator", seen)
-            _check_word(c.key, "conditional key", seen)
-        for t in meridional:
-            if not NAME_RE.fullmatch(t.label):
-                raise PresentationError(f"bad tier label {t.label!r}")
-            _check_word(t.key, f"meridional key for {t.label!r}", seen)
+        _check_words(seen, relators, conditional, meridional)
         set_field(self, "generators", generators)
         set_field(self, "relators", relators)
         set_field(self, "conditional", conditional)
@@ -112,20 +148,57 @@ class FpPresentation(Record):
     # -- small immutable transforms ---------------------------------------
 
     def replace_relator(self, old: Word, new: Word) -> "FpPresentation":
+        p = self._spliced(old, new)
+        _check_word(new, "relator", set(self.generators))
+        return p
+
+    def without_relator(self, old: Word) -> "FpPresentation":
+        """Drop the first copy of relator `old`."""
+        return self._spliced(old)
+
+    def _spliced(self, old: Word, *new: Word) -> "FpPresentation":
         rels = list(self.relators)
         try:
             i = rels.index(old)
         except ValueError:
             raise PresentationError(f"relator {format_word(old)!r} not present")
-        rels[i] = new
-        return replace(self, relators=tuple(rels))
+        rels[i:i + 1] = new
+        return _derived(self.generators, tuple(rels), self.conditional,
+                        self.meridional)
 
     def with_meridional(self, label: str, key: Word) -> "FpPresentation":
-        return replace(self, meridional=self.meridional
-                       + (MeridionalTier(label, key),))
+        tier = MeridionalTier(label, key)
+        _check_words(set(self.generators), meridional=(tier,))
+        return _derived(self.generators, self.relators, self.conditional,
+                        self.meridional + (tier,))
+
+    def relator_to_tier(self, label: str, relator: Word) -> "FpPresentation":
+        """Drop the first copy of `relator` and add a tier keyed on it: a
+        meridian that dies in the closed manifold, seen from the surface
+        complement.  The key was checked as a relator."""
+        rest = self.without_relator(relator)
+        _check_label(label)
+        return _derived(rest.generators, rest.relators, rest.conditional,
+                        rest.meridional + (MeridionalTier(label, relator),))
 
     def strip_meridional(self) -> "FpPresentation":
-        return replace(self, meridional=())
+        return _derived(self.generators, self.relators, self.conditional, ())
+
+    def glued(self, other: "FpPresentation", relators: tuple[Word, ...] = (),
+              conditional: tuple[ConditionalRelator, ...] = (),
+              ) -> "FpPresentation":
+        """self and other side by side, their alphabets disjoint, then
+        `relators` and `conditional`, words over both alphabets."""
+        known = set(self.generators)
+        for g in other.generators:
+            if g in known:
+                raise PresentationError(f"duplicate generator {g!r}")
+        known.update(other.generators)
+        _check_words(known, relators, conditional)
+        return _derived(self.generators + other.generators,
+                        self.relators + other.relators + relators,
+                        self.conditional + other.conditional + conditional,
+                        self.meridional + other.meridional)
 
     def with_prefix(self, prefix: str) -> "FpPresentation":
         """Prefix every generator name and tier label, rewriting every word
@@ -135,17 +208,44 @@ class FpPresentation(Record):
         def sub(w: Word) -> Word:
             return substitute(w, images)
 
-        return FpPresentation(
-            generators=tuple(prefix + g for g in self.generators),
-            relators=tuple(sub(r) for r in self.relators),
-            conditional=tuple(ConditionalRelator(sub(c.relator), sub(c.key))
-                              for c in self.conditional),
-            meridional=tuple(MeridionalTier(prefix + t.label, sub(t.key))
-                             for t in self.meridional),
-        )
+        for t in self.meridional:
+            _check_label(prefix + t.label)
+        return _derived(
+            tuple(prefix + g for g in self.generators),
+            tuple(sub(r) for r in self.relators),
+            tuple(ConditionalRelator(sub(c.relator), sub(c.key))
+                  for c in self.conditional),
+            tuple(MeridionalTier(prefix + t.label, sub(t.key))
+                  for t in self.meridional))
 
     def __str__(self) -> str:
         return format_presentation(self)
+
+
+def _derived(generators: tuple[str, ...], relators: tuple[Word, ...],
+             conditional: tuple[ConditionalRelator, ...],
+             meridional: tuple[MeridionalTier, ...]) -> FpPresentation:
+    """The presentation of these fields, every one of which must already
+    be valid together, built without checking them again.  This is the
+    one way round the checking constructor; it stays private to this
+    module, behind transforms that check whatever they add."""
+    p = object.__new__(FpPresentation)
+    set_field(p, "generators", generators)
+    set_field(p, "relators", relators)
+    set_field(p, "conditional", conditional)
+    set_field(p, "meridional", meridional)
+    return p
+
+
+def core_presentation(p: FpPresentation,
+                      activated: Iterable[Word]) -> FpPresentation:
+    """The conditional-free core that coset corroboration runs on: p's
+    generators and relators plus every activated conditional relator."""
+    activated = tuple(activated)
+    # certify activates conditional relators of p, which are valid
+    valid = [c.relator for c in p.conditional]
+    _check_words(set(p.generators), [w for w in activated if w not in valid])
+    return _derived(p.generators, p.relators + activated, (), ())
 
 
 def defining_rotation(r: Word, name: str) -> Word | None:

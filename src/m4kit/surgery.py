@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import gcd
 
 from .blocks import EmbeddedSurface, MarkedManifold, SurgeryDatum
-from .presentation import ConditionalRelator, FpPresentation
+from .presentation import ConditionalRelator
 from .words import Word, gen, replace, substitute
 
 
@@ -154,9 +154,9 @@ def fiber_sum(left: MarkedManifold, left_surface: str,
             f"generator names {sorted(clash)} appear on both sides; "
             "pass prefix= to rename the right summand")
 
-    left_pi1, right_pi1 = S.complement_pi1, T.complement_pi1
-    relators = [*left_pi1.relators, *right_pi1.relators]
-    conditional = [*left_pi1.conditional, *right_pi1.conditional]
+    # the two complements are valid, so only the words added here are checked
+    relators: list[Word] = []
+    conditional: list[ConditionalRelator] = []
     for (ln, lw), (rn, rw_) in zip(S.generator_images, T.generator_images):
         ident = lw * rw_.inverse()
         if not ident:
@@ -174,22 +174,13 @@ def fiber_sum(left: MarkedManifold, left_surface: str,
         else:
             relators.append(ident)
 
-    # built once from the collected words, so that each presentation
-    # checks each word once
-    def presentation(rels: list[Word]) -> FpPresentation:
-        return FpPresentation(
-            left_pi1.generators + right_pi1.generators, tuple(rels),
-            tuple(conditional), left_pi1.meridional + right_pi1.meridional)
-
     mu = S.meridian * T.meridian
     if mu:
-        closed = presentation(relators + [mu])
-        # the complement is the closed sum without its first copy of mu
         relators.append(mu)
-        relators.remove(mu)
-        complement = presentation(relators)
-    else:
-        closed = complement = presentation(relators)
+    closed = S.complement_pi1.glued(T.complement_pi1, tuple(relators),
+                                    tuple(conditional))
+    # the complement is the closed sum without its first copy of mu
+    complement = closed.without_relator(mu) if mu else closed
 
     survivor = EmbeddedSurface(
         name=S.name, genus=S.genus, self_intersection=0,

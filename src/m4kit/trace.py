@@ -75,11 +75,12 @@ text, tuples are lists and a step is an object that names its kind.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .presentation import (
     FpPresentation,
     PresentationError,
+    core_presentation,
     format_presentation,
     parse_presentation,
 )
@@ -199,13 +200,6 @@ _KINDS = {
     "discharge_meridional": DischargeMeridional,
 }
 _NAMES = {cls: name for name, cls in _KINDS.items()}
-
-
-def core_presentation(p: FpPresentation,
-                      activated: Iterable[Word]) -> FpPresentation:
-    """The conditional-free core that coset corroboration runs on: p's
-    generators and relators plus every activated conditional relator."""
-    return FpPresentation(p.generators, p.relators + tuple(activated))
 
 
 class Certificate(Record):

@@ -36,7 +36,7 @@ from m4kit.constructions import (
 )
 from m4kit.presentation import FpPresentation, PresentationError, parse_presentation
 from m4kit.surgery import blow_up, torus_surgery
-from m4kit.words import Record, Word, commutator, gen, parse_word
+from m4kit.words import Record, Word, commutator, gen, parse_word, replace
 
 _EXPECTED = {
     "t2xg2(1,1)": """
@@ -351,6 +351,58 @@ def test_manifold_names_the_first_of_two_faults(sites, message):
     sites = tuple(_site(n, c, parse_word(r)) for n, c, r in sites)
     with pytest.raises(PresentationError) as exc:
         MarkedManifold("X", 0, 0, "unknown", True, None, p, (), sites)
+    assert str(exc.value) == message
+
+
+AB = FpPresentation(("a", "b"), (commutator(gen("a"), gen("b")),))
+
+
+# each site check alone: the one pass over all sites must send every fault
+# to the per-site loop that names it.  A site relator equal to a pi1
+# relator is among them whether or not it is the same object.
+@pytest.mark.parametrize("changes, message", [
+    (dict(pushoff=gen("q")), "site 's': word 'q' uses unknown generators"),
+    (dict(unsurgered=parse_word("a q")),
+     "site 's': word 'a q' uses unknown generators"),
+    (dict(torus_generators=("a", "q")),
+     "site 's': torus generators not in pi1"),
+    (dict(curve="q"), "site 's': curve 'q' is not a generator"),
+    (dict(relator=parse_word("a^2")),
+     "site 's': its relator 'a^2' is not among the pi1 relators"),
+    (dict(relator=commutator(gen("a"), gen("b"))), None),
+    (dict(relator=AB.relators[0]), None),
+])
+def test_manifold_checks_each_site(changes, message):
+    site = replace(_site("s", "a", AB.relators[0]), **changes)
+    if message is None:
+        assert MarkedManifold("X", 0, 0, "unknown", True, None, AB, (),
+                              (site,)).sites == (site,)
+        return
+    with pytest.raises(PresentationError) as exc:
+        MarkedManifold("X", 0, 0, "unknown", True, None, AB, (), (site,))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("images, meridian, message", [
+    ((("x", gen("a")), ("y", gen("q"))), gen("b"),
+     "surface 'S': image of y uses unknown generators"),
+    ((("x", gen("a")), ("y", gen("b"))), gen("q"),
+     "surface 'S': meridian uses unknown generators"),
+    ((("x", gen("a")), ("y", gen("b"))), gen("b"), None),
+])
+def test_surface_checks_each_curve_image_and_its_meridian(images, meridian,
+                                                           message):
+    def surface():
+        return EmbeddedSurface(
+            name="S", genus=1, self_intersection=0, generator_images=images,
+            modulo_meridian=frozenset(), meridian=meridian,
+            complement_pi1=AB)
+
+    if message is None:
+        assert surface().generator_images == images
+        return
+    with pytest.raises(PresentationError) as exc:
+        surface()
     assert str(exc.value) == message
 
 

@@ -3,10 +3,17 @@ parameter ranges, abelianization oracles, and plumbing of the sign choice.
 Certification of the groups themselves happens in the acceptance suite."""
 
 import importlib
+import sys
+from collections import Counter
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+from m4kit import geography
 from m4kit.abelian import AbelianGroup, h1
+from m4kit.blocks import CATALOG, t2xg2, t4, t4b2
+from m4kit.certify import Budget, certify
 from m4kit.constructions import (
     cyclic_family,
     exotic_cp2_2,
@@ -15,7 +22,12 @@ from m4kit.constructions import (
     exotic_odd_cp2,
     finite_cyclic_example,
 )
+from m4kit.manifest import parse_manifest, run_manifest
+from m4kit.presentation import FpPresentation, core_presentation
+from m4kit.surgery import blow_up, torus_surgery
 from m4kit.words import Word
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def h1_core(M):
@@ -155,21 +167,117 @@ def test_building_a_family_member_is_linear_work(n, monkeypatch):
 
 
 def test_each_word_is_checked_once_per_presentation(monkeypatch):
-    # g2xgn's pi1 and complement, and fiber_sum's closed sum and complement:
-    # four presentations, each checking every word once.  Adding each
-    # identification to a new presentation checks 1,595 words at n = 40.
+    # each (word, generator set) pair is validated once, where the word
+    # enters: a presentation derived from valid ones (a complement, the
+    # fiber sum, the certified basis, the core that corroboration runs on)
+    # checks only the words it adds.  Validating every word of every
+    # presentation made 1,070 checks of 355 such pairs at n = 40, up to
+    # five of one pair.
     presentation = importlib.import_module("m4kit.presentation")
-    check, calls = presentation._check_word, []
+    check_word, check_words = presentation._check_word, presentation._check_words
+    # the words are kept alive, so that their ids stay apart
+    validated, seen = Counter(), {}
 
-    def counting(w, what, generators):
-        calls.append(w)
-        check(w, what, generators)
+    def record(words, generators):
+        seen.update((id(w), w) for w in words)
+        validated.update((id(w), frozenset(generators)) for w in words)
 
-    monkeypatch.setattr(presentation, "_check_word", counting)
-    p = exotic_odd_cp2(40, 1).pi1
-    words = len(p.relators) + 2 * len(p.conditional) + len(p.meridional)
-    assert words == 180
-    assert len(calls) <= 4 * words
+    def counting_word(w, what, generators):
+        record([w], generators)
+        check_word(w, what, generators)
+
+    def counting_words(generators, relators=(), conditional=(),
+                       meridional=()):
+        record([*relators, *words_of(conditional, meridional)], generators)
+        check_words(generators, relators, conditional, meridional)
+
+    monkeypatch.setattr(presentation, "_check_word", counting_word)
+    monkeypatch.setattr(presentation, "_check_words", counting_words)
+    M = exotic_odd_cp2(40, 1)
+    c = certify(M.pi1, target="trivial", budget=Budget(corroborate=False))
+    c.core()
+    words = [*M.pi1.relators, *words_of(M.pi1.conditional, M.pi1.meridional)]
+    assert len(words) == 180
+    # the count sees the check of every word of the sum
+    assert {id(w) for w in words} <= seen.keys()
+    repeated = [(str(seen[i]), n) for (i, _), n in validated.items() if n > 1]
+    assert not repeated, repeated
+
+
+def words_of(conditional, meridional):
+    """The words of conditional relators and tiers: each relator and key."""
+    return [*(w for c in conditional for w in (c.relator, c.key)),
+            *(t.key for t in meridional)]
+
+
+# small parameters of every catalog block, valid ones only
+BLOCK_PARAMETERS = {
+    "T2xG2": [(p, q) for p in range(3) for q in range(3)],
+    "G2xGn": [(n, m) for n in (2, 3, 4) for m in (1, 2)],
+    "BT4": [(q, r, m, e1, e3) for q in range(3) for r in range(3)
+            for m in (1, 2) for e1 in (1, -1) for e3 in (1, -1)
+            if gcd(m, r) == 1 and (r or m == 1)],
+    "BBT4": [(q, r) for q in (1, 2) for r in (1, 2)],
+    "T4b2": [()], "T4": [()], "T2xS2b4": [()],
+}
+
+
+def test_derived_presentations_equal_their_validated_rebuilds(monkeypatch):
+    # every presentation that a transform builds without validating the
+    # words it inherits, rebuilt through the validating constructor: the
+    # constructor accepts it and the two are equal.  So are the manifolds'
+    # presentations and surface complements.
+    presentation = importlib.import_module("m4kit.presentation")
+    build, derived = presentation._derived, []
+
+    def recording(*fields):
+        # the presentation, with the transforms of presentation.py that
+        # built it on the stack
+        p, frame, names = build(*fields), sys._getframe(1), set()
+        while frame.f_code.co_filename == presentation.__file__:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        derived.append((names, p))
+        return p
+
+    monkeypatch.setattr(presentation, "_derived", recording)
+    assert set(BLOCK_PARAMETERS) == set(CATALOG)
+    manifolds = [CATALOG[name](*args)
+                 for name, params in BLOCK_PARAMETERS.items()
+                 for args in params]
+    manifolds += [exotic_odd_cp2(n, m) for n in range(2, 13)
+                  for m in (1, 2, 3)]
+    # the surgery routes that reproduce the blocks
+    for q, r, m in [(1, 1, 1), (1, 0, 1), (2, 3, 1), (1, 2, 3)]:
+        manifolds.append(blow_up(torus_surgery(torus_surgery(
+            t4(), "alpha2'xalpha3'", q), "alpha2''xalpha4'", r, m)))
+    manifolds += [torus_surgery(torus_surgery(
+        t4b2(), "alpha1'xalpha3'", 2), "alpha2'xalpha3''", 3)]
+    manifolds += [torus_surgery(torus_surgery(
+        t2xg2(0, 0), "a2'xc'", 3), "a2''xd'", 2)]
+    # the geography recipes, each with its torus complement
+    for chi, c1sq in [(1, 5), (1, 7), (2, 9), (2, 11), (2, 13), (2, 15),
+                      (3, 23)]:
+        M, site = geography._recipe(chi, c1sq)
+        manifolds.append(M)
+        M.pi1.without_relator(M.site(site).relator)
+    # every shipped manifest, built and certified
+    for path in sorted(MANIFESTS.glob("*.m4")):
+        result = run_manifest(parse_manifest(path.read_text()))
+        assert result.ok, path.name
+        manifolds += result.manifolds.values()
+    for M in manifolds:
+        M.pi1.strip_meridional()
+        core_presentation(M.pi1, [c.relator for c in M.pi1.conditional])
+
+    assert set().union(*(names for names, _ in derived)) == {
+        "strip_meridional", "without_relator", "relator_to_tier", "glued",
+        "replace_relator", "_spliced", "with_prefix", "core_presentation"}
+    for p in [p for _, p in derived] + [
+            q for M in manifolds
+            for q in (M.pi1, *(s.complement_pi1 for s in M.surfaces))]:
+        assert FpPresentation(p.generators, p.relators, p.conditional,
+                              p.meridional) == p
 
 
 def test_building_the_family_parses_no_text_per_generator(monkeypatch):

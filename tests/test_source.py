@@ -156,27 +156,43 @@ def test_the_smith_witness_stays_independent_of_the_elimination():
     assert replay_reached_outside_the_check(ast.unparse(tree))
 
 
-def unreduced_word_builders(source):
-    """The functions of `source` that make a Word with `object.__new__`,
-    which skips the reducing constructor."""
+def unchecked_builders(source, cls="Word"):
+    """The functions of `source` that make a `cls` with `object.__new__`,
+    which skips its constructor: for a Word the reduction, for an
+    FpPresentation the validation."""
     return [node.name for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.FunctionDef)
             and any(isinstance(call, ast.Call)
                     and ast.unparse(call.func) == "object.__new__"
+                    and [ast.unparse(a) for a in call.args] == [cls]
                     for call in ast.walk(node))]
+
+
+def assert_private(module, cls):
+    """`module` has one function that builds a `cls` unchecked, a private
+    one, and no other module of the package names it or has its own."""
+    builders = unchecked_builders(
+        (PACKAGE / module).read_text(encoding="utf-8"), cls)
+    assert len(builders) == 1 and builders[0].startswith("_")
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != module
+             and (builders[0] in path.read_text(encoding="utf-8")
+                  or unchecked_builders(path.read_text(encoding="utf-8"),
+                                        cls))]
+    assert users == []
 
 
 def test_the_unreduced_word_constructor_stays_private():
     # a Word built without reduction is correct only when its letters are
     # already reduced, which words.py alone can know
-    builders = unreduced_word_builders(
-        (PACKAGE / "words.py").read_text(encoding="utf-8"))
-    assert len(builders) == 1 and builders[0].startswith("_")
-    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "words.py"
-             and (builders[0] in path.read_text(encoding="utf-8")
-                  or unreduced_word_builders(path.read_text(encoding="utf-8")))]
-    assert users == []
+    assert_private("words.py", "Word")
+
+
+def test_the_unchecked_presentation_builder_stays_private():
+    # an FpPresentation built without validation is correct only when its
+    # words are already valid over its generators, which presentation.py's
+    # transforms alone ensure
+    assert_private("presentation.py", "FpPresentation")
 
 
 IMPORT_GUARD = """
