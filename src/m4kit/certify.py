@@ -16,11 +16,10 @@ gate downgrades any verdict whose abelianization disagrees.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Iterable
 
 from .abelian import AbelianGroup, h1
 from .coset import CosetCount, DEFAULT_MAX_COSETS, coset_enumeration
@@ -68,23 +67,12 @@ class BudgetError(ValueError):
     bool."""
 
 
-_FROM_ENV: Any = object()      # max_cosets not given: read the environment
-
-
 class Budget(Record):
     __slots__ = ("max_cosets", "max_derivation_steps", "corroborate")
 
-    def __init__(self, max_cosets: int = _FROM_ENV,
+    def __init__(self, max_cosets: int = DEFAULT_MAX_COSETS,
                  max_derivation_steps: int = 10_000,
                  corroborate: bool = True) -> None:
-        if max_cosets is _FROM_ENV:
-            raw = os.environ.get("M4KIT_BUDGET_COSETS",
-                                 str(DEFAULT_MAX_COSETS))
-            try:
-                max_cosets = int(raw)
-            except ValueError:
-                raise BudgetError(f"M4KIT_BUDGET_COSETS={raw!r} is not an "
-                                  "integer") from None
         # bool is a subclass of int, but True is no count
         for what, count in (("the coset budget", max_cosets),
                             ("the derivation budget", max_derivation_steps)):
@@ -133,11 +121,11 @@ class _State:
     conditionals, and `definitions` maps it to the keys of the relators
     that mention it once.  An elimination therefore rewrites only the
     relators that mention the generator.  The definition itself, the
-    rotation of such a relator that solves for the generator, is found
-    only when a move reads it (`definition`), and kept until its relator
-    is replaced; so is the list of a generator's defining keys with the
-    names of each definition (`definition_names`), until one of those keys
-    is added or dropped."""
+    rotation of such a relator that solves for the generator, is built
+    only for the elimination that wins.  The list of a generator's
+    defining keys with the names of each definition (`definition_names`)
+    is found when the pair prover reads it, and kept until one of those
+    keys is added or dropped."""
 
     def __init__(self, p: FpPresentation):
         self.gens: dict[str, None] = dict.fromkeys(p.generators)
@@ -146,7 +134,6 @@ class _State:
         self.occ: dict[str, set[int]] = {}
         self.total: dict[str, int] = {}
         self.definitions: dict[str, set[int]] = {}
-        self.rotations: dict[tuple[str, int], Word] = {}  # see definition
         # see definition_names
         self.names: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
         self.next_key = 0
@@ -171,15 +158,6 @@ class _State:
         # relators stay as they are until the round's move is applied
         self.settled: dict[frozenset[str], _Rule | None] = {}
         self.activated: list[Word] = []      # original forms, for reporting
-
-    def definition(self, g: str, key: int) -> Word:
-        """The definition of g that relator `key` gives, for a key in
-        `definitions[g]`: found once, then kept until `put` replaces the
-        relator."""
-        d = self.rotations.get((g, key))
-        if d is None:
-            d = self.rotations[g, key] = defining_rotation(self.rels[key], g)
-        return d
 
     def definition_names(self, g: str) -> list[tuple[int, tuple[str, ...]]]:
         """(key, the distinct names of g's definition by relator `key` in
@@ -221,7 +199,6 @@ class _State:
             for g, n in old.items():
                 if n == 1:
                     self.definitions[g].discard(key)
-                    self.rotations.pop((g, key), None)
                     self.names.pop(g, None)
         new = _letter_counts(w)
         total, dirty, occ = self.total, self.dirty, self.occ
@@ -447,7 +424,7 @@ def _find_elimination(state: _State
         return None
     _, length, g, key = heap[0]
     if length:
-        return Eliminate(gen=g, definition=state.definition(g, key),
+        return Eliminate(gen=g, definition=defining_rotation(rels[key], g),
                          via=rels[key]), key
     kills = []
     while heap and not heap[0][1]:

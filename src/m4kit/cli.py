@@ -13,9 +13,8 @@ certificate or --target) or could not be read (a missing or unreadable
 file, or one that is not UTF-8); 3 the certification budget was exhausted
 before a definite verdict.
 
-The coset budget honours the M4KIT_BUDGET_COSETS environment variable and
-the --max-cosets flag (the flag wins); either must be a positive integer,
-or the command exits 2.
+The coset budget is the --max-cosets flag (default 1,000,000); it must be
+a positive integer, or the command exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Any
 from . import checker
 from .blocks import MarkedManifold
 from .certify import Budget, BudgetError, certify
+from .coset import DEFAULT_MAX_COSETS
 from .geography import GeographyError, in_odd_region, realize_pair
 from .manifest import (
     Expectation,
@@ -54,9 +54,7 @@ EXIT_BUDGET = 3
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    if args.max_cosets is not None:
-        return Budget(max_cosets=args.max_cosets)
-    return Budget()
+    return Budget(max_cosets=args.max_cosets)
 
 
 def _write_json(path: str, data: dict[str, Any]) -> None:
@@ -235,10 +233,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise CertificateFormatError("JSON nests too deeply") from None
     cert = Certificate.from_json(data)
     expected = None
+    if (args.manifest is None) != (args.name is None):
+        print("--manifest requires --name" if args.name is None
+              else "--name requires --manifest", file=sys.stderr)
+        return EXIT_USAGE
     if args.manifest is not None:
-        if args.name is None:
-            print("--manifest requires --name", file=sys.stderr)
-            return EXIT_USAGE
         expected = _build_manifold(args.manifest, args.name).pi1
     try:
         checker.replay(cert, expected)
@@ -279,7 +278,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="run a manifest and its expectations")
     p.add_argument("manifest")
     p.add_argument("-o", "--output", help="write a JSON report here")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("certify", help="certify one manifold from a manifest")
@@ -288,7 +287,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, type=parse_target,
                    help='"trivial", "Z", or "Z/<n>" with n >= 2')
     p.add_argument("-o", "--output", help="write the certificate JSON here")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("geography",
@@ -296,7 +295,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("chi", type=int)
     p.add_argument("c1sq", type=int)
     p.add_argument("-o", "--output", help="write a JSON report here")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(fn=_cmd_geography)
 
     p = sub.add_parser("catalog", help="list the block constructors")

@@ -191,7 +191,12 @@ def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
     carry infinite-cyclic certificates, with the meridian dying and the
     torus generators surjecting (checked by coset enumeration)."""
     budget = budget if budget is not None else Budget()
-    M, site_name = _recipe(chi, c1sq)
+    try:
+        M, site_name = _recipe(chi, c1sq)
+    except GeographyError:
+        raise
+    except ValueError as exc:          # a block too large to build
+        raise GeographyError(str(exc)) from None
     pt = coords(M.euler, M.signature)
     if pt != GeoPoint(chi, c1sq):
         raise GeographyError(

@@ -384,18 +384,14 @@ class CheckOutcome(Record):
 
 
 class RunResult(Record):
-    # unlike the other records, mutable and so unhashable
     __slots__ = ("manifolds", "outcomes", "certificates")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, manifolds: dict[str, MarkedManifold],
                  outcomes: list[CheckOutcome],
                  certificates: dict[str, Certificate]) -> None:
-        self.manifolds = manifolds
-        self.outcomes = outcomes
-        self.certificates = certificates
+        set_field(self, "manifolds", manifolds)
+        set_field(self, "outcomes", outcomes)
+        set_field(self, "certificates", certificates)
 
     @property
     def ok(self) -> bool:

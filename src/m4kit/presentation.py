@@ -22,15 +22,14 @@ the text parser, the block constructors and certificate decoding, checks
 that generator names and tier labels follow the name rule and that every
 letter names a generator with sign +1 or -1.  A presentation derived from
 valid ones (strip_meridional, without_relator, relator_to_tier, glued,
-core_presentation, replace_relator, with_meridional, with_prefix) relies
-on their validity: it keeps their words unchecked, checks only the words
-and names it adds, and raises the message the constructor would.
+core_presentation, replace_relator, with_prefix) relies on their
+validity: it keeps their words unchecked, checks only the words and
+names it adds, and raises the message the constructor would.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable
 
 from .words import (
@@ -74,8 +73,6 @@ class ConditionalRelator(Record):
 
 
 _name, _sign = itemgetter(0), itemgetter(1)
-_letters, _label, _key = map(attrgetter, ("letters", "label", "key"))
-_relator_and_key = attrgetter("relator", "key")
 _SIGNS = frozenset((1, -1))
 
 
@@ -98,18 +95,7 @@ def _check_words(generators: set[str], relators: Iterable[Word] = (),
                  meridional: Iterable[MeridionalTier] = ()) -> None:
     """Raise PresentationError at the first fault: relators, conditionals
     (relator, then key), tiers (label, then key); in a word, names before
-    signs.  The loop that names it runs only when one C-level pass over
-    every letter and label finds a fault."""
-    try:
-        letters = list(chain.from_iterable(map(_letters, chain(
-            relators, chain.from_iterable(map(_relator_and_key, conditional)),
-            map(_key, meridional)))))
-        if (generators.issuperset(map(_name, letters))
-                and _SIGNS.issuperset(map(_sign, letters))
-                and all(map(NAME_RE.fullmatch, map(_label, meridional)))):
-            return
-    except (AttributeError, TypeError):  # the loop meets it, or a fault first
-        pass
+    signs."""
     for w in relators:
         _check_word(w, "relator", generators)
     for c in conditional:
@@ -165,12 +151,6 @@ class FpPresentation(Record):
         rels[i:i + 1] = new
         return _derived(self.generators, tuple(rels), self.conditional,
                         self.meridional)
-
-    def with_meridional(self, label: str, key: Word) -> "FpPresentation":
-        tier = MeridionalTier(label, key)
-        _check_words(set(self.generators), meridional=(tier,))
-        return _derived(self.generators, self.relators, self.conditional,
-                        self.meridional + (tier,))
 
     def relator_to_tier(self, label: str, relator: Word) -> "FpPresentation":
         """Drop the first copy of `relator` and add a tier keyed on it: a

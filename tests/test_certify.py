@@ -306,9 +306,9 @@ def test_paper_family_certified_at_scale(n):
 
 @pytest.mark.parametrize("n", [40, 80])
 def test_definitions_found_once_per_relator(n, monkeypatch):
-    # a relator's definition is kept, once found, while no elimination
-    # touches it; finding the definitions again for every relator in every
-    # round takes 4,112 calls at n = 40 and 14,552 at 80
+    # a definition is built only for the elimination that wins; finding
+    # the definitions again for every relator in every round takes 4,112
+    # calls at n = 40 and 14,552 at 80
     engine = importlib.import_module("m4kit.certify")
     calls = []
 
@@ -535,11 +535,11 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
     # every round searches for an elimination after the round's moves, so
     # this compares the incremental index with one built from scratch after
     # every step of the engine: occurrences, letter counts, defining keys
-    # and every definition read through the memoising accessor, with
-    # relator keys read as positions, and the step the heap picks with the
-    # position of its relator.  First, each list of definition names that
-    # the pair prover memoised and the engine kept must still be the one a
-    # fresh computation gives.
+    # and the definition each defining key gives, with relator keys read
+    # as positions, and the step the heap picks with the position of its
+    # relator.  First, each list of definition names that the pair prover
+    # memoised and the engine kept must still be the one a fresh
+    # computation gives.
     engine = importlib.import_module("m4kit.certify")
     find, rounds, batches, memos = engine._find_elimination, [], [], []
 
@@ -552,7 +552,7 @@ def test_memoised_definitions_match_a_fresh_index(build, monkeypatch):
             memos.append(g)
 
     def definitions(state):
-        return {g: {k: state.definition(g, k) for k in keys}
+        return {g: {k: defining_rotation(state.rels[k], g) for k in keys}
                 for g, keys in state.definitions.items() if keys}
 
     def index(state):

@@ -172,27 +172,19 @@ def test_each_word_is_checked_once_per_presentation(monkeypatch):
     # fiber sum, the certified basis, the core that corroboration runs on)
     # checks only the words it adds.  Validating every word of every
     # presentation made 1,070 checks of 355 such pairs at n = 40, up to
-    # five of one pair.
+    # five of one pair.  Every word check, alone or in a presentation's,
+    # is one _check_word.
     presentation = importlib.import_module("m4kit.presentation")
-    check_word, check_words = presentation._check_word, presentation._check_words
+    check_word = presentation._check_word
     # the words are kept alive, so that their ids stay apart
     validated, seen = Counter(), {}
 
-    def record(words, generators):
-        seen.update((id(w), w) for w in words)
-        validated.update((id(w), frozenset(generators)) for w in words)
-
     def counting_word(w, what, generators):
-        record([w], generators)
+        seen[id(w)] = w
+        validated[id(w), frozenset(generators)] += 1
         check_word(w, what, generators)
 
-    def counting_words(generators, relators=(), conditional=(),
-                       meridional=()):
-        record([*relators, *words_of(conditional, meridional)], generators)
-        check_words(generators, relators, conditional, meridional)
-
     monkeypatch.setattr(presentation, "_check_word", counting_word)
-    monkeypatch.setattr(presentation, "_check_words", counting_words)
     M = exotic_odd_cp2(40, 1)
     c = certify(M.pi1, target="trivial", budget=Budget(corroborate=False))
     c.core()

@@ -314,21 +314,34 @@ def test_exit_usage_on_unreadable_input(tmp_path, capsys, command, unreadable):
     assert str(path) in err
 
 
-def test_exit_usage_on_bad_geography_pair(capsys):
-    assert main(["geography", "1", "6"]) == 2
-    capsys.readouterr()
+# (1, 6) has no recipe; (100000000, 799999999) has one, whose G2xGn block
+# would pass the letter cap
+@pytest.mark.parametrize("chi, c1sq", [("1", "6"), ("100000000", "799999999")])
+def test_exit_usage_on_bad_geography_pair(capsys, chi, c1sq):
+    assert main(["geography", chi, c1sq]) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("env, argv", [
-    ("abc", []), ("0", []), ("-3", []), (None, ["--max-cosets", "0"]),
-])
-def test_exit_usage_on_bad_coset_budget(tmp_path, capsys, monkeypatch, env,
-                                        argv):
-    if env is not None:
-        monkeypatch.setenv("M4KIT_BUDGET_COSETS", env)
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_exit_usage_on_bad_coset_budget(tmp_path, capsys, count):
     path = write(tmp_path, "block b = T4()\nexpect b: e=0\n")
-    assert main(["build", path, *argv]) == 2
+    assert main(["build", path, "--max-cosets", count]) == 2
     assert "budget error" in capsys.readouterr().err
+
+
+def test_report_bytes_ignore_the_environment(tmp_path, capsys, monkeypatch):
+    # the coset budget is the flag's, whatever the shell exports
+    path = MANIFESTS / "exotic_cp2_2.m4"
+    monkeypatch.delenv("M4KIT_BUDGET_COSETS", raising=False)
+    outs = []
+    for name in ("unset", "set"):
+        out = tmp_path / f"{name}.json"
+        assert main(["build", str(path), "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+        monkeypatch.setenv("M4KIT_BUDGET_COSETS", "5")
+    assert outs[0] == outs[1]
+    capsys.readouterr()
 
 
 def test_exit_budget_on_inconclusive(tmp_path, capsys):
@@ -353,6 +366,18 @@ def test_certify_replay_round_trip(tmp_path, capsys):
     Path(cert_path).write_text(json.dumps(data))
     assert main(["replay", cert_path]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, missing", [("--manifest", "--name"),
+                                           ("--name", "--manifest")])
+def test_replay_flags_come_in_pairs(tmp_path, capsys, flag, missing):
+    # either flag alone is a usage error, not a replay against no input
+    path = write(tmp_path, "block b = T4()\n")
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", path, "b", "-o", cert_path]) == 3
+    value = path if flag == "--manifest" else "b"
+    assert main(["replay", cert_path, flag, value]) == 2
+    assert f"{flag} requires {missing}" in capsys.readouterr().err
 
 
 def test_bad_block_parameter_exits_usage_under_optimize(tmp_path):

@@ -105,7 +105,8 @@ def test_replace_relator_preserves_position():
 
 
 def test_meridional_tier_and_strip():
-    p = AB.with_meridional("g", commutator(gen("a"), gen("b")))
+    p = FpPresentation(AB.generators, AB.relators, meridional=(
+        MeridionalTier("g", commutator(gen("a"), gen("b"))),))
     assert p.meridional[0].label == "g"
     assert p.strip_meridional().meridional == ()
     # stripping does not invent or drop ordinary relators
@@ -114,8 +115,8 @@ def test_meridional_tier_and_strip():
 
 def test_with_prefix():
     q = FpPresentation(AB.generators, AB.relators, conditional=(
-        ConditionalRelator(parse_word("a^2 b"), gen("b")),)
-    ).with_meridional("g", gen("a")).with_prefix("L_")
+        ConditionalRelator(parse_word("a^2 b"), gen("b")),),
+        meridional=(MeridionalTier("g", gen("a")),)).with_prefix("L_")
     assert q.generators == ("L_a", "L_b")
     assert q.relators == (parse_word("L_a L_b L_a^-1 L_b^-1"),)
     assert q.meridional == (MeridionalTier("L_g", gen("L_a")),)
@@ -352,9 +353,6 @@ def test_the_transforms_reject_as_the_per_word_reference(data):
         assert outcome(lambda: p.replace_relator(old, word)) \
             == reference_outcome(**fields | {"relators": tuple(relators)})
     label = data.draw(st.sampled_from(("g", "t2", "1t", "_t", " t", "a:b")))
-    tier = MeridionalTier(label, word)
-    assert outcome(lambda: p.with_meridional(label, word)) \
-        == reference_outcome(**fields | {"meridional": p.meridional + (tier,)})
     prefix = data.draw(st.sampled_from(("", "L_", "x", "1", "_", " ")))
     assert outcome(lambda: p.with_prefix(prefix)) \
         == reference_with_prefix(p, prefix)

@@ -23,6 +23,37 @@ def test_no_check_rests_on_assert(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """The lines of `source` that name one of os's ways to read the
+    process environment, as an attribute or an imported name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_READS)
+            or (isinstance(node, ast.ImportFrom)
+                and {a.name for a in node.names} & ENVIRONMENT_READS)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # a result depends only on the arguments of the call that makes it, so
+    # the same command writes the same bytes whatever the shell exports
+    lines = environment_reads(path.read_text(encoding="utf-8"))
+    assert lines == [], f"{path.name}: environment read on lines {lines}"
+
+
+def test_the_environment_rule_sees_each_way_to_read_it():
+    for source in ("import os\nos.environ.get('X')",
+                   "from os import environ", "from os import getenv as g",
+                   "import os as o\no.getenv('X')"):
+        assert environment_reads(source) == [source.count("\n") + 1], source
+    # a mention in text, or a name of the module's own, reads nothing
+    assert environment_reads('"os.environ"\nenviron = {}') == []
+
+
 def imports_of(path):
     """Map each package module that `path` imports from to the names it
     takes (an empty set for a whole-module import)."""
