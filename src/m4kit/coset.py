@@ -5,6 +5,18 @@ the run defines the same cosets in the same order.  The enumeration either
 returns the exact index of the subgroup or reports that it hit the cap —
 it never claims an index is infinite.
 
+Before the table is built, the generators that short relators define are
+eliminated (Tietze moves; Havas, Kenne, Richardson and Robertson, 1984):
+a generator that occurs once in a cyclically reduced relator of at most
+three letters is replaced by the other letters in every relator and
+subgroup word, and empty relators are dropped, until no such relator is
+left.  The last such generator in the presentation goes first, and no
+generator's image may exceed two letters (an elimination that would break
+that waits until the image shortens), so no relator more than doubles;
+the first generator, or definitions of up to four letters, nearly tripled
+the family's cosets.  The subgroup is rewritten alike, so the index is the input's,
+but the cosets defined, and so the cap, are those of the reduced run.
+
 The table is row-per-coset with one column per generator letter (g and
 g^-1, so column x ^ 1 is the inverse of column x).  Felsch strategy: the
 first undefined entry of each live coset, taken in order, defines a new
@@ -27,10 +39,11 @@ renumbered or dropped, so the table holds exactly the cosets defined, and
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .presentation import FpPresentation
-from .words import Record, Word, set_field
+from .presentation import FpPresentation, defining_rotation
+from .words import Record, Word, cyclic_reduce, set_field, substitute
 
 DEFAULT_MAX_COSETS = 1_000_000      # the coset budget unless one is given
 
@@ -299,9 +312,68 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
                       ) -> CosetCount | Exceeded:
     """Index of the subgroup generated by `subgroup` in the group presented
     by p (relators only; conditional relators and meridional tiers are the
-    caller's business, and ValueError is raised if any are present)."""
+    caller's business, and ValueError is raised if any are present).
+    The generators that relators of at most three letters define are
+    eliminated first, the last one first and no image longer than two
+    letters: the index is p's, but `total_defined` and `max_cosets` count
+    the cosets of the reduced presentation."""
     if p.meridional:
         raise ValueError("strip/discharge the meridional tier first")
     if p.conditional:
         raise ValueError("decide conditional relators before enumerating")
-    return _Enumerator(p.generators, max_cosets, p.relators).run(subgroup)
+    gens, relators, subgroup = _eliminate(p.generators, p.relators, subgroup)
+    return _Enumerator(gens, max_cosets, relators).run(subgroup)
+
+
+def _eliminate(gens: Sequence[str], relators: Sequence[Word],
+               subgroup: Iterable[Word]
+               ) -> tuple[tuple[str, ...], list[Word], list[Word]]:
+    """The generators, relators and subgroup words left once the generators
+    that short relators define are eliminated (see the module docstring)."""
+    words = list(relators) + list(subgroup)
+    nrel, rank = len(relators), {g: i for i, g in enumerate(gens)}
+    occ: dict[str, set[int]] = {g: set() for g in gens}   # words naming g
+    for i, w in enumerate(words):
+        for g in w.names():
+            occ[g].add(i)
+    heap: list[tuple[int, int]] = []     # (-rank of g, relator defining g)
+
+    def push(i: int) -> None:
+        c = cyclic_reduce(words[i])
+        if len(c) <= 3 and i < nrel:
+            for g in c.names():
+                if c.occurrences(g) == 1:
+                    heappush(heap, (-rank[g], i))
+
+    for i in range(nrel):
+        push(i)
+    images: dict[str, Word] = {}         # the eliminated g -> g's two letters
+    users: dict[str, set[str]] = {g: set() for g in gens}   # images naming g
+    refused: dict[str, list[int]] = {}   # g -> relators refused for length
+    while heap:
+        r, i = heappop(heap)
+        g, c = gens[-r], cyclic_reduce(words[i])
+        u = defining_rotation(c, g) if len(c) <= 3 else None
+        if u is None:
+            continue                     # the relator has changed since
+        new = {h: substitute(images[h], {g: u}) for h in users[g]}
+        if any(len(w) > 2 for w in new.values()):
+            refused.setdefault(g, []).append(i)
+            continue
+        for h in new:                    # a changed image may unblock
+            for x in images.pop(h).names():
+                users[x].discard(h)
+                for j in refused.pop(x, ()):
+                    heappush(heap, (-rank[x], j))
+        for h, w in ({g: u} | new).items():
+            if len(w) == 2:
+                images[h] = w
+                for x in w.names():
+                    users[x].add(h)
+        for j in occ.pop(g):
+            words[j] = w = substitute(words[j], {g: u})
+            for x in u.names() & w.names():
+                occ[x].add(j)
+            push(j)
+    return (tuple(g for g in gens if g in occ),
+            [w for w in words[:nrel] if w], words[nrel:])

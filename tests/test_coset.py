@@ -10,16 +10,26 @@ doubled relator, against a build by concatenation; and the deduction scans,
 which the kernel skips when a cycle is open at both ends of the deduction,
 and the coincidence processing, against scans of every rotation letter by
 letter.  The short-relator runs cover the rotations of one and two letters
-that are never skipped.
+that are never skipped.  The last section checks that coset_enumeration,
+which first eliminates the generators that short relators define, keeps
+the index of the bare enumerator, and checks the elimination itself on
+hand cases and on a long chain.
 """
 
+import time
 from random import Random
 
 import pytest
 
 from m4kit.certify import Budget, certify
 from m4kit.constructions import exotic_odd_cp2
-from m4kit.coset import CosetCount, Exceeded, _Enumerator, coset_enumeration
+from m4kit.coset import (
+    CosetCount,
+    Exceeded,
+    _eliminate,
+    _Enumerator,
+    coset_enumeration,
+)
 from m4kit.presentation import (
     ConditionalRelator,
     FpPresentation,
@@ -27,6 +37,8 @@ from m4kit.presentation import (
     parse_presentation,
 )
 from m4kit.words import gen, parse_word
+
+from test_certify import random_corpus
 
 
 def pres(gens: str, *rels: str) -> FpPresentation:
@@ -172,7 +184,10 @@ def test_large_collapsing_table_closes():
 # Cosets defined on the core of each odd_sweep member (the benchmark's
 # diagonal), and on the larger n = 20 core.  A change to the definition
 # order or the deduction rule moves these counts, so it cannot pass as a
-# mere speed-up.
+# mere speed-up.  They fell (from 370, 840, 1448, 2182, 3144 and 10102)
+# when coset_enumeration began to eliminate the generators that short
+# relators define: every core loses alpha1, alpha2, alpha4 and a2, and
+# the smaller table defines fewer cosets to reach the same index.
 ODD_SWEEP = [(2, 1), (4, 2), (6, 3), (8, 1), (10, 3)]
 
 
@@ -182,8 +197,8 @@ def _odd_core(n, m):
 
 
 @pytest.mark.parametrize("n, m, defined", [
-    (2, 1, 370), (4, 2, 840), (6, 3, 1448), (8, 1, 2182), (10, 3, 3144),
-    (20, 1, 10102),
+    (2, 1, 320), (4, 2, 758), (6, 3, 1334), (8, 1, 2036), (10, 3, 2966),
+    (20, 1, 9764),
 ])
 def test_odd_family_cores_define_pinned_cosets(n, m, defined):
     assert coset_enumeration(_odd_core(n, m)) == CosetCount(
@@ -438,3 +453,83 @@ def test_closed_table_on_random_finite_presentations():
     assert sum(1 for _, subgroup in cases if subgroup) >= 10
     for p, subgroup in cases:
         _assert_closed(p, subgroup)
+
+
+# -- eliminating the generators that short relators define --------------------
+
+def _assert_same_index(p, subgroup=(), max_cosets=1_000_000):
+    """coset_enumeration, which eliminates first, against the enumerator
+    run on p as given: the same index, or the same Exceeded."""
+    result = coset_enumeration(p, subgroup, max_cosets)
+    plain = _Enumerator(p.generators, max_cosets, p.relators).run(subgroup)
+    case = (str(p), [str(w) for w in subgroup])
+    if isinstance(plain, Exceeded):
+        assert result == plain, case
+    else:
+        assert result.index == plain.index, case
+    return result
+
+
+@pytest.mark.parametrize("p, subgroup, index", LISTED_SUBGROUPS)
+def test_elimination_keeps_the_index_on_listed_subgroups(p, subgroup, index):
+    words = [parse_word(subgroup)] if subgroup else []
+    assert _assert_same_index(p, words).index == index
+
+
+def test_elimination_keeps_the_index_on_random_finite_presentations():
+    for p, subgroup in _random_finite_presentations(50, 0xC05E7):
+        _assert_same_index(p, subgroup, 2000)
+
+
+def test_elimination_keeps_the_index_on_the_certify_corpus():
+    results = [_assert_same_index(p, max_cosets=2000)
+               for p in random_corpus(500)]
+    # the corpus reaches closed tables and capped runs alike
+    assert sum(isinstance(r, Exceeded) for r in results) >= 20
+    assert sum(isinstance(r, CosetCount) for r in results) >= 20
+
+
+@pytest.mark.parametrize("p, subgroup, index, left", [
+    # b is killed
+    (pres("a b", "b", "a^3"), "", 3, "<a | a^3>"),
+    # b becomes a, in both relators; the a^2 left behind stays a relator
+    (pres("a b", "a b^-1", "a b"), "", 2, "<a | a^2>"),
+    # a becomes the square b^2
+    (pres("a b", "a b^-2", "b^5"), "", 5, "<b | b^5>"),
+    # b becomes a in the subgroup word too
+    (pres("a b", "a b^-1", "a^6"), "b^2", 2, "<a | a^6> over a^2"),
+    # c becomes b, b becomes a^-1 and a is killed
+    (pres("a b c", "a b", "b c^-1", "c"), "", 1, "< | >"),
+    # a relator of four letters defines nothing
+    (pres("a b c", "c a b^2", "a^2", "b^3", "[a, b]"), "", 6,
+     "<a, b, c | c a b^2, a^2, b^3, a b a^-1 b^-1>"),
+    # c becomes a b; b = a^2 would make that a^3, so b is kept
+    (pres("a b c", "c b^-1 a^-1", "b a^-2", "a^5"), "", 5,
+     "<a, b | b a^-2, a^5>"),
+    # e becomes b and c becomes a^-1 b; b = d^2 is refused while c's
+    # image is a^-1 b, and taken once the kill of a has shortened it to b
+    (pres("a b c d e", "a^-1", "a^-1 b c^-1", "e^-1 b", "e d^-2", "d^3"),
+     "", 3, "<d | d^3>"),
+], ids=str)
+def test_elimination_on_hand_cases(p, subgroup, index, left):
+    words = [parse_word(subgroup)] if subgroup else []
+    gens, relators, words_left = _eliminate(p.generators, p.relators, words)
+    shown = f"<{', '.join(gens)} | {', '.join(map(str, relators))}>"
+    if words_left:
+        shown += " over " + ", ".join(map(str, words_left))
+    assert shown == left
+    assert _assert_same_index(p, words).index == index
+
+
+def test_elimination_is_not_quadratic_in_the_generators():
+    # x_i = x_{i+1} for 2,000 generators: each elimination rewrites only
+    # the relators that mention its generator.  Best of three runs.
+    xs = [f"x{i}" for i in range(2000)]
+    p = FpPresentation(tuple(xs), tuple(
+        gen(x) * gen(y, -1) for x, y in zip(xs, xs[1:])) + (gen("x0") ** 3,))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert coset_enumeration(p) == CosetCount(index=3, total_defined=3)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1

@@ -449,6 +449,12 @@ def _mangle_target(cert):
     cert["target"], cert["matches_target"] = "zz", False
 
 
+def _mangle_verdict(cert):
+    # decodes field by field; only the verdict rule of from_json refuses it,
+    # and without that rule replay reports tampering (exit 1)
+    cert["verdict"] = "bogus"
+
+
 def _mangle_item(key, item):
     def mangle(cert):
         cert[key] = [item]
@@ -465,7 +471,7 @@ MANGLES = [
     pytest.param(m, id=m.__name__) for m in (
         _mangle_schema, _mangle_kind, _mangle_missing_field, _mangle_rotation,
         _mangle_distinguished, _mangle_deep_nesting, _mangle_huge_power,
-        _mangle_repeated_generators, _mangle_target)
+        _mangle_repeated_generators, _mangle_target, _mangle_verdict)
 ] + [
     # every certificate field decodes from its own JSON type only
     pytest.param(_mangle_to_object(f), id=f"{f}={{}}")
