@@ -71,7 +71,6 @@ from .words import (
     Word,
     WordSyntaxError,
     commutator,
-    conjugate,
     cyclic_reduce,
     cyclically_equal,
     format_word,
@@ -102,7 +101,7 @@ __all__ = [
     "PresentationError", "format_presentation", "parse_presentation",
     "SurgeryError", "blow_up", "fiber_sum", "rename_manifold",
     "torus_surgery",
-    "Word", "WordSyntaxError", "commutator", "conjugate", "cyclic_reduce",
+    "Word", "WordSyntaxError", "commutator", "cyclic_reduce",
     "cyclically_equal", "format_word", "gen", "parse_word", "substitute",
     "__version__",
 ]

@@ -7,11 +7,15 @@
     m4kit replay CERT.json [...]              re-verify a certificate
     m4kit fmt MANIFEST [-w]                   canonical manifest form
 
-Exit codes: 0 success; 1 an expectation or verification failed; 2 the
-input was malformed (parse error, unknown name, bad arguments, a malformed
-certificate or --target) or could not be read (a missing or unreadable
-file, or one that is not UTF-8); 3 the certification budget was exhausted
-before a definite verdict.
+Exit codes: 0 every check held; 1 a check was refuted or a replay failed;
+2 the input was malformed (parse error, unknown name, bad arguments, a
+malformed certificate or --target) or could not be read (a missing or
+unreadable file, or one that is not UTF-8); 3 nothing was refuted, but a
+check stayed undetermined: its certificate is inconclusive (a budget ran
+out, or the engine stalled, as on T4()) or its coset enumeration ran out
+of cosets.  A check is an expectation of build, the --target of certify,
+or one of geography's certificates, meridian and torus; _exit_code is the
+one rule from a command's checks to 0, 1 or 3.
 
 The coset budget is the --max-cosets flag (default 1,000,000); it must be
 a positive integer, or the command exits 2.
@@ -39,18 +43,35 @@ from .manifest import (
     report_json,
     run_manifest,
 )
-from .trace import (
-    Certificate,
-    CertificateFormatError,
-    INCONCLUSIVE,
-    INFINITE_CYCLIC,
-    parse_target,
-)
+from .trace import Certificate, CertificateFormatError, parse_target
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_BUDGET = 3
+EXIT_UNDETERMINED = 3
+
+
+def _exit_code(outcomes: list[bool | None]) -> int:
+    """The exit code of a command's checks, each True (it holds), False
+    (refuted) or None (undetermined): 1 if any is refuted, else 3 if any
+    is undetermined, else 0."""
+    if False in outcomes:
+        return EXIT_FAIL
+    return EXIT_UNDETERMINED if None in outcomes else EXIT_OK
+
+
+def _held(cert: Certificate) -> bool | None:
+    """A certificate as a check: None if inconclusive, else whether its
+    verdict meets its target (True if it has none)."""
+    return ((cert.target is None or cert.matches_target) if cert.is_definite
+            else None)
+
+
+def _show(outcome: bool | None) -> str:
+    return "undetermined" if outcome is None else str(outcome)
+
+
+_STATUS = {True: "ok  ", False: "FAIL", None: "????"}
 
 
 def _budget(args: argparse.Namespace) -> Budget:
@@ -95,18 +116,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
     m = _load_manifest(args.manifest)
     result = run_manifest(m, budget=_budget(args))
     for o in result.outcomes:
-        status = "ok  " if o.passed else "FAIL"
         detail = (f"{o.expected!r}" if o.passed
                   else f"expected {o.expected!r}, got {o.actual!r}")
-        print(f"{status} {o.manifold} {o.key}: {detail}")
-    n_fail = sum(1 for o in result.outcomes if not o.passed)
-    print(f"{len(result.outcomes) - n_fail}/{len(result.outcomes)} checks passed")
+        print(f"{_STATUS[o.passed]} {o.manifold} {o.key}: {detail}")
+    n_pass = sum(1 for o in result.outcomes if o.passed)
+    print(f"{n_pass}/{len(result.outcomes)} checks passed")
     if args.output:
         _write_json(args.output, report_json(m, result))
         print(f"report written to {args.output}")
-    if result.ok:
-        return EXIT_OK
-    return EXIT_BUDGET if result.budget_limited else EXIT_FAIL
+    return _exit_code([o.passed for o in result.outcomes])
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -129,12 +147,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.output:
         _write_json(args.output, cert.to_json())
         print(f"certificate written to {args.output}")
-    if not cert.is_definite:
-        return EXIT_BUDGET
-    if args.target is not None and not cert.matches_target:
+    held = _held(cert)
+    if held is False:
         print(f"verdict does not match target {args.target!r}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    return _exit_code([held])
 
 
 def _cmd_geography(args: argparse.Namespace) -> int:
@@ -154,8 +170,8 @@ def _cmd_geography(args: argparse.Namespace) -> int:
           f"(generators {list(r.site.torus_generators)})")
     print(f"  pi1(closed)     = {r.closed_certificate.describe()}")
     print(f"  pi1(complement) = {r.complement_certificate.describe()}")
-    print(f"  meridian dies = {r.meridian_dies}, "
-          f"torus generates = {r.torus_surjects}")
+    print(f"  meridian dies = {_show(r.meridian_dies)}, "
+          f"torus generates = {_show(r.torus_surjects)}")
     data = {
         "schema": "m4kit.geography/1",
         "chi": r.point.chi,
@@ -174,14 +190,9 @@ def _cmd_geography(args: argparse.Namespace) -> int:
     if args.output:
         _write_json(args.output, data)
         print(f"report written to {args.output}")
-    ok = (r.closed_certificate.verdict == INFINITE_CYCLIC
-          and r.complement_certificate.verdict == INFINITE_CYCLIC
-          and r.meridian_dies and r.torus_surjects)
-    if ok:
-        return EXIT_OK
-    limited = (r.closed_certificate.verdict == INCONCLUSIVE
-               or r.complement_certificate.verdict == INCONCLUSIVE)
-    return EXIT_BUDGET if limited else EXIT_FAIL
+    return _exit_code([_held(r.closed_certificate),
+                       _held(r.complement_certificate),
+                       r.meridian_dies, r.torus_surjects])
 
 
 _CATALOG_LINES = """\

@@ -130,15 +130,18 @@ class Realization(Record):
     torus meridian (the site pushoff) has zero exponent sums, hence dies
     in the certified infinite-cyclic quotient; `torus_surjects` that coset
     enumeration over the two torus generators reached index 1, i.e. the
-    pair already generates."""
+    pair already generates.  Each of the two is None when undetermined:
+    the complement certificate is inconclusive, or (`torus_surjects`) the
+    enumeration ran out of cosets."""
 
     __slots__ = ("point", "manifold", "site_name", "closed_certificate",
                  "complement_certificate", "meridian_dies", "torus_surjects")
 
     def __init__(self, point: GeoPoint, manifold: MarkedManifold,
                  site_name: str, closed_certificate: Certificate,
-                 complement_certificate: Certificate, meridian_dies: bool,
-                 torus_surjects: bool) -> None:
+                 complement_certificate: Certificate,
+                 meridian_dies: bool | None,
+                 torus_surjects: bool | None) -> None:
         set_field(self, "point", point)
         set_field(self, "manifold", manifold)
         set_field(self, "site_name", site_name)
@@ -187,9 +190,11 @@ def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
                  ) -> Realization:
     """Build the supported realization at (chi, c1sq) and certify it.
 
-    Returns a Realization whose closed manifold and torus complement both
-    carry infinite-cyclic certificates, with the meridian dying and the
-    torus generators surjecting (checked by coset enumeration)."""
+    Returns a Realization that records whether the closed manifold and
+    the torus complement both carry infinite-cyclic certificates, the
+    meridian dies and the torus generators surject (checked by coset
+    enumeration); with the default budget, every supported pair passes
+    all four."""
     budget = budget if budget is not None else Budget()
     try:
         M, site_name = _recipe(chi, c1sq)
@@ -209,17 +214,16 @@ def realize_pair(chi: int, c1sq: int, budget: Budget | None = None,
     complement = M.pi1.without_relator(site.relator)
     comp_cert = certify(complement, target="Z", budget=budget)
 
-    meridian_dies = (
-        comp_cert.verdict == INFINITE_CYCLIC
-        and all(site.pushoff.exponent_sum(g) == 0
-                for g in site.pushoff.names()))
-
-    torus_surjects = False
+    # None is undetermined (see Realization)
+    meridian_dies = torus_surjects = False if comp_cert.is_definite else None
     if comp_cert.verdict == INFINITE_CYCLIC:
+        meridian_dies = all(site.pushoff.exponent_sum(g) == 0
+                            for g in site.pushoff.names())
         sub = tuple(gen(g) for g in site.torus_generators)
         count = coset_enumeration(comp_cert.core(), subgroup=sub,
                                   max_cosets=budget.max_cosets)
-        torus_surjects = isinstance(count, CosetCount) and count.index == 1
+        torus_surjects = (count.index == 1 if isinstance(count, CosetCount)
+                          else None)
 
     return Realization(
         point=pt, manifold=M, site_name=site_name,

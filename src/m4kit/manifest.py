@@ -51,7 +51,7 @@ from .certify import Budget, certify
 from .geography import GeographyError, coords, freedman_model, in_odd_region
 # the operations are looked up in globals() when a definition calls them
 from .surgery import blow_up, fiber_sum, torus_surgery
-from .trace import Certificate, INCONCLUSIVE, parse_target, target_of
+from .trace import Certificate, parse_target, target_of
 from .words import Record, set_field
 
 
@@ -370,17 +370,18 @@ def format_manifest(m: Manifest) -> str:
 # --- evaluation ---------------------------------------------------------------
 
 class CheckOutcome(Record):
-    __slots__ = ("manifold", "key", "expected", "actual", "passed",
-                 "budget_limited")
+    """`passed` is True (the check held), False (refuted) or None
+    (undetermined: the check reads an inconclusive certificate)."""
+
+    __slots__ = ("manifold", "key", "expected", "actual", "passed")
 
     def __init__(self, manifold: str, key: str, expected: Any, actual: Any,
-                 passed: bool, budget_limited: bool = False) -> None:
+                 passed: bool | None) -> None:
         set_field(self, "manifold", manifold)
         set_field(self, "key", key)
         set_field(self, "expected", expected)
         set_field(self, "actual", actual)
         set_field(self, "passed", passed)
-        set_field(self, "budget_limited", budget_limited)
 
 
 class RunResult(Record):
@@ -392,14 +393,6 @@ class RunResult(Record):
         set_field(self, "manifolds", manifolds)
         set_field(self, "outcomes", outcomes)
         set_field(self, "certificates", certificates)
-
-    @property
-    def ok(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-    @property
-    def budget_limited(self) -> bool:
-        return any(o.budget_limited and not o.passed for o in self.outcomes)
 
 
 def _describe_target(cert: Certificate) -> str:
@@ -439,8 +432,7 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
 
         M = env[item.name]
         keys = dict(item.checks)
-        # (actual, budget_limited) of the pi1, gen and model checks
-        from_cert: dict[str, tuple[Any, bool]] = {}
+        from_cert: dict[str, Any] = {}      # actual of the pi1/gen/model checks
         if keys.keys() & _FROM_CERTIFICATE:
             target = None
             if "pi1" in keys:
@@ -456,24 +448,19 @@ def run_manifest(m: Manifest, budget: Budget | None = None) -> RunResult:
             if cert.is_definite:
                 checker.replay(cert, M.pi1)   # trust nothing unreplayed
             certificates[item.name] = cert
-            inconclusive = cert.verdict == INCONCLUSIVE
-            from_cert = {"pi1": (_describe_target(cert), inconclusive),
-                         "gen": (cert.generator, False)}
+            from_cert = {"pi1": _describe_target(cert), "gen": cert.generator}
             if "model" in keys:
                 try:
-                    from_cert["model"] = (freedman_model(M, cert).describe(),
-                                          False)
+                    from_cert["model"] = freedman_model(M, cert).describe()
                 except GeographyError as exc:
-                    from_cert["model"] = (f"unavailable ({exc})", inconclusive)
+                    from_cert["model"] = f"unavailable ({exc})"
 
         for key, (tag, val) in item.checks:
-            if key in _MEASURES:
-                actual, limited = _MEASURES[key](M), False
-            else:
-                actual, limited = from_cert[key]
+            actual = _MEASURES[key](M) if key in _MEASURES else from_cert[key]
+            undetermined = key in from_cert and not cert.is_definite
             outcomes.append(CheckOutcome(
                 manifold=item.name, key=key, expected=val, actual=actual,
-                passed=(actual == val), budget_limited=limited))
+                passed=None if undetermined else actual == val))
     return RunResult(env, outcomes, certificates)
 
 
@@ -503,7 +490,7 @@ def report_json(m: Manifest, result: RunResult) -> dict[str, Any]:
         "key": o.key,
         "expected": o.expected,
         "actual": o.actual,
-        "pass": o.passed,
+        "pass": o.passed is True,
     } for o in result.outcomes]
     return {
         "schema": "m4kit.report/1",

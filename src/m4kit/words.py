@@ -9,8 +9,6 @@ whatever alphabet the letters mention.
 Convention used throughout the package: the commutator is
 
     [x, y] = x y x^-1 y^-1
-
-and conjugation is ``conjugate(w, g) = g w g^-1``.
 """
 
 from __future__ import annotations
@@ -186,11 +184,6 @@ def gen(name: str, sign: int = 1) -> Word:
     if not NAME_RE.fullmatch(name) or sign not in (1, -1):
         raise WordSyntaxError(f"bad letter {name!r}^{sign!r}")
     return Word(((name, sign),))
-
-
-def conjugate(w: Word, by: Word) -> Word:
-    """g w g^-1 for by = g."""
-    return by * w * by.inverse()
 
 
 def commutator(x: Word, y: Word) -> Word:

@@ -128,7 +128,6 @@ def test_error_line_numbers():
 
 def test_run_manifest_builds_and_checks():
     result = run_manifest(parse_manifest(GOOD))
-    assert result.ok
     assert set(result.manifolds) == {"left", "right", "x", "y", "z"}
     assert result.manifolds["z"].euler == 2
     assert len(result.outcomes) == 6
@@ -137,20 +136,24 @@ def test_run_manifest_builds_and_checks():
 
 def test_run_manifest_reports_failures_without_raising():
     result = run_manifest(parse_manifest("block b = T4()\nexpect b: e=5\n"))
-    assert not result.ok
     (o,) = result.outcomes
     assert (o.expected, o.actual, o.passed) == (5, 0, False)
-    assert not o.budget_limited
 
 
-def test_run_manifest_flags_budget_limited_outcomes():
-    # pi1(T4) = Z^4: the engine stalls, which is inconclusive, not false
-    result = run_manifest(parse_manifest(
-        'block b = T4()\nexpect b: pi1="trivial"\n'))
-    assert not result.ok
-    assert result.budget_limited
-    (o,) = result.outcomes
-    assert o.budget_limited
+def test_run_manifest_leaves_inconclusive_checks_undetermined():
+    # pi1(T4) = Z^4: the engine stalls, which is inconclusive, not false;
+    # every check read off that certificate is undetermined, the rest hold
+    # or are refuted as usual, and the report's "pass" stays a boolean
+    m = parse_manifest('block b = T4()\nexpect b: e=999, pi1="trivial", '
+                       'gen="alpha1", model="S4", sigma=0\n')
+    result = run_manifest(m)
+    assert [(o.key, o.passed) for o in result.outcomes] == [
+        ("e", False), ("pi1", None), ("gen", None), ("model", None),
+        ("sigma", True)]
+    rep = report_json(m, result)
+    assert [c["pass"] for c in rep["checks"]] == [False, False, False,
+                                                   False, True]
+    assert rep["summary"] == {"checks": 5, "passed": 1, "failed": 4}
 
 
 def test_run_manifest_certifies_and_replays():
@@ -158,7 +161,7 @@ def test_run_manifest_certifies_and_replays():
             'sum x = fiber_sum(l, "Sigma2", r, "SigmaBar2")\n'
             'expect x: pi1="trivial", model="CP2 # 2CP2bar"\n')
     result = run_manifest(parse_manifest(text))
-    assert result.ok
+    assert all(o.passed for o in result.outcomes)
     cert = result.certificates["x"]
     assert cert.verdict == "trivial"
 
@@ -348,6 +351,52 @@ def test_exit_budget_on_inconclusive(tmp_path, capsys):
     path = write(tmp_path, 'block b = T4()\nexpect b: pi1="trivial"\n')
     assert main(["build", path]) == 3
     assert main(["certify", path, "b"]) == 3
+    capsys.readouterr()
+
+
+T4 = "block t = T4()\n"             # pi1 = Z^4 stalls the engine
+TRIVIAL_X = ('block l = T2xG2(1, 1)\nblock r = BT4(1, 1)\n'
+             'sum x = fiber_sum(l, "Sigma2", r, "SigmaBar2")\n')
+
+
+# One rule maps the checks of build, certify and geography to the exit code:
+# 1 if any check is refuted, else 3 if any is undetermined, else 0.  Each row
+# is (arguments, manifest text, exit code, fields of the -o JSON that the
+# run writes); {m} stands for the manifest's path.
+@pytest.mark.parametrize("argv, text, code, fields", [
+    # every check holds
+    (["build", "{m}"], T4 + "expect t: e=0, sigma=0\n", 0,
+     {"summary": {"checks": 2, "passed": 2, "failed": 0}}),
+    # refuted only
+    (["build", "{m}"], T4 + "expect t: e=5, sigma=0\n", 1,
+     {"summary": {"checks": 2, "passed": 1, "failed": 1}}),
+    # undetermined only
+    (["build", "{m}"], T4 + 'expect t: pi1="trivial"\n', 3,
+     {"summary": {"checks": 1, "passed": 0, "failed": 1}}),
+    # refuted plus undetermined is refuted
+    (["build", "{m}"], T4 + 'expect t: e=999, pi1="Z"\n', 1,
+     {"summary": {"checks": 2, "passed": 0, "failed": 2}}),
+    # gen reads the same inconclusive certificate as pi1
+    (["build", "{m}"], T4 + 'expect t: pi1="Z", gen="alpha1"\n', 3,
+     {"summary": {"checks": 2, "passed": 0, "failed": 2}}),
+    (["certify", "{m}", "x", "--target", "trivial"], TRIVIAL_X, 0,
+     {"verdict": "trivial", "matches_target": True}),
+    (["certify", "{m}", "x", "--target", "Z"], TRIVIAL_X, 1,
+     {"verdict": "trivial", "matches_target": False}),
+    (["certify", "{m}", "t", "--target", "Z"], T4, 3,
+     {"verdict": "inconclusive", "matches_target": False}),
+    # the torus enumeration needs 196 cosets: undetermined, not refuted
+    (["geography", "1", "7", "--max-cosets", "100"], "", 3,
+     {"meridian_dies": True, "torus_surjects": None}),
+], ids=["holds", "refuted", "undetermined", "refuted+undetermined",
+        "undetermined-gen", "certify-holds", "certify-mismatch",
+        "certify-inconclusive", "geography-out-of-cosets"])
+def test_exit_code_follows_the_check_outcomes(tmp_path, capsys, argv, text,
+                                              code, fields):
+    path, out = write(tmp_path, text), tmp_path / "out.json"
+    assert main([a.format(m=path) for a in argv] + ["-o", str(out)]) == code
+    data = json.loads(out.read_text())
+    assert {k: data[k] for k in fields} == fields
     capsys.readouterr()
 
 

@@ -83,8 +83,7 @@ FIELDS = {
     Definition: ["kind", "name", "ctor", "args", ("line", 0, False)],
     Expectation: ["name", "checks", ("line", 0, False)],
     Manifest: ["items"],
-    CheckOutcome: ["manifold", "key", "expected", "actual", "passed",
-                   ("budget_limited", False)],
+    CheckOutcome: ["manifold", "key", "expected", "actual", "passed"],
     RunResult: ["manifolds", "outcomes", "certificates"],
 }
 
@@ -148,7 +147,7 @@ def _samples():
         Manifest((Definition("block", "b", "T4", (), 9),)),
         Manifest(()),
         CheckOutcome("b", "e", 0, 0, True),
-        CheckOutcome("b", "e", 0, 0, True, True),
+        CheckOutcome("b", "pi1", "Z", "inconclusive (stalled)", None),
         RunResult({}, [], {}), RunResult({}, [], {}),
         RunResult({"b": M}, [], {}),
     ]
