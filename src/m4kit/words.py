@@ -17,7 +17,7 @@ import re
 import string
 from itertools import compress, count
 from operator import itemgetter, length_hint
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 Letter = tuple[str, int]
 _name = itemgetter(0)          # the generator of a letter
@@ -105,7 +105,8 @@ def replace(obj: _V, **changes: Any) -> _V:
 
 class Word(Record):
     """A freely reduced word.  Construct via gen(), parse_word(), or the
-    algebraic operations below; the constructor reduces whatever it is
+    algebraic operations below; each of them builds its result with this
+    constructor, the one way a Word is made.  It reduces whatever it is
     given and checks nothing: letters are validated where they enter, in
     gen(), parse_word() and FpPresentation."""
 
@@ -125,16 +126,10 @@ class Word(Record):
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        # two reduced words cancel only where they meet
-        left, right = self.letters, other.letters
-        k, n = 0, min(len(left), len(right))
-        while k < n and left[-1 - k][0] == right[k][0] \
-                and left[-1 - k][1] == -right[k][1]:
-            k += 1
-        return _reduced_word(left[:len(left) - k] + right[k:])
+        return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return _reduced_word(_invert(self.letters))
+        return Word(_invert(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
@@ -145,9 +140,6 @@ class Word(Record):
 
     def __bool__(self) -> bool:
         return bool(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
 
     def names(self) -> frozenset[str]:
         """The generator names actually occurring in the word."""
@@ -169,15 +161,6 @@ class Word(Record):
 IDENTITY = Word()
 
 
-def _reduced_word(letters: tuple[Letter, ...]) -> Word:
-    """The Word of `letters`, which must already be freely reduced, built
-    without reducing them again.  This is the one way round the reducing
-    constructor; it stays private to this module."""
-    w = object.__new__(Word)
-    set_field(w, "letters", letters)
-    return w
-
-
 def gen(name: str, sign: int = 1) -> Word:
     """The one-letter word ``name^sign``; raises WordSyntaxError on a bad
     generator name or a sign other than +1 or -1."""
@@ -193,46 +176,31 @@ def commutator(x: Word, y: Word) -> Word:
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Apply the homomorphism sending each name in `images` to its image
-    (other generators map to themselves).  When no letter of w is in
-    `images`, w itself is returned, not a copy."""
+    (other generators map to themselves).  The unchanged runs of w and
+    each image, or its inverse, are copied as slices and the whole is
+    reduced by the constructor.  When no letter of w is in `images`, w
+    itself is returned, not a copy."""
     letters = w.letters
     # one C-level pass finds the letters to replace
     found = list(compress(count(), map(images.__contains__,
                                        map(_name, letters))))
     if not found:
         return w
-    return _reduced_word(_splice(letters, found, images))
-
-
-def _splice(letters: tuple[Letter, ...], found: list[int],
-            images: Mapping[str, Word]) -> tuple[Letter, ...]:
-    """The reduced letters of a reduced word with the letter at each index
-    in `found` (ascending) replaced by its image.  The unchanged runs are
-    copied as slices and each image, or its inverse, is appended whole.
-    Runs and images are reduced, so letters can cancel only where two of
-    them meet, and only those seams are walked letter by letter."""
     out: list[Letter] = []
     inverses: dict[str, tuple[Letter, ...]] = {}
-    start, end = 0, len(letters)
-    for i in found + [end]:
-        if i == end:
-            image: tuple[Letter, ...] = ()
-        elif letters[i][1] > 0:
-            image = images[letters[i][0]].letters
+    start = 0
+    for i in found:
+        name, sign = letters[i]
+        out += letters[start:i]
+        if sign > 0:
+            out += images[name].letters
         else:
-            name = letters[i][0]
             if name not in inverses:
                 inverses[name] = _invert(images[name].letters)
-            image = inverses[name]
-        for seg in (letters[start:i], image):
-            k = 0
-            while out and k < len(seg) and out[-1][0] == seg[k][0] \
-                    and out[-1][1] == -seg[k][1]:
-                out.pop()
-                k += 1
-            out += seg[k:] if k else seg
+            out += inverses[name]
         start = i + 1
-    return tuple(out)
+    out += letters[start:]
+    return Word(out)
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -245,21 +213,19 @@ def cyclic_reduce(w: Word) -> Word:
             and letters[i][1] == -letters[j - 1][1]:
         i += 1
         j -= 1
-    return _reduced_word(letters[i:j]) if i else w
+    return Word(letters[i:j]) if i else w
 
 
 def rotate(w: Word, k: int) -> Word:
     """Cyclic rotation: move the first k letters to the end.  Only sensible
-    for cyclically reduced words, whose rotations stay reduced and are not
-    reduced again; the rotation of any other word is reduced."""
+    for cyclically reduced words, whose rotations are reduced words of the
+    same length; the rotation of any other word may cancel where its two
+    ends meet."""
     letters = w.letters
     if not letters:
         return w
     k %= len(letters)
-    rotated = letters[k:] + letters[:k]
-    if letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        return Word(rotated)        # the two ends meet and may cancel
-    return _reduced_word(rotated)
+    return Word(letters[k:] + letters[:k])
 
 
 def cyclic_rotations(w: Word) -> list[Word]:

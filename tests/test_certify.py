@@ -491,26 +491,20 @@ def test_eliminations_touch_only_the_relators_that_mention_the_generator(
 
 
 def test_substitution_work_is_linear_in_relator_letters(monkeypatch):
-    # substitute walks one at a time only the occurrences it replaces and
-    # the letters that cancel at a seam, and reduces no word whole again;
-    # walking every letter of each rewritten word takes 425,130 steps here,
-    # and _reduce then takes 442,954 letters, against 7,114 relator letters
+    # every word is made by the reducing constructor, so the letters that
+    # _reduce receives are all the word work of build, certify and replay;
+    # the bound gates that this stays linear in the relator letters: in a
+    # fresh process it reads 17,702 (6,608 of them in certify and replay)
+    # against 7,114 relator letters, and 33,278 when cyclic_reduce rebuilds
+    # the words it leaves unchanged
     words = importlib.import_module("m4kit.words")
-    splice, reduce, work, reduced = words._splice, words._reduce, [], []
-
-    def counting_splice(letters, found, images):
-        out = splice(letters, found, images)
-        spliced = len(letters) - len(found) + sum(
-            len(images[letters[i][0]]) for i in found)
-        work.append(len(found) + (spliced - len(out)) // 2)
-        return out
+    reduce, reduced = words._reduce, []
 
     def counting_reduce(letters):
         letters = tuple(letters)
         reduced.append(len(letters))
         return reduce(letters)
 
-    monkeypatch.setattr(words, "_splice", counting_splice)
     monkeypatch.setattr(words, "_reduce", counting_reduce)
     p = exotic_odd_cp2(320, 1).pi1
     c = certify(p, target="trivial", budget=Budget(corroborate=False))
@@ -518,7 +512,6 @@ def test_substitution_work_is_linear_in_relator_letters(monkeypatch):
     letters = sum(map(len, p.relators)) + sum(
         len(r.relator) for r in p.conditional)
     assert c.verdict == TRIVIAL
-    assert work and sum(work) <= 2 * letters
     assert reduced and sum(reduced) <= 3 * letters
 
 

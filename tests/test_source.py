@@ -187,7 +187,7 @@ def test_the_smith_witness_stays_independent_of_the_elimination():
     assert replay_reached_outside_the_check(ast.unparse(tree))
 
 
-def unchecked_builders(source, cls="Word"):
+def unchecked_builders(source, cls):
     """The functions of `source` that make a `cls` with `object.__new__`,
     which skips its constructor: for a Word the reduction, for an
     FpPresentation the validation."""
@@ -213,10 +213,14 @@ def assert_private(module, cls):
     assert users == []
 
 
-def test_the_unreduced_word_constructor_stays_private():
-    # a Word built without reduction is correct only when its letters are
-    # already reduced, which words.py alone can know
-    assert_private("words.py", "Word")
+def test_every_word_is_built_by_the_reducing_constructor():
+    # a Word built with object.__new__ skips the reduction and is correct
+    # only if its caller reduced the letters; a missed cancellation there
+    # would be shared by the engine and the checker, so replay could not
+    # see it
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if unchecked_builders(path.read_text(encoding="utf-8"), "Word")
+            ] == []
 
 
 def test_the_unchecked_presentation_builder_stays_private():
