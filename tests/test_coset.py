@@ -118,13 +118,19 @@ LISTED_SUBGROUPS = [
 ]
 
 
-@pytest.mark.parametrize("p, subgroup, index", LISTED_SUBGROUPS)
-def test_non_abelian_indices_define_no_spare_coset(p, subgroup, index):
+# Over the trivial subgroup, Felsch deduction closes A5 and PSL(2,7)
+# without a redundant definition (60 and 168).  Over a proper subgroup,
+# the relator scans from each coset define a few cosets that later merge
+# away.  A broken deduction
+# path, such as a closing scan entry that is never pushed, shows up as
+# extra cosets.
+@pytest.mark.parametrize("p, subgroup, index, defined", [
+    (*case, defined) for case, defined in
+    zip(LISTED_SUBGROUPS, (60, 31, 22, 14, 168, 91, 58, 30))])
+def test_non_abelian_indices_define_pinned_cosets(p, subgroup, index,
+                                                  defined):
     result = coset_enumeration(p, [parse_word(subgroup)] if subgroup else [])
-    assert result.index == index
-    # Felsch deduction closes these without a redundant definition; a
-    # broken deduction path shows up as extra cosets
-    assert result.total_defined == index
+    assert result == CosetCount(index=index, total_defined=defined)
 
 
 def test_cyclic_subgroup_index():
@@ -142,6 +148,18 @@ def test_free_abelian_over_one_generator_exceeds():
     zz = pres("a b", "[a, b]")
     result = coset_enumeration(zz, [gen("a")], max_cosets=500)
     assert result == Exceeded(500)
+
+
+@pytest.mark.parametrize("p", [
+    pres("a b c", "[a, b]", "[a, c]", "[b, c]"),      # Z^3
+    pres("x y", "x y x y^-1 x^-1 y^-1"),              # the trefoil group
+], ids=str)
+def test_the_cap_bounds_the_table(p):
+    # the relator scans define through `define`, as the fill does, so the
+    # table never holds more rows than the cap
+    enum = _Enumerator(p.generators, 500, p.relators)
+    assert enum.run(()) == Exceeded(500)
+    assert len(enum.table) == 500
 
 
 # -- semidecision honesty --------------------------------------------------------
@@ -165,12 +183,13 @@ def test_refuses_undischarged_structure():
 
 # -- a large collapsing table ------------------------------------------------
 
-# The core of exotic_odd_cp2(20, 1) (input relators plus activated
+# The core of exotic_odd_cp2(40, 1) (input relators plus activated
 # conditionals) defines over 4096 cosets, nearly all of them merged away
 # by the end, and must still close to index 1.  An earlier enumerator left
-# live cosets unscanned on this input and reported a spurious index.
+# live cosets unscanned on the n = 20 core and reported a spurious index;
+# that core now defines only 2,370 cosets, so the fixture moved to n = 40.
 def test_large_collapsing_table_closes():
-    cert = certify(exotic_odd_cp2(20, 1).pi1,
+    cert = certify(exotic_odd_cp2(40, 1).pi1,
                    budget=Budget(corroborate=False))
     result = coset_enumeration(cert.core())
     assert isinstance(result, CosetCount)
@@ -184,10 +203,14 @@ def test_large_collapsing_table_closes():
 # Cosets defined on the core of each odd_sweep member (the benchmark's
 # diagonal), and on the larger n = 20 core.  A change to the definition
 # order or the deduction rule moves these counts, so it cannot pass as a
-# mere speed-up.  They fell (from 370, 840, 1448, 2182, 3144 and 10102)
-# when coset_enumeration began to eliminate the generators that short
-# relators define: every core loses alpha1, alpha2, alpha4 and a2, and
-# the smaller table defines fewer cosets to reach the same index.
+# mere speed-up.  They fell from 370, 840, 1448, 2182, 3144 and 10102 to
+# 320, 758, 1334, 2036, 2966 and 9764 when coset_enumeration began to
+# eliminate the generators that short relators define (every core loses
+# alpha1, alpha2, alpha4 and a2, and the smaller table defines fewer
+# cosets to reach the same index), and then to the counts below when the
+# enumerator began to trace every relator from each coset before filling
+# its row, which closes the relator cycles before Felsch definitions pile
+# up.
 ODD_SWEEP = [(2, 1), (4, 2), (6, 3), (8, 1), (10, 3)]
 
 
@@ -197,12 +220,27 @@ def _odd_core(n, m):
 
 
 @pytest.mark.parametrize("n, m, defined", [
-    (2, 1, 320), (4, 2, 758), (6, 3, 1334), (8, 1, 2036), (10, 3, 2966),
-    (20, 1, 9764),
+    (2, 1, 99), (4, 2, 238), (6, 3, 422), (8, 1, 570), (10, 3, 862),
+    (20, 1, 2370),
 ])
 def test_odd_family_cores_define_pinned_cosets(n, m, defined):
     assert coset_enumeration(_odd_core(n, m)) == CosetCount(
         index=1, total_defined=defined)
+
+
+# The family's cosets grow as 4n^2 + 38n + 10 (20n^2 + 84n + 84 before the
+# relator scans), which pins the n^2 coefficient: by count, the default
+# budget of 1M cosets reaches about n = 495.
+@pytest.mark.parametrize("n", [10, 20, 30, 40])
+def test_odd_family_cosets_grow_as_4n_squared(n):
+    assert coset_enumeration(_odd_core(n, 1)) == CosetCount(
+        index=1, total_defined=4 * n * n + 38 * n + 10)
+
+
+def test_odd_family_corroborates_at_n_40_within_10k_cosets():
+    cert = certify(exotic_odd_cp2(40, 1).pi1, target="trivial",
+                   budget=Budget(max_cosets=10_000))
+    assert cert.coset_index == 1
 
 
 # -- the deduction scans and coincidences against reference loops -------------

@@ -385,8 +385,8 @@ TRIVIAL_X = ('block l = T2xG2(1, 1)\nblock r = BT4(1, 1)\n'
      {"verdict": "trivial", "matches_target": False}),
     (["certify", "{m}", "t", "--target", "Z"], T4, 3,
      {"verdict": "inconclusive", "matches_target": False}),
-    # the torus enumeration needs 196 cosets: undetermined, not refuted
-    (["geography", "1", "7", "--max-cosets", "100"], "", 3,
+    # the torus enumeration needs 83 cosets: undetermined, not refuted
+    (["geography", "1", "7", "--max-cosets", "50"], "", 3,
      {"meridian_dies": True, "torus_surjects": None}),
 ], ids=["holds", "refuted", "undetermined", "refuted+undetermined",
         "undetermined-gen", "certify-holds", "certify-mismatch",
