@@ -28,9 +28,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 from math import gcd
-from operator import attrgetter, itemgetter
 
 from .presentation import FpPresentation, PresentationError
 from .words import (
@@ -87,28 +85,6 @@ def _check_twist(k: int, pushoff: Word, m: int) -> None:
                          f"more than {MAX_LETTERS:,} letters")
 
 
-_letters, _curve, _pushoff, _relator, _torus, _unsurgered = map(
-    attrgetter, ("letters", "curve", "pushoff", "relator", "torus_generators",
-                 "unsurgered"))
-
-
-def _sites_fit(sites: tuple[SurgeryDatum, ...], gens: set[str],
-               relators: tuple[Word, ...]) -> bool:
-    """Whether all sites pass MarkedManifold's checks, in one pass: each
-    site relator is one of the `relators` objects (so among them, and over
-    `gens`), and the curves, torus generators and the letters of the other
-    site words are in `gens`."""
-    try:
-        return (set(map(id, relators)).issuperset(map(id, map(_relator, sites)))
-                and gens.issuperset(map(_curve, sites))
-                and gens.issuperset(chain.from_iterable(map(_torus, sites)))
-                and gens.issuperset(map(itemgetter(0), chain.from_iterable(
-                    map(_letters, chain(map(_pushoff, sites),
-                                        map(_unsurgered, sites)))))))
-    except (AttributeError, TypeError):     # the per-site loop meets it
-        return False
-
-
 class EmbeddedSurface(Record):
     __slots__ = ("name", "genus", "self_intersection", "generator_images",
                  "modulo_meridian", "meridian", "complement_pi1")
@@ -158,24 +134,34 @@ class MarkedManifold(Record):
         if len(names) != len(set(names)):
             raise PresentationError(f"{name}: duplicate surface/site names")
         gens = set(pi1.generators)
-        # the loop runs only when the one pass over all sites fails, to
-        # compare relators by value and name the first fault
-        unfit = () if _sites_fit(sites, gens, pi1.relators) else sites
-        relators = set(pi1.relators) if unfit else set()
-        for t in unfit:
+        # a site relator that is one of pi1's relator objects was checked
+        # with pi1; a copy is compared by value, against a set of pi1's
+        # relators built on the first copy
+        own = set(map(id, pi1.relators))
+        relators: set[Word] | None = None
+        for t in sites:
             if t.curve not in gens:
                 raise PresentationError(
                     f"site {t.name!r}: curve {t.curve!r} is not a generator")
-            for w in (t.pushoff, t.relator, t.unsurgered):
-                if w.names() - gens:
+            copy = id(t.relator) not in own
+            words = (t.pushoff, t.relator) if copy else (t.pushoff,)
+            # at most sites the pushoff is also the unsurgered relator
+            if t.unsurgered is not t.pushoff:
+                words += (t.unsurgered,)
+            for w in words:
+                if not gens.issuperset(w.names()):
                     raise PresentationError(
                         f"site {t.name!r}: word {format_word(w)!r} uses "
                         "unknown generators")
-            if t.relator not in relators:
-                raise PresentationError(
-                    f"site {t.name!r}: its relator {format_word(t.relator)!r} "
-                    "is not among the pi1 relators")
-            if set(t.torus_generators) - gens:
+            if copy:
+                if relators is None:
+                    relators = set(pi1.relators)
+                if t.relator not in relators:
+                    raise PresentationError(
+                        f"site {t.name!r}: its relator "
+                        f"{format_word(t.relator)!r} is not among the pi1 "
+                        "relators")
+            if not gens.issuperset(t.torus_generators):
                 raise PresentationError(
                     f"site {t.name!r}: torus generators not in pi1")
         for s in surfaces:

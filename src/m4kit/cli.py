@@ -7,15 +7,17 @@
     m4kit replay CERT.json [...]              re-verify a certificate
     m4kit fmt MANIFEST [-w]                   canonical manifest form
 
-Exit codes: 0 every check held; 1 a check was refuted or a replay failed;
-2 the input was malformed (parse error, unknown name, bad arguments, a
-malformed certificate or --target) or could not be read (a missing or
-unreadable file, or one that is not UTF-8); 3 nothing was refuted, but a
-check stayed undetermined: its certificate is inconclusive (a budget ran
-out, or the engine stalled, as on T4()) or its coset enumeration ran out
-of cosets.  A check is an expectation of build, the --target of certify,
-or one of geography's certificates, meridian and torus; _exit_code is the
-one rule from a command's checks to 0, 1 or 3.
+Exit codes: 0 every check held; 1 a check was refuted, a replay failed,
+or fmt refused a manifest (its canonical form is not a fixpoint, or -w
+would drop a comment); 2 the input was malformed (parse error, unknown
+name, bad arguments, a malformed certificate or --target) or could not
+be read (a missing or unreadable file, or one that is not UTF-8); 3
+nothing was refuted, but a check stayed undetermined: its certificate is
+inconclusive (a budget ran out, or the engine stalled, as on T4()) or
+its coset enumeration ran out of cosets.  A check is an expectation of
+build, the --target of certify, or one of geography's certificates,
+meridian and torus; _exit_code is the one rule from a command's checks
+to 0, 1 or 3.
 
 The coset budget is the --max-cosets flag (default 1,000,000); it must be
 a positive integer, or the command exits 2.
@@ -38,6 +40,7 @@ from .manifest import (
     Expectation,
     Manifest,
     ManifestError,
+    comment_line,
     format_manifest,
     parse_manifest,
     report_json,
@@ -263,18 +266,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    canon = format_manifest(_load_manifest(args.manifest))
+    text = _read_text(args.manifest)
+    canon = format_manifest(parse_manifest(text))
     # parse -> print leaves canonical text fixed; refuse to write otherwise
     if format_manifest(parse_manifest(canon)) != canon:
         print(f"fmt: canonical form of {args.manifest} is not a fixpoint",
               file=sys.stderr)
         return EXIT_FAIL
-    if args.write:
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(canon)
-        print(f"rewrote {args.manifest}")
-    else:
+    if not args.write:
         sys.stdout.write(canon)
+        return EXIT_OK
+    # the canonical form keeps no comment: refuse to lose one
+    line = comment_line(text)
+    if line is not None:
+        print(f"fmt: line {line} of {args.manifest} holds a comment, which "
+              "the canonical form drops; not rewritten", file=sys.stderr)
+        return EXIT_FAIL
+    with open(args.manifest, "w", encoding="utf-8") as fh:
+        fh.write(canon)
+    print(f"rewrote {args.manifest}")
     return EXIT_OK
 
 

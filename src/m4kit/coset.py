@@ -44,8 +44,12 @@ skipped on those two reads, which each rotation keeps beside its columns.
 The rotation lists are built by slicing the doubled relator and its
 doubled letterwise inverse, one slice per rotation.
 Coincidences are processed with a queue over a union-find.  Rows are never
-renumbered or dropped, so the table holds exactly the cosets defined, and
-`max_cosets` rows bound its memory.
+renumbered or dropped, so the table holds exactly the cosets defined, at
+most `max_cosets` rows.  That bounds the rows, not the memory: a row holds
+two entries per generator left after elimination.  Enumerating the core of
+`exotic_odd_cp2(80, 1)`, 28,650 rows for 164 generators, peaks at 82 MB
+(tracemalloc), and the default 1,000,000 rows at that width would take
+nearly 3 GB.
 """
 
 from __future__ import annotations
@@ -332,7 +336,8 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
     The generators that relators of at most three letters define are
     eliminated first, the last one first and no image longer than two
     letters: the index is p's, but `total_defined` and `max_cosets` count
-    the cosets of the reduced presentation."""
+    the cosets of the reduced presentation.  `max_cosets` bounds the rows
+    of the table, each two entries per generator left, not its memory."""
     if p.meridional:
         raise ValueError("strip/discharge the meridional tier first")
     if p.conditional:

@@ -103,6 +103,15 @@ def _tokenize(text: str, line: int) -> list[tuple[str, Any]]:
     return out
 
 
+def comment_line(text: str) -> int | None:
+    """The number of the first line of `text` that holds a # comment, or
+    None: the rule of _tokenize, so a # inside a string is no comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if any(m.lastgroup == "comment" for m in _TOKEN_RE.finditer(raw)):
+            return lineno
+    return None
+
+
 class Definition(Record):
     """`kind` is block, surgery, blowup or sum; `ctor` the catalog name or
     operation name; `args` are by keyword, in parameter order."""

@@ -2,8 +2,10 @@
 certificates replay); the point of this file is the other direction —
 every kind of tampering must raise CheckFailure."""
 
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from m4kit.certify import Budget, certify
 from m4kit.checker import CheckFailure, _HANDLERS, _Replay, replay
 from m4kit.cli import main
-from m4kit.constructions import exotic_cp2_2, exotic_odd_cp2
+from m4kit.constructions import cyclic_family, exotic_cp2_2, exotic_odd_cp2
 from m4kit.presentation import ConditionalRelator, FpPresentation, MeridionalTier
 from m4kit.trace import (
     ActivateConditional,
@@ -707,3 +709,64 @@ def test_one_step_field_edit_ends_in_a_typed_outcome(robust_path, edit):
             code = 1
     robust_path.write_text(json.dumps(data))
     assert main(["replay", str(robust_path)]) == code
+
+
+# honest certificate JSON of three verdicts: trivial, Z/3 and inconclusive
+@cache
+def verdict_json(k):
+    return certify((exotic_cp2_2().pi1, cyclic_family(3).pi1,
+                    pres("a b", "a^2", "b^2", "(a b)^7"))[k]).to_json()
+
+
+def paths(data, at=()):
+    """The path of every value below a JSON object or list, as key tuples."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield at + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, at + (key,))
+
+
+@st.composite
+def certificate_edits(draw):
+    """One of the honest certificates as JSON, with one to three values
+    deleted, replaced by any JSON value, or wrapped in a list or object."""
+    data = json.loads(json.dumps(verdict_json(draw(st.integers(0, 2)))))
+    for _ in range(draw(st.integers(1, 3))):
+        *at, key = draw(st.sampled_from(list(paths(data))))
+        parent = data
+        for k in at:
+            parent = parent[k]
+        edit = draw(st.sampled_from(["delete", "replace", "list", "object"]))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "replace":
+            parent[key] = draw(JSON_VALUE)
+        elif edit == "list":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = {draw(st.text(max_size=4)): parent[key]}
+    return data
+
+
+@seed(2024)
+@settings(max_examples=300, deadline=None)
+@given(certificate_edits())
+def test_edited_certificate_json_replays_to_its_exit_code(robust_path, data):
+    # the CLI exits 2 exactly when the decoder refuses the JSON, and else
+    # as the checker decides; it never ends in a traceback
+    try:
+        c = Certificate.from_json(data)
+    except CertificateFormatError:
+        code = 2
+    else:
+        try:
+            replay(c)
+            code = 0
+        except CheckFailure:
+            code = 1
+    robust_path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["replay", str(robust_path)]) == code
+    assert "Traceback" not in err.getvalue()

@@ -24,7 +24,7 @@ from m4kit.constructions import (
 )
 from m4kit.manifest import parse_manifest, run_manifest
 from m4kit.presentation import FpPresentation, core_presentation
-from m4kit.surgery import blow_up, torus_surgery
+from m4kit.surgery import blow_up, rename_manifold, torus_surgery
 from m4kit.words import Word
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -163,6 +163,14 @@ def test_building_a_family_member_is_linear_work(n, monkeypatch):
     M = exotic_odd_cp2(n, 1)
     assert len(M.pi1.generators) == 2 * n + 8
     assert counts["eq"] <= 8 * n
+    assert counts["new"] <= 30 * n
+    # a renamed copy's site relators are not its pi1's relator objects, so
+    # each is compared by value: 86 comparisons at n = 40, and 7,407 when
+    # every site scans the relators
+    counts.update(eq=0, new=0)
+    R = rename_manifold(M, "p_")
+    assert len(R.sites) == len(M.sites)
+    assert counts["eq"] <= 4 * n
     assert counts["new"] <= 30 * n
 
 

@@ -565,6 +565,36 @@ def test_fmt_writes_canonical_fixpoint(tmp_path, capsys):
     capsys.readouterr()
 
 
+# fmt -w refuses a manifest with a comment, which the canonical form would
+# drop: it writes nothing, names the line and exits 1
+@pytest.mark.parametrize("text, line", [
+    ("# the blocks\nblock b = BT4(1, 1)\n", 1),
+    ("block b = BT4(1, 1)\nblock c = T4()   # no twists\n", 2),
+])
+def test_fmt_write_keeps_a_manifest_with_a_comment(tmp_path, capsys, text,
+                                                   line):
+    path = write(tmp_path, text)
+    assert main(["fmt", path, "-w"]) == 1
+    assert Path(path).read_text() == text
+    captured = capsys.readouterr()
+    assert f"line {line} of {path} holds a comment" in captured.err
+    assert "rewrote" not in captured.out
+    # without -w the canonical form is printed as before
+    assert main(["fmt", path]) == 0
+    assert capsys.readouterr().out.startswith(
+        "block b = BT4(q=1, r=1, m=1, eps1=1, eps3=-1)\n")
+
+
+def test_fmt_write_rewrites_a_hash_inside_a_string(tmp_path, capsys):
+    path = write(tmp_path,
+                 'block b = BT4(1, 1)\nexpect b: model="CP2 # 2CP2bar"\n')
+    assert main(["fmt", path, "-w"]) == 0
+    assert Path(path).read_text() == (
+        "block b = BT4(q=1, r=1, m=1, eps1=1, eps3=-1)\n"
+        'expect b: model="CP2 # 2CP2bar"\n')
+    capsys.readouterr()
+
+
 def test_geography_report(tmp_path, capsys):
     out = str(tmp_path / "geo.json")
     assert main(["geography", "1", "7", "-o", out]) == 0
