@@ -357,9 +357,9 @@ def test_manifold_names_the_first_of_two_faults(sites, message):
 AB = FpPresentation(("a", "b"), (commutator(gen("a"), gen("b")),))
 
 
-# each site check alone: the one pass over all sites must send every fault
-# to the per-site loop that names it.  A site relator equal to a pi1
-# relator is among them whether or not it is the same object.
+# each site check alone: the per-site loop must raise every fault with the
+# message that names it.  A site relator equal to a pi1 relator is among
+# them whether or not it is the same object.
 @pytest.mark.parametrize("changes, message", [
     (dict(pushoff=gen("q")), "site 's': word 'q' uses unknown generators"),
     (dict(unsurgered=parse_word("a q")),
