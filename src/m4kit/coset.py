@@ -6,21 +6,6 @@ the run defines the same cosets in the same order.  The enumeration either
 returns the exact index of the subgroup or reports that it hit the cap —
 it never claims an index is infinite.
 
-Before the table is built, the generators that short relators define are
-eliminated (Tietze moves; Havas, Kenne, Richardson and Robertson, 1984):
-a generator that occurs once in a cyclically reduced relator of at most
-three letters is replaced by the other letters in every relator and
-subgroup word, and empty relators are dropped, until no such relator is
-left.  The last such generator in the presentation goes first, and no
-generator's image may exceed two letters (an elimination that would break
-that waits until the image shortens), so no relator more than doubles.
-Taking the first generator first now defines as many cosets on the family
-(it nearly tripled them before the relator scans below); relators of up
-to five letters with images of up to four define 3,845 cosets on the five
-`odd_sweep` cores, against 1,227, and 1,517 at n = 40, against 1,432.
-The subgroup is rewritten alike, so the index is the input's, but the
-cosets defined, and so the cap, are those of the reduced run.
-
 The table is row-per-coset with one column per generator letter (g and
 g^-1, so column x ^ 1 is the inverse of column x).  The live cosets are
 taken in table order.  From each, every distinct relator is first traced in
@@ -34,12 +19,10 @@ undefined, in column order, define a new coset (the Felsch fill), each
 followed by its deductions.  This mixed strategy (Havas, "Coset enumeration
 strategies", ISSAC 1991; Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, ch. 5) closes the relator cycles through a coset before
-the fill defines past them.  The cosets of exotic_odd_cp2(n, m) fell from
-20n^2 + 84n + 84 (at m = 1) under the Felsch fill alone to 4n^2 + 38n + 10
-with the scans defining always at the forward gap, and to 35n + 28 + 4m
-with the earliest-row rule.  That gain rests on the relators as the
-family writes them: with each relator of the n = 20 core inverted and
-rotated at random, both scan rules define 1,500 to 3,200 cosets, not 732.
+the fill defines past them.  The cosets of exotic_odd_cp2(n, m) number
+30n + 30 + 4m.  That rests on the relators as the family writes them:
+with each relator of the n = 20 core inverted and rotated at random, the
+enumeration defines 2,300 to 5,000 cosets, not 634.
 Every entry set anywhere, by a definition, by the entry that closes a scan
 or by a coincidence, is pushed as a deduction, so every relator cycle
 through it is checked.  A deduction (a, x) scans, without defining, each
@@ -56,19 +39,17 @@ doubled letterwise inverse, one slice per rotation.
 Coincidences are processed with a queue over a union-find.  Rows are never
 renumbered or dropped, so the table holds exactly the cosets defined, at
 most `max_cosets` rows.  That bounds the rows, not the memory: a row holds
-two entries per generator left after elimination.  Enumerating the core of
-`exotic_odd_cp2(80, 1)`, 2,832 rows for 164 generators, peaks at 12 MB
-(tracemalloc), and the default 1,000,000 rows at that width would take
-nearly 3 GB.
+two entries per generator.  Enumerating the core of `exotic_odd_cp2(80, 1)`,
+2,434 rows for 168 generators, peaks at 10.7 MB (tracemalloc), and the
+default 1,000,000 rows at that width would take nearly 3 GB.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .presentation import FpPresentation, defining_rotation
-from .words import Record, Word, cyclic_reduce, set_field, substitute
+from .presentation import FpPresentation
+from .words import Record, Word, set_field
 
 DEFAULT_MAX_COSETS = 1_000_000      # the coset budget unless one is given
 
@@ -349,68 +330,20 @@ def coset_enumeration(p: FpPresentation, subgroup: Iterable[Word] = (),
     """Index of the subgroup generated by `subgroup` in the group presented
     by p (relators only; conditional relators and meridional tiers are the
     caller's business, and ValueError is raised if any are present).
-    The generators that relators of at most three letters define are
-    eliminated first, the last one first and no image longer than two
-    letters: the index is p's, but `total_defined` and `max_cosets` count
-    the cosets of the reduced presentation.  `max_cosets` bounds the rows
-    of the table, each two entries per generator left, not its memory."""
+    `max_cosets` bounds the rows of the table, each two entries per
+    generator of p, not its memory; it must be at least 1, the row of the
+    subgroup itself, and every subgroup word must be over p's generators,
+    or ValueError is raised."""
     if p.meridional:
         raise ValueError("strip/discharge the meridional tier first")
     if p.conditional:
         raise ValueError("decide conditional relators before enumerating")
-    gens, relators, subgroup = _eliminate(p.generators, p.relators, subgroup)
-    return _Enumerator(gens, max_cosets, relators).run(subgroup)
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be at least 1, not {max_cosets}")
+    subgroup, gens = list(subgroup), set(p.generators)
+    for w in subgroup:
+        if stray := w.names() - gens:
+            raise ValueError(f"subgroup word {w} names {sorted(stray)}, "
+                             "not generators of the presentation")
+    return _Enumerator(p.generators, max_cosets, p.relators).run(subgroup)
 
-
-def _eliminate(gens: Sequence[str], relators: Sequence[Word],
-               subgroup: Iterable[Word]
-               ) -> tuple[tuple[str, ...], list[Word], list[Word]]:
-    """The generators, relators and subgroup words left once the generators
-    that short relators define are eliminated (see the module docstring)."""
-    words = list(relators) + list(subgroup)
-    nrel, rank = len(relators), {g: i for i, g in enumerate(gens)}
-    occ: dict[str, set[int]] = {g: set() for g in gens}   # words naming g
-    for i, w in enumerate(words):
-        for g in w.names():
-            occ[g].add(i)
-    heap: list[tuple[int, int]] = []     # (-rank of g, relator defining g)
-
-    def push(i: int) -> None:
-        c = cyclic_reduce(words[i])
-        if len(c) <= 3 and i < nrel:
-            for g in c.names():
-                if c.occurrences(g) == 1:
-                    heappush(heap, (-rank[g], i))
-
-    for i in range(nrel):
-        push(i)
-    images: dict[str, Word] = {}         # the eliminated g -> g's two letters
-    users: dict[str, set[str]] = {g: set() for g in gens}   # images naming g
-    refused: dict[str, list[int]] = {}   # g -> relators refused for length
-    while heap:
-        r, i = heappop(heap)
-        g, c = gens[-r], cyclic_reduce(words[i])
-        u = defining_rotation(c, g) if len(c) <= 3 else None
-        if u is None:
-            continue                     # the relator has changed since
-        new = {h: substitute(images[h], {g: u}) for h in users[g]}
-        if any(len(w) > 2 for w in new.values()):
-            refused.setdefault(g, []).append(i)
-            continue
-        for h in new:                    # a changed image may unblock
-            for x in images.pop(h).names():
-                users[x].discard(h)
-                for j in refused.pop(x, ()):
-                    heappush(heap, (-rank[x], j))
-        for h, w in ({g: u} | new).items():
-            if len(w) == 2:
-                images[h] = w
-                for x in w.names():
-                    users[x].add(h)
-        for j in occ.pop(g):
-            words[j] = w = substitute(words[j], {g: u})
-            for x in u.names() & w.names():
-                occ[x].add(j)
-            push(j)
-    return (tuple(g for g in gens if g in occ),
-            [w for w in words[:nrel] if w], words[nrel:])
