@@ -181,14 +181,26 @@ def test_refuses_undischarged_structure():
 # A subgroup word off the presentation's generators has no column in the
 # table, and no cap below 1 holds the subgroup's own coset: both are typed
 # errors at the edge, not a KeyError or a table larger than its cap.
-def test_refuses_a_stray_subgroup_word_and_a_cap_below_one():
+@pytest.mark.parametrize("word", ["zz", "a zz^-1", "a^2 zz a^-1"])
+def test_refuses_a_subgroup_word_off_the_generators(word):
     with pytest.raises(ValueError, match="zz"):
-        coset_enumeration(pres("a", "a^3"), [gen("zz")])
+        coset_enumeration(pres("a", "a^3"), [parse_word(word)])
+
+
+@pytest.mark.parametrize("p, cap", [
+    (FpPresentation((), ()), 0),
+    (pres("a", "a^3"), 0),
+    (pres("a", "a^3"), -1),
+], ids=str)
+def test_refuses_a_cap_below_one(p, cap):
     with pytest.raises(ValueError, match="max_cosets"):
-        coset_enumeration(FpPresentation((), ()), max_cosets=0)
-    with pytest.raises(ValueError, match="max_cosets"):
-        coset_enumeration(pres("a", "a^3"), max_cosets=-1)
-    assert coset_enumeration(FpPresentation((), ()), max_cosets=1) == \
+        coset_enumeration(p, max_cosets=cap)
+
+
+@pytest.mark.parametrize("p", [FpPresentation((), ()), pres("a", "a")],
+                         ids=str)
+def test_a_cap_of_one_holds_the_trivial_group(p):
+    assert coset_enumeration(p, max_cosets=1) == \
         CosetCount(index=1, total_defined=1)
 
 
@@ -257,6 +269,19 @@ def test_odd_family_cores_define_pinned_cosets(n, m, defined):
 def test_odd_family_cosets_grow_as_30n(n, m):
     assert coset_enumeration(_odd_core(n, m)) == CosetCount(
         index=1, total_defined=30 * n + 30 + 4 * m)
+
+
+# `max_cosets` caps the cosets of the presentation as passed, the same
+# count that `total_defined` reports: a core closes at a cap of exactly its
+# count and runs out one below it.
+@pytest.mark.parametrize("n, m", ODD_SWEEP)
+def test_the_cap_counts_the_cosets_of_the_presentation_as_given(n, m):
+    core = _odd_core(n, m)
+    defined = coset_enumeration(core).total_defined
+    assert coset_enumeration(core, max_cosets=defined) == CosetCount(
+        index=1, total_defined=defined)
+    assert coset_enumeration(core, max_cosets=defined - 1) == \
+        Exceeded(defined - 1)
 
 
 def test_odd_family_corroborates_at_n_40_within_10k_cosets():
